@@ -3,7 +3,9 @@
 Subpackages by topic: points (sequences, dilation, continued fractions),
 variance (the two exact V(N,S) routes), dyadic (plateau decomposition of the
 tent kernel), arithmetic (representation numbers, energies, divisor and gcd
-sums), baselines (random and Kronecker references), cli (scans and output).
+sums), baselines (random and Kronecker references).  Their public names are
+re-exported here.  The command line, with its scans and output, is
+numvar.cli; it is not imported by the package.
 """
 
 from .arithmetic import (BudgetExceeded, DifferenceSet, RepTable,
@@ -17,16 +19,13 @@ from .baselines import (BridgePath, RandomSample, bridge_functional,
                         bridge_path, kronecker_experiment,
                         prop2_exceedance_scan, random_variance_experiment,
                         sample_uniform)
-from .cli import (ExperimentConfig, ScanResult, config_hash, emit,
-                  estimate_pairs, main, parse, parse_config, run_scan)
-from .dyadic import (DyadicExpansion, PlateauKernel, decompose, plateau_eval,
-                     plateau_fourier, plateau_mean, verify_decomposition,
-                     y_statistic)
+from .dyadic import (DyadicExpansion, PlateauKernel, decompose,
+                     verify_decomposition, y_statistic)
 from .points import (GRID_BITS, GRID_ONE, Alpha, PointSet, SequenceSpec,
                      continued_fraction_convergents, dilate_mod1,
                      generate_terms)
 from .variance import (TentKernel, VarianceRecord, WindowAccumulator,
                        as_dyadic, counting_function, periodized_tent,
-                       variance_for_alpha, variance_pairwise, variance_sweep)
+                       variance_pairwise, variance_sweep)
 
 __version__ = "0.1.0"

@@ -436,7 +436,7 @@ def _is_prime(q: int) -> bool:
 def congruence_solution_count(coeffs, q: int) -> int:
     """Roots of the polynomial mod a prime q, by exhaustive evaluation.
 
-    At most deg many exist (asserted); rejects moduli where every coefficient
+    At most deg many exist (checked); rejects moduli where every coefficient
     vanishes, since the root bound's hypothesis fails there.
     """
     if not _is_prime(q):
@@ -452,18 +452,18 @@ def congruence_solution_count(coeffs, q: int) -> int:
         if acc == 0:
             count += 1
     degree = max(i for i, c in enumerate(coeffs) if c)
-    assert count <= degree, "root count exceeded the degree bound"
+    if count > degree:
+        raise RuntimeError("root count exceeded the degree bound")
     return count
 
 
-def sparse_u2_mass(terms, count: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET):
+def sparse_u2_mass(table: RepTable):
     """(mass, exponent) of repeated gaps: mass = sum of Rep(u)^2 over Rep >= 2.
 
-    exponent = log(mass)/log(N) for trend reporting (nan when undefined).
+    exponent = log(mass)/log(N) with N = N2 of the table's window, for trend
+    reporting (nan when undefined).
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    table = rep_table(terms, 1, count, pair_budget=pair_budget)
+    count = table.window[1]
     mass = sum(r * r for r in table.counts.values() if r >= 2)
     if mass > 0 and count > 1:
         exponent = math.log(mass) / math.log(count)

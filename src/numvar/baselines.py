@@ -21,15 +21,12 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import ndtri
 
-from .points import GRID_ONE, Alpha, PointSet, continued_fraction_convergents, dilate_mod1
+from .points import (Alpha, PointSet, continued_fraction_convergents, dilate_mod1,
+                     philox_words)
 from .variance import (VarianceRecord, WindowAccumulator, as_dyadic,
                        variance_pairwise)
 
 DEFAULT_BRIDGE_GRID = 1 << 14
-
-
-def _generator(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def _derived_seeds(seed, count: int) -> list:
@@ -51,8 +48,7 @@ def sample_uniform(count: int, seed) -> RandomSample:
     """`count` uniform points on the 2^-128 grid, sorted; reproducible."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    gen = _generator(seed)
-    words = gen.integers(0, 1 << 64, size=(count, 2), dtype=np.uint64)
+    words = philox_words(seed, (count, 2))
     his = words[:, 0].tolist()
     los = words[:, 1].tolist()
     pts = sorted((hi << 64) | lo for hi, lo in zip(his, los))
@@ -75,8 +71,7 @@ def bridge_path(m: int, seed) -> BridgePath:
     """
     if m < 2 or m & (m - 1):
         raise ValueError("grid size M must be a power of two >= 2")
-    gen = _generator(seed)
-    words = gen.integers(0, 1 << 64, size=m, dtype=np.uint64)
+    words = philox_words(seed, m)
     uniforms = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
     steps = ndtri(uniforms) / math.sqrt(m)
     walk = np.concatenate(([0.0], np.cumsum(steps)))

@@ -33,8 +33,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import arithmetic, baselines, dyadic
-from .arithmetic import (DEFAULT_MEM_BUDGET, DEFAULT_PAIR_BUDGET,
-                         BudgetExceeded)
+from .arithmetic import DEFAULT_PAIR_BUDGET, BudgetExceeded
 from .points import Alpha, SequenceSpec, dilate_mod1, generate_terms
 from .variance import VarianceRecord, WindowAccumulator, as_dyadic
 
@@ -59,7 +58,6 @@ class ExperimentConfig:
     s_grid: tuple
     seed: Optional[int]
     pair_budget: int
-    mem_budget: int
     out: Optional[str]
     fmt: str
 
@@ -104,7 +102,7 @@ def parse_s_grid(text: str) -> tuple:
 
 
 _CONFIG_KEYS = {"sequence", "alpha_mode", "alpha_count", "alphas", "n_grid",
-                "s_grid", "seed", "pair_budget", "memory_budget", "out", "format"}
+                "s_grid", "seed", "pair_budget", "out", "format"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -172,7 +170,6 @@ def parse_config(text: str) -> ExperimentConfig:
         s_grid=s_grid,
         seed=seed,
         pair_budget=_parse_int(data.get("pair_budget", str(DEFAULT_PAIR_BUDGET)), "pair_budget"),
-        mem_budget=_parse_int(data.get("memory_budget", str(DEFAULT_MEM_BUDGET)), "memory_budget"),
         out=data.get("out"),
         fmt=fmt,
     )
@@ -194,7 +191,6 @@ def config_hash(config: ExperimentConfig) -> str:
         "s_grid": [f"{s.numerator}/{s.denominator}" for s in config.s_grid],
         "seed": config.seed,
         "pair_budget": config.pair_budget,
-        "memory_budget": config.mem_budget,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -361,7 +357,6 @@ def preset_config(name: str, seed: Optional[int] = None) -> ExperimentConfig:
             s_grid=tuple(Fraction(1, 1 << v) for v in range(5, 13)),
             seed=PRESET_SEED if seed is None else seed,
             pair_budget=DEFAULT_PAIR_BUDGET,
-            mem_budget=DEFAULT_MEM_BUDGET,
             out=None,
             fmt="csv",
         )
@@ -394,100 +389,104 @@ def _write_bytes(data: bytes, out: Optional[str]) -> None:
             fh.write(data)
 
 
-def _print_json(obj, out: Optional[str]) -> None:
-    _write_bytes((json.dumps(obj, indent=2) + "\n").encode(), out)
-
-
 def _sequence_terms(args) -> list:
     spec = SequenceSpec.parse(args.sequence)
     return generate_terms(spec, args.count)
 
 
-def _cmd_scan(args) -> int:
-    if not args.config:
-        raise ConfigError("scan requires --config")
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    if args.out is not None:
-        config = dataclasses.replace(config, out=args.out)
-    if args.format is not None:
-        config = dataclasses.replace(config, fmt=args.format)
+def _window_table(args, terms) -> arithmetic.RepTable:
+    """rep_table over --n1..--n2; by default the whole window 1..--count."""
+    n2 = args.count if args.n2 is None else args.n2
+    return arithmetic.rep_table(terms, args.n1, n2, pair_budget=args.pair_budget)
+
+
+def _scan_and_write(config: ExperimentConfig, args, *, stdout: bool) -> ScanResult:
+    """run_scan with the command-line overrides, then write the rows.
+
+    Rows go to --out (CSV rows there are streamed by run_scan itself).
+    Without --out they go to stdout if `stdout` is set, and nowhere otherwise.
+    """
+    overrides = {"seed": args.seed, "out": args.rows_out, "fmt": args.format}
+    config = dataclasses.replace(
+        config, **{k: v for k, v in overrides.items() if v is not None})
     result = run_scan(config, skip_over_budget=args.skip_over_budget,
                       threads=args.threads)
-    if config.fmt == "json":
+    if config.out is None:
+        if stdout:
+            _write_bytes(emit(result, config.fmt), None)
+    elif config.fmt == "json":
         _write_bytes(emit(result, "json"), config.out)
-    elif config.out is None:
-        _write_bytes(emit(result, "csv"), None)
-    # csv with an output path was already streamed by run_scan
-    return 0
+    return result
 
 
-def _cmd_decompose(args) -> int:
+# Each _cmd_* handler returns the JSON document main writes, or None when it
+# wrote its own output.
+
+
+def _cmd_scan(args) -> None:
+    if not args.config:
+        raise ConfigError("scan requires --config")
+    _scan_and_write(load_config(args.config), args, stdout=True)
+
+
+def _cmd_decompose(args) -> dict:
     expansion = dyadic.decompose(Fraction(args.s))
-    _print_json({
+    return {
         "S": f"{expansion.s.numerator}/{expansion.s.denominator}",
         "levels": [{"v": v, "c": c} for v, c in expansion.pairs()],
         "scalar_sum": str(expansion.scalar_sum()),
         "s_squared": str(expansion.s ** 2),
-    }, args.out)
-    return 0
+    }
 
 
-def _cmd_energy(args) -> int:
+def _cmd_energy(args) -> dict:
     terms = _sequence_terms(args)
-    n1 = args.n1 or 1
-    n2 = args.n2 or args.count
-    table = arithmetic.rep_table(terms, n1, n2, pair_budget=args.pair_budget)
+    table = _window_table(args, terms)
     out = {
         "sequence": args.sequence,
-        "window": [n1, n2],
+        "window": list(table.window),
         "pair_count": table.pair_count,
         "energy_window": arithmetic.energy_window(table),
     }
-    if n1 == 1 and n2 == args.count:
+    if table.window == (1, args.count):
         out["additive_energy"] = arithmetic.additive_energy(
             terms, args.count, pair_budget=args.pair_budget)
-    _print_json(out, args.out)
-    return 0
+    return out
 
 
-def _cmd_repstats(args) -> int:
+def _cmd_repstats(args) -> dict:
     terms = _sequence_terms(args)
-    n1 = args.n1 or 1
-    n2 = args.n2 or args.count
-    table = arithmetic.rep_table(terms, n1, n2, pair_budget=args.pair_budget)
-    mass, exponent = arithmetic.sparse_u2_mass(terms, args.count,
-                                               pair_budget=args.pair_budget)
-    _print_json({
+    table = _window_table(args, terms)
+    full = table if table.window == (1, args.count) else arithmetic.rep_table(
+        terms, 1, args.count, pair_budget=args.pair_budget)
+    mass, exponent = arithmetic.sparse_u2_mass(full)
+    return {
         "sequence": args.sequence,
-        "window": [n1, n2],
+        "window": list(table.window),
         "pair_count": table.pair_count,
         "distinct_differences": len(table.counts),
         "max_rep": max(table.counts.values(), default=0),
         "energy_window": arithmetic.energy_window(table),
         "repeated_mass": mass,
         "repeated_mass_exponent": exponent,
-    }, args.out)
-    return 0
+    }
 
 
-def _cmd_gcdsum(args) -> int:
+def _cmd_gcdsum(args) -> dict:
     terms = _sequence_terms(args)
     table = arithmetic.rep_table(terms, 1, args.count, pair_budget=args.pair_budget)
     value = arithmetic.gcd_sum(table, args.variant, threshold=args.threshold,
                                strategy=args.strategy)
-    _print_json({
+    return {
         "sequence": args.sequence,
         "count": args.count,
         "variant": args.variant,
         "threshold": args.threshold,
         "value": value,
-    }, args.out)
-    return 0
+    }
 
 
-def _cmd_divcheck(args) -> int:
+def _cmd_divcheck(args) -> dict:
     coeffs = [int(tok) for tok in args.poly.split(",")]
     normalized = arithmetic.normalize_polynomial(coeffs)
     degree = len(normalized) - 1
@@ -499,22 +498,21 @@ def _cmd_divcheck(args) -> int:
             diffs, ell, degree, args.count)
         if not ok:
             failures.append({"ell": ell, "hits": hits, "bound": bound})
-    _print_json({
+    return {
         "poly": normalized,
         "count": args.count,
         "ell_range": [max(2, args.ell_min), args.ell_max],
         "failures": failures,
         "all_ok": not failures,
-    }, args.out)
-    return 0
+    }
 
 
-def _cmd_random_baseline(args) -> int:
+def _cmd_random_baseline(args) -> dict:
     if args.seed is None:
         raise ConfigError("random-baseline requires --seed")
     res = baselines.random_variance_experiment(args.n, Fraction(args.s),
                                                args.replicates, args.seed)
-    _print_json({
+    return {
         "N": res.n,
         "S": f"{res.s.numerator}/{res.s.denominator}",
         "replicates": args.replicates,
@@ -522,11 +520,10 @@ def _cmd_random_baseline(args) -> int:
         "stddev": res.stddev,
         "stderr": res.stderr,
         "expected": res.expected,
-    }, args.out)
-    return 0
+    }
 
 
-def _cmd_bridge_sim(args) -> int:
+def _cmd_bridge_sim(args) -> dict:
     if args.seed is None:
         raise ConfigError("bridge-sim requires --seed")
     s = Fraction(args.s)
@@ -536,7 +533,7 @@ def _cmd_bridge_sim(args) -> int:
         values.append(baselines.bridge_functional(path, s, args.n))
     mean = statistics.fmean(values)
     stddev = statistics.stdev(values) if len(values) > 1 else 0.0
-    _print_json({
+    return {
         "paths": args.paths,
         "M": args.m,
         "S": f"{s.numerator}/{s.denominator}",
@@ -545,115 +542,105 @@ def _cmd_bridge_sim(args) -> int:
         "stddev": stddev,
         "stderr": stddev / math.sqrt(len(values)),
         "expected": args.n * float(s) * (1.0 - float(s)),
-    }, args.out)
-    return 0
+    }
 
 
-def _cmd_kronecker(args) -> int:
+def _cmd_kronecker(args) -> dict:
     alpha = Alpha.parse(args.alpha)
     grid = parse_s_grid(args.s_grid)
     rows = baselines.kronecker_experiment(alpha, grid, n_max=args.n_max)
-    _print_json({
+    return {
         "alpha": alpha.hex,
         "s_grid_size": len(grid),
         "rows": [{"p": r.p, "q": r.q, "max_v": r.max_v} for r in rows],
         "max_v": max((r.max_v for r in rows), default=0.0),
-    }, args.out)
-    return 0
+    }
 
 
-def _cmd_preset(args) -> int:
-    config = preset_config(args.name, seed=args.seed)
-    if args.out is not None:
-        config = dataclasses.replace(config, out=args.out)
-    if args.format is not None:
-        config = dataclasses.replace(config, fmt=args.format)
-    result = run_scan(config, skip_over_budget=args.skip_over_budget,
-                      threads=args.threads)
-    if config.fmt == "json" and config.out:
-        _write_bytes(emit(result, "json"), config.out)
-    verdict = preset_verdict(args.name, result)
-    _print_json(verdict, None)
-    return 0 if verdict["pass"] else 4
+def _cmd_preset(args) -> dict:
+    if args.format is not None and args.rows_out is None:
+        raise ConfigError("preset --format needs --out: stdout carries the verdict")
+    result = _scan_and_write(preset_config(args.name), args, stdout=False)
+    return preset_verdict(args.name, result)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text}")
+    return value
+
+
+def _arg(*names, **kwargs):
+    return names, kwargs
+
+
+_OUT = _arg("--out", default=None, help="output path (default stdout)")
+_PAIR_BUDGET = _arg("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
+_SEED = _arg("--seed", type=int, default=None)
+_SEQUENCE = (_arg("--sequence", required=True),
+             _arg("--count", type=int, required=True))
+_WINDOW = (_arg("--n1", type=_positive_int, default=1),
+           _arg("--n2", type=_positive_int, default=None, help="default: --count"))
+_SCAN = (_SEED,
+         _arg("--threads", type=_positive_int, default=1),
+         _arg("--skip-over-budget", action="store_true",
+              help="skip over-budget cells instead of aborting"),
+         _arg("--out", dest="rows_out", default=None,
+              help="path for the rows; CSV streams there as each N block completes"),
+         _arg("--format", choices=("csv", "json"), default=None))
+
+# subcommand: (handler, help, arguments).  A subcommand takes only the flags
+# its handler reads, so any other flag is an argparse error (exit 2).
+_COMMANDS = {
+    "scan": (_cmd_scan, "run the (N, S, alpha) grid from --config",
+             (_arg("--config", help="flat key=value config file"), *_SCAN)),
+    "decompose": (_cmd_decompose, "dyadic plateau decomposition of S",
+                  (_arg("s", help="dyadic fraction, e.g. 15/64"), _OUT)),
+    "energy": (_cmd_energy, None, (*_SEQUENCE, *_WINDOW, _PAIR_BUDGET, _OUT)),
+    "repstats": (_cmd_repstats, None, (*_SEQUENCE, *_WINDOW, _PAIR_BUDGET, _OUT)),
+    "gcdsum": (_cmd_gcdsum, None, (
+        *_SEQUENCE,
+        _arg("--variant", choices=sorted(arithmetic.GCD_VARIANTS), default="half"),
+        _arg("--threshold", type=float, default=None),
+        _arg("--strategy", choices=("auto", "dense", "classes"), default="auto"),
+        _PAIR_BUDGET, _OUT)),
+    "divcheck": (_cmd_divcheck, "difference divisibility bound over a range of moduli", (
+        _arg("--poly", required=True, help="coefficients c0,c1,..., ascending"),
+        _arg("--count", type=int, required=True),
+        _arg("--ell-min", type=int, default=2),
+        _arg("--ell-max", type=int, default=200),
+        _PAIR_BUDGET, _OUT)),
+    "random-baseline": (_cmd_random_baseline, "variance of i.i.d. uniform samples", (
+        _arg("--n", type=int, required=True),
+        _arg("--s", required=True),
+        _arg("--replicates", type=int, default=200),
+        _SEED, _OUT)),
+    "bridge-sim": (_cmd_bridge_sim, "Brownian-bridge functional simulation", (
+        _arg("--m", type=int, default=baselines.DEFAULT_BRIDGE_GRID),
+        _arg("--s", required=True),
+        _arg("--n", type=int, required=True),
+        _arg("--paths", type=int, default=1000),
+        _SEED, _OUT)),
+    "kronecker": (_cmd_kronecker, "variance at convergent denominators of alpha", (
+        _arg("--alpha", required=True),
+        _arg("--s-grid", default="k/64"),
+        _arg("--n-max", type=int, default=10 ** 5),
+        _OUT)),
+    "preset": (_cmd_preset, "run a named experiment", (_arg("name"), *_SCAN)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--threads", type=int, default=1)
-    common.add_argument("--skip-over-budget", action="store_true",
-                        help="skip over-budget cells instead of aborting")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default=None)
-    common.add_argument("--pair-budget", type=int, dest="pair_budget",
-                        default=DEFAULT_PAIR_BUDGET)
-
     parser = argparse.ArgumentParser(
         prog="numvar",
         description="Number-variance experiments for dilated integer sequences.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("scan", parents=[common],
-                   help="run the (N, S, alpha) grid from --config").set_defaults(fn=_cmd_scan)
-
-    p = sub.add_parser("decompose", parents=[common],
-                       help="dyadic plateau decomposition of S")
-    p.add_argument("s", help="dyadic fraction, e.g. 15/64")
-    p.set_defaults(fn=_cmd_decompose)
-
-    for name, fn, extra in (
-            ("energy", _cmd_energy, ()),
-            ("repstats", _cmd_repstats, ()),
-            ("gcdsum", _cmd_gcdsum, ("variant",))):
-        p = sub.add_parser(name, parents=[common])
-        p.add_argument("--sequence", required=True)
-        p.add_argument("--count", type=int, required=True)
-        if name != "gcdsum":
-            p.add_argument("--n1", type=int, default=None)
-            p.add_argument("--n2", type=int, default=None)
-        if "variant" in extra:
-            p.add_argument("--variant", choices=sorted(arithmetic.GCD_VARIANTS),
-                           default="half")
-            p.add_argument("--threshold", type=float, default=None)
-            p.add_argument("--strategy", choices=("auto", "dense", "classes"),
-                           default="auto")
+    for name, (fn, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for names, kwargs in arguments:
+            p.add_argument(*names, **kwargs)
         p.set_defaults(fn=fn)
-
-    p = sub.add_parser("divcheck", parents=[common],
-                       help="difference divisibility bound over a range of moduli")
-    p.add_argument("--poly", required=True, help="coefficients c0,c1,..., ascending")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--ell-min", type=int, default=2)
-    p.add_argument("--ell-max", type=int, default=200)
-    p.set_defaults(fn=_cmd_divcheck)
-
-    p = sub.add_parser("random-baseline", parents=[common],
-                       help="variance of i.i.d. uniform samples")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", required=True)
-    p.add_argument("--replicates", type=int, default=200)
-    p.set_defaults(fn=_cmd_random_baseline)
-
-    p = sub.add_parser("bridge-sim", parents=[common],
-                       help="Brownian-bridge functional simulation")
-    p.add_argument("--m", type=int, default=baselines.DEFAULT_BRIDGE_GRID)
-    p.add_argument("--s", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--paths", type=int, default=1000)
-    p.set_defaults(fn=_cmd_bridge_sim)
-
-    p = sub.add_parser("kronecker", parents=[common],
-                       help="variance at convergent denominators of alpha")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--s-grid", default="k/64")
-    p.add_argument("--n-max", type=int, default=10 ** 5)
-    p.set_defaults(fn=_cmd_kronecker)
-
-    p = sub.add_parser("preset", parents=[common], help="run a named experiment")
-    p.add_argument("name")
-    p.set_defaults(fn=_cmd_preset)
-
     return parser
 
 
@@ -661,7 +648,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        doc = args.fn(args)
+        if doc is not None:
+            # scan and preset take --out for their rows; a preset's verdict
+            # always goes to stdout
+            _write_bytes((json.dumps(doc, indent=2) + "\n").encode(),
+                         getattr(args, "out", None))
     except BudgetExceeded as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
@@ -674,6 +666,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    return 4 if args.command == "preset" and not doc["pass"] else 0
 
 
 def console_main() -> None:

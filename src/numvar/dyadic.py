@@ -117,18 +117,6 @@ def decompose(s, max_level: int = MAX_LEVEL) -> DyadicExpansion:
     return DyadicExpansion(s=f, digits=tuple(digits), coeffs=tuple(coeffs))
 
 
-def plateau_eval(v: int, c: int, x):
-    return PlateauKernel(v, c).value(x)
-
-
-def plateau_mean(v: int, c: int) -> Fraction:
-    return PlateauKernel(v, c).mean()
-
-
-def plateau_fourier(v: int, c: int, j: int) -> float:
-    return PlateauKernel(v, c).fourier(j)
-
-
 def verify_decomposition(s, x):
     """(tent value, plateau-sum value) at x; the two sides agree pointwise."""
     f = as_dyadic(s)

@@ -25,6 +25,17 @@ TERM_LIMIT = (1 << 63) - 1
 _HEX_RE = re.compile(r"^[0-9a-fA-F]{32}$")
 
 
+def philox_words(seed, shape) -> np.ndarray:
+    """Uniform uint64 words of the given shape from numpy's Philox stream for `seed`.
+
+    Every random draw in the package comes from here, so a seed reproduces
+    the same bytes on any platform.  A row of two words is one point of the
+    2^-128 grid, high word first.
+    """
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return gen.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+
+
 @dataclass(frozen=True)
 class Alpha:
     """A dilation factor in [0, 1) as an unsigned 128-bit fixed-point fraction."""
@@ -83,8 +94,7 @@ class Alpha:
         """`count` alphas drawn uniformly from the 2^-128 grid (Philox stream)."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        words = gen.integers(0, 1 << 64, size=(count, 2), dtype=np.uint64)
+        words = philox_words(seed, (count, 2))
         return [cls((int(w[0]) << 64) | int(w[1])) for w in words]
 
     @property

@@ -220,13 +220,8 @@ def variance_sweep(points: PointSet, s: SBin, *, exact: bool = False):
         level += events[pos]
         prev = pos
     integral += level * level * (GRID_ONE - prev)
-    assert level == base, "event deltas must cancel around the circle"
+    if level != base:
+        raise RuntimeError("event deltas must cancel around the circle")
     v = Fraction(integral * GRID_ONE - (n * width) ** 2, GRID_ONE * GRID_ONE)
     return v if exact else float(v)
 
-
-def variance_for_alpha(terms, alpha: Alpha, s: SBin, *, exact: bool = False):
-    """Convenience: dilate terms by alpha and take the pairwise variance."""
-    from .points import dilate_mod1
-
-    return variance_pairwise(dilate_mod1(terms, alpha), s, exact=exact)

@@ -268,13 +268,13 @@ def test_congruence_solution_count():
 
 
 def test_sparse_u2_mass():
-    mass, exponent = sparse_u2_mass(LINEAR, 10)
+    mass, exponent = sparse_u2_mass(rep_table(LINEAR, 1, 10))
     assert mass == 284
     assert exponent == pytest.approx(math.log(284) / math.log(10))
-    mass, exponent = sparse_u2_mass(LINEAR, 1)
+    mass, exponent = sparse_u2_mass(rep_table(LINEAR, 1, 1))
     assert mass == 0 and math.isnan(exponent)
     cubes = generate_terms(SequenceSpec.poly((0, 0, 0, 1)), 50)
-    mass, exponent = sparse_u2_mass(cubes, 50)
     table = rep_table(cubes, 1, 50)
+    mass, exponent = sparse_u2_mass(table)
     assert mass == sum(r * r for r in table.counts.values() if r >= 2)
     assert exponent < 2

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import numvar
 import numvar.cli as cli
 from numvar.arithmetic import BudgetExceeded
 from numvar.cli import (CSV_HEADER, ConfigError, ScanResult, config_hash,
@@ -47,6 +51,7 @@ def test_parse_config_full_and_defaults():
     "alpha_mode = explicit\nn_grid = 10\ns_grid = 1/4",
     "alpha_mode = sobol\nn_grid = 10\ns_grid = 1/4\nseed = 1",
     "n_grid\ns_grid = 1/4\nseed = 1",              # no equals sign
+    "n_grid = 10\ns_grid = 1/4\nseed = 1\nmemory_budget = 1",  # removed key
 ])
 def test_parse_config_rejects(text):
     with pytest.raises(ConfigError):
@@ -291,3 +296,54 @@ def test_main_kronecker(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert [r["q"] for r in doc["rows"]] == [1, 3]
     assert doc["max_v"] == pytest.approx(0.1875)
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--config", "scan.conf", "--pair-budget", "10"],
+    ["decompose", "15/64", "--threads", "4"],
+    ["kronecker", "--alpha", "golden", "--seed", "3"],
+    ["energy", "--sequence", "linear", "--count", "10", "--config", "x.conf"],
+    ["preset", "thm1-quadratic", "--config", "x.conf"],
+])
+def test_main_refuses_flags_a_subcommand_does_not_take(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--config", "scan.conf", "--threads", "0"],
+    ["preset", "thm1-quadratic", "--threads", "-3"],
+    ["energy", "--sequence", "linear", "--count", "10", "--n1", "0"],
+    ["repstats", "--sequence", "linear", "--count", "10", "--n2", "0"],
+])
+def test_main_refuses_nonpositive_threads_and_window(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_main_preset_format_needs_out(monkeypatch):
+    monkeypatch.setattr(cli, "run_scan", lambda *a, **k: pytest.fail("scan ran"))
+    assert main(["preset", "thm1-quadratic", "--format", "json"]) == 2
+
+
+def test_main_repstats_narrow_window(capsys):
+    assert main(["repstats", "--sequence", "linear", "--count", "10",
+                 "--n1", "4", "--n2", "6"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["window"] == [4, 6] and doc["pair_count"] == 12
+    # the repeated mass stays that of the whole window 1..10
+    assert doc["repeated_mass"] == 284
+
+
+def test_module_runs_as_script():
+    src = os.path.dirname(os.path.dirname(numvar.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "numvar.cli",
+         "decompose", "1/4"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["levels"] == [{"v": 2, "c": 0}]

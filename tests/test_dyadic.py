@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from numvar.arithmetic import rep_table
-from numvar.dyadic import (PlateauKernel, decompose, plateau_fourier,
-                           verify_decomposition, y_statistic, y_window_sum)
+from numvar.dyadic import (PlateauKernel, decompose, verify_decomposition,
+                           y_statistic, y_window_sum)
 from numvar.points import Alpha
 
 
@@ -89,7 +89,6 @@ def test_fourier_against_quadrature():
                 continue
             ref = float(np.mean(vals * np.cos(2 * math.pi * j * ts)))
             assert abs(kern.fourier(j) - ref) < 1e-6
-            assert plateau_fourier(v, c, j) == kern.fourier(j)
 
 
 def test_fourier_rejects_zero_frequency():
