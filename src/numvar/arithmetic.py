@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .points import SequenceSpec, generate_terms
+
 DEFAULT_PAIR_BUDGET = 10 ** 9
 DEFAULT_CELL_BUDGET = 10 ** 9
 DEFAULT_MEM_BUDGET = 512 << 20  # bytes of scratch for the numpy paths
@@ -54,11 +56,37 @@ class RepTable:
         )
 
 
+def _gap_histogram(terms, n1: int, n2: int, buckets: int = 1, b: int = 0):
+    """Sorted distinct gaps u = |x_n - x_m| > 0 over pairs m < n with
+    N1 <= n <= N2, and their multiplicities, as int64 arrays.
+
+    With buckets > 1 only the gaps with u % buckets == b are kept, so a
+    caller can hold one residue class at a time.  Exact for |terms| < 2^62.
+    """
+    x = np.asarray(terms[:n2], dtype=np.int64)
+    if x.size and int(np.abs(x).max()) >= 1 << 62:
+        raise OverflowError("terms too large for the int64 gap path")
+    chunks = []
+    for n in range(max(n1, 2), n2 + 1):
+        gaps = np.abs(x[n - 1] - x[: n - 1])
+        chunks.append(gaps[gaps % buckets == b] if buckets > 1 else gaps)
+    # Sort in place and cut the zero gaps off by position: np.unique or a
+    # boolean filter would hold a second copy of every pair's gap.
+    arr = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+    del chunks
+    arr.sort()
+    arr = arr[np.searchsorted(arr, 0, side="right"):]
+    if not arr.size:
+        return arr, arr
+    starts = np.concatenate(([0], np.flatnonzero(arr[1:] != arr[:-1]) + 1))
+    return arr[starts], np.diff(np.append(starts, arr.size))
+
+
 def rep_table(terms, n1: int, n2: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RepTable:
-    """Exact difference counts by hashing all pairs (m < n, N1 <= n <= N2).
+    """Exact difference counts over all pairs (m < n, N1 <= n <= N2).
 
     Zero gaps (duplicate term values) are not stored; u ranges over positive
-    integers only.
+    integers only, in ascending order.  Exact for |terms| < 2^62.
     """
     if not 1 <= n1 <= n2 <= len(terms):
         raise ValueError(f"window ({n1}, {n2}) outside 1..{len(terms)}")
@@ -70,15 +98,8 @@ def rep_table(terms, n1: int, n2: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
             pairs,
             pair_budget,
         )
-    counts: dict = {}
-    for n in range(n1, n2 + 1):
-        xn = terms[n - 1]
-        for m in range(n - 1):
-            u = xn - terms[m]
-            if u < 0:
-                u = -u
-            if u:
-                counts[u] = counts.get(u, 0) + 1
+    gaps, reps = _gap_histogram(terms, n1, n2)
+    counts = dict(zip(gaps.tolist(), reps.tolist()))
     return RepTable(window=(n1, n2), counts=counts, pair_count=pairs)
 
 
@@ -110,40 +131,18 @@ def additive_energy(terms, count: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
 def energy_direct(terms, n1: int, n2: int, *, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
     """E(N1, N2) = sum Rep(u)^2 without materializing the count map.
 
-    Streams all pair gaps through residue buckets (u mod B), sorting one
-    bucket at a time, so peak memory stays near pairs * 8 / B bytes.  Exact
-    for |terms| < 2^62; intended for windows far beyond rep_table's reach.
+    Takes the gap histogram one residue bucket (u mod B) at a time, so each
+    pass holds about pairs * 8 / B <= mem_budget bytes of gaps.  Exact for
+    |terms| < 2^62; intended for windows far beyond rep_table's reach.
     """
     if not 1 <= n1 <= n2 <= len(terms):
         raise ValueError(f"window ({n1}, {n2}) outside 1..{len(terms)}")
-    x = np.asarray(terms[:n2], dtype=np.int64)
-    if x.size and int(np.abs(x).max()) >= 1 << 62:
-        raise OverflowError("terms too large for the int64 gap path")
     pairs = (n2 * (n2 - 1) - (n1 - 1) * (n1 - 2)) // 2
-    if pairs == 0:
-        return 0
     buckets = max(1, -(-pairs * 8 // mem_budget))
     total = 0
     for b in range(buckets):
-        chunks = []
-        for n in range(max(n1, 2), n2 + 1):
-            gaps = np.abs(x[n - 1] - x[: n - 1])
-            if buckets > 1:
-                gaps = gaps[gaps % buckets == b]
-            if gaps.size:
-                chunks.append(gaps)
-        if not chunks:
-            continue
-        arr = np.concatenate(chunks)
-        arr = arr[arr != 0]
-        if not arr.size:
-            continue
-        arr.sort()
-        edges = np.flatnonzero(np.diff(arr)) + 1
-        starts = np.concatenate(([0], edges))
-        ends = np.concatenate((edges, [arr.size]))
-        runs = ends - starts
-        total += int(np.dot(runs, runs))
+        _, reps = _gap_histogram(terms, n1, n2, buckets, b)
+        total += int(np.dot(reps, reps))
     return total
 
 
@@ -358,19 +357,16 @@ class DifferenceSet:
 
 
 def difference_set(coeffs, count: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> DifferenceSet:
-    """All distinct nonzero differences of polynomial values at 1..count."""
+    """All distinct nonzero differences of polynomial values at 1..count.
+
+    coeffs must be a valid SequenceSpec.poly, so a constant raises ValueError.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     if count * count > pair_budget:
         raise BudgetExceeded("difference grid too large", count * count, pair_budget)
-    n = np.arange(1, count + 1, dtype=np.int64)
-    vals = np.zeros_like(n)
-    for c in reversed(coeffs):
-        vals = vals * n + int(c)
-    if vals.size and int(np.abs(vals).max()) >= 1 << 62:
-        raise OverflowError("polynomial values too large for the int64 path")
-    diffs = (vals[:, None] - vals[None, :]).ravel()
-    return DifferenceSet(n=count, values=np.unique(diffs[diffs != 0]))
+    gaps, _ = _gap_histogram(generate_terms(SequenceSpec.poly(coeffs), count), 1, count)
+    return DifferenceSet(n=count, values=np.concatenate((-gaps[::-1], gaps)))
 
 
 def _radical(ell: int):
@@ -407,13 +403,15 @@ def divisibility_bound_check(diffs: DifferenceSet, ell: int, degree: int, count:
 
 
 def normalize_polynomial(coeffs):
-    """Drop the constant term and divide by the content.
+    """Drop the constant term and trailing zeros, and divide by the content.
 
     Puts a polynomial into the form the divisibility bound assumes.
     """
     body = list(coeffs)
     if body:
         body[0] = 0
+    while body and body[-1] == 0:
+        body.pop()
     g = 0
     for c in body:
         g = math.gcd(g, c)

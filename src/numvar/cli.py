@@ -614,13 +614,13 @@ _COMMANDS = {
     "random-baseline": (_cmd_random_baseline, "variance of i.i.d. uniform samples", (
         _arg("--n", type=int, required=True),
         _arg("--s", required=True),
-        _arg("--replicates", type=int, default=200),
+        _arg("--replicates", type=_positive_int, default=200),
         _SEED, _OUT)),
     "bridge-sim": (_cmd_bridge_sim, "Brownian-bridge functional simulation", (
         _arg("--m", type=int, default=baselines.DEFAULT_BRIDGE_GRID),
         _arg("--s", required=True),
         _arg("--n", type=int, required=True),
-        _arg("--paths", type=int, default=1000),
+        _arg("--paths", type=_positive_int, default=1000),
         _SEED, _OUT)),
     "kronecker": (_cmd_kronecker, "variance at convergent denominators of alpha", (
         _arg("--alpha", required=True),

@@ -17,6 +17,47 @@ SQUARES = [k * k for k in range(1, 201)]
 LINEAR = list(range(1, 201))
 
 
+def reference_rep_counts(terms, n1, n2):
+    """Rep(u) over pairs m < n, N1 <= n <= N2, by a plain loop over all pairs."""
+    counts: dict = {}
+    for n in range(n1, n2 + 1):
+        xn = terms[n - 1]
+        for m in range(n - 1):
+            u = xn - terms[m]
+            if u < 0:
+                u = -u
+            if u:
+                counts[u] = counts.get(u, 0) + 1
+    return counts
+
+
+def _differential_inputs():
+    cubic = (3, -7, 0, 2)
+    noisy = np.random.default_rng(8).integers(-50, 50, size=60)
+    return [
+        pytest.param(SQUARES[:60], (0, 0, 1), id="squares"),
+        pytest.param(generate_terms(SequenceSpec.poly(cubic), 60), cubic, id="poly:3,-7,0,2"),
+        pytest.param(noisy.tolist(), None, id="random-with-duplicates"),
+        pytest.param(np.array(SQUARES[:60], dtype=np.int64), None, id="int64-squares"),
+        pytest.param(noisy, None, id="int64-random"),
+    ]
+
+
+@pytest.mark.parametrize("terms,coeffs", _differential_inputs())
+def test_gap_counters_match_reference_loop(terms, coeffs):
+    n = len(terms)
+    for n1, n2 in ((1, n), (3, n), (n // 2, n), (1, 1), (2, 2)):
+        ref = reference_rep_counts(terms, n1, n2)
+        energy = sum(r * r for r in ref.values())
+        assert rep_table(terms, n1, n2).counts == ref
+        assert energy_direct(terms, n1, n2) == energy
+        assert energy_direct(terms, n1, n2, mem_budget=256) == energy
+        if coeffs is not None and (n1, n2) == (1, n):
+            gaps = sorted(ref)
+            values = difference_set(coeffs, n).values.tolist()
+            assert values == [-u for u in reversed(gaps)] + gaps
+
+
 def test_rep_table_examples():
     table = rep_table(SQUARES, 1, 5)
     assert table.counts == {u: 1 for u in (3, 5, 7, 8, 9, 12, 15, 16, 21, 24)}
@@ -79,7 +120,7 @@ def test_energy_direct_matches_window():
     for _ in range(20):
         n2 = int(rng.integers(2, 150))
         n1 = int(rng.integers(1, n2 + 1))
-        expect = energy_window(rep_table(SQUARES, n1, n2))
+        expect = sum(r * r for r in reference_rep_counts(SQUARES, n1, n2).values())
         assert energy_direct(SQUARES, n1, n2) == expect
         # tiny budget forces the multi-bucket path
         assert energy_direct(SQUARES, n1, n2, mem_budget=256) == expect
@@ -253,6 +294,7 @@ def test_normalize_polynomial():
     assert normalize_polynomial((0, 0, 2)) == (0, 0, 1)
     assert normalize_polynomial((5, 2, 4)) == (0, 1, 2)
     assert normalize_polynomial((3, 1)) == (0, 1)
+    assert normalize_polynomial((0, 1, 0)) == (0, 1)
     with pytest.raises(ValueError):
         normalize_polynomial((7,))
 

@@ -272,6 +272,9 @@ def test_main_divcheck(capsys):
                  "--ell-min", "2", "--ell-max", "50"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["all_ok"] and doc["poly"] == [0, 1, 1]
+    assert main(["divcheck", "--poly", "0,1,1,0", "--count", "20",
+                 "--ell-min", "2", "--ell-max", "50"]) == 0
+    assert json.loads(capsys.readouterr().out)["poly"] == [0, 1, 1]
 
 
 def test_main_random_baseline(capsys):
@@ -316,6 +319,9 @@ def test_main_refuses_flags_a_subcommand_does_not_take(argv):
     ["preset", "thm1-quadratic", "--threads", "-3"],
     ["energy", "--sequence", "linear", "--count", "10", "--n1", "0"],
     ["repstats", "--sequence", "linear", "--count", "10", "--n2", "0"],
+    ["bridge-sim", "--m", "64", "--s", "1/4", "--n", "8", "--paths", "0", "--seed", "1"],
+    ["bridge-sim", "--m", "64", "--s", "1/4", "--n", "8", "--paths", "-2", "--seed", "1"],
+    ["random-baseline", "--n", "4", "--s", "1/4", "--replicates", "0", "--seed", "1"],
 ])
 def test_main_refuses_nonpositive_threads_and_window(argv):
     with pytest.raises(SystemExit) as exc:
