@@ -49,10 +49,8 @@ def sample_uniform(count: int, seed) -> RandomSample:
     if count < 0:
         raise ValueError("count must be nonnegative")
     words = philox_words(seed, (count, 2))
-    his = words[:, 0].tolist()
-    los = words[:, 1].tolist()
-    pts = sorted((hi << 64) | lo for hi, lo in zip(his, los))
-    return RandomSample(seed=int(seed), n=count, points=PointSet(tuple(pts)))
+    return RandomSample(seed=int(seed), n=count,
+                        points=PointSet.from_words(words[:, 0], words[:, 1]))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ Config files are flat `key = value` text with `#` comments:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -31,6 +32,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
+
+import numpy as np
 
 from . import arithmetic, baselines, dyadic
 from .arithmetic import DEFAULT_PAIR_BUDGET, BudgetExceeded
@@ -46,6 +49,15 @@ PRESET_SEED = 1
 
 class ConfigError(ValueError):
     """Invalid configuration or command-line input (exit code 2)."""
+
+
+@contextlib.contextmanager
+def _input_error(what: str):
+    """Re-raise the errors that parsing or checking an input raises as ConfigError."""
+    try:
+        yield
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{what}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -119,10 +131,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         data[key] = value.strip()
 
-    try:
+    with _input_error("sequence"):
         sequence = SequenceSpec.parse(data.get("sequence", "linear"))
-    except ValueError as exc:
-        raise ConfigError(f"sequence: {exc}") from None
 
     mode = data.get("alpha_mode", "explicit" if "alphas" in data else "uniform-random")
     if mode not in ("uniform-random", "explicit"):
@@ -131,10 +141,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if mode == "explicit":
         if "alphas" not in data:
             raise ConfigError("alpha_mode=explicit requires an alphas list")
-        try:
+        with _input_error("alphas"):
             alphas = tuple(Alpha.parse(tok.strip()) for tok in data["alphas"].split(","))
-        except ValueError as exc:
-            raise ConfigError(f"alphas: {exc}") from None
         count = len(alphas)
     else:
         count = _parse_int(data.get("alpha_count", "1"), "alpha_count")
@@ -156,6 +164,8 @@ def parse_config(text: str) -> ExperimentConfig:
     seed = _parse_int(data["seed"], "seed") if "seed" in data else None
     if mode == "uniform-random" and seed is None:
         raise ConfigError("seed is required when alpha_mode is uniform-random")
+    if seed is not None and seed < 0:
+        raise ConfigError("seed must be >= 0")
 
     fmt = data.get("format", "csv")
     if fmt not in ("csv", "json"):
@@ -233,13 +243,18 @@ def run_scan(config: ExperimentConfig, *, skip_over_budget: bool = False,
     t0 = time.monotonic()
     alphas = resolve_alphas(config)
     max_n = max(config.n_grid, default=0)
-    terms = generate_terms(config.sequence, max_n) if max_n else []
+    with _input_error("sequence"):
+        terms = np.array(generate_terms(config.sequence, max_n), dtype=np.int64)
     rows = []
     skipped = []
     stream = None
     if config.out and config.fmt == "csv":
         stream = open(config.out, "w", encoding="utf-8", newline="")
+    pool = None
     try:
+        if threads > 1:
+            # one pool for the whole scan; each task carries its terms as int64
+            pool = ProcessPoolExecutor(max_workers=threads)
         if stream:
             stream.write(CSV_HEADER + "\n")
             stream.flush()
@@ -260,14 +275,9 @@ def run_scan(config: ExperimentConfig, *, skip_over_budget: bool = False,
                     live.append(s)
             if not live:
                 continue
-            prefix = tuple(terms[:n])
             s_pairs = [(s.numerator, s.denominator) for s in live]
-            if threads > 1:
-                with ProcessPoolExecutor(max_workers=threads) as pool:
-                    per_alpha = list(pool.map(
-                        _alpha_cell, [(prefix, a.a, s_pairs) for a in alphas]))
-            else:
-                per_alpha = [_alpha_cell((prefix, a.a, s_pairs)) for a in alphas]
+            tasks = [(terms[:n], a.a, s_pairs) for a in alphas]
+            per_alpha = list(pool.map(_alpha_cell, tasks) if pool else map(_alpha_cell, tasks))
             block = []
             for s_idx, s in enumerate(live):
                 for a_idx, alpha in enumerate(alphas):
@@ -277,6 +287,8 @@ def run_scan(config: ExperimentConfig, *, skip_over_budget: bool = False,
                 stream.write("".join(_format_row(r) + "\n" for r in block))
                 stream.flush()
     finally:
+        if pool:
+            pool.shutdown()
         if stream:
             stream.close()
     metadata = {
@@ -390,13 +402,20 @@ def _write_bytes(data: bytes, out: Optional[str]) -> None:
 
 
 def _sequence_terms(args) -> list:
-    spec = SequenceSpec.parse(args.sequence)
-    return generate_terms(spec, args.count)
+    with _input_error("--sequence"):
+        return generate_terms(SequenceSpec.parse(args.sequence), args.count)
+
+
+def _dyadic_s(text: str) -> Fraction:
+    with _input_error("window length"):
+        return as_dyadic(Fraction(text))
 
 
 def _window_table(args, terms) -> arithmetic.RepTable:
     """rep_table over --n1..--n2; by default the whole window 1..--count."""
     n2 = args.count if args.n2 is None else args.n2
+    if not args.n1 <= n2 <= args.count:
+        raise ConfigError(f"window --n1 {args.n1} --n2 {n2} outside 1..--count {args.count}")
     return arithmetic.rep_table(terms, args.n1, n2, pair_budget=args.pair_budget)
 
 
@@ -430,7 +449,7 @@ def _cmd_scan(args) -> None:
 
 
 def _cmd_decompose(args) -> dict:
-    expansion = dyadic.decompose(Fraction(args.s))
+    expansion = dyadic.decompose(_dyadic_s(args.s))
     return {
         "S": f"{expansion.s.numerator}/{expansion.s.denominator}",
         "levels": [{"v": v, "c": c} for v, c in expansion.pairs()],
@@ -473,6 +492,8 @@ def _cmd_repstats(args) -> dict:
 
 
 def _cmd_gcdsum(args) -> dict:
+    if args.strategy == "classes" and args.threshold is None:
+        raise ConfigError("--strategy classes needs --threshold")
     terms = _sequence_terms(args)
     table = arithmetic.rep_table(terms, 1, args.count, pair_budget=args.pair_budget)
     value = arithmetic.gcd_sum(table, args.variant, threshold=args.threshold,
@@ -487,8 +508,9 @@ def _cmd_gcdsum(args) -> dict:
 
 
 def _cmd_divcheck(args) -> dict:
-    coeffs = [int(tok) for tok in args.poly.split(",")]
-    normalized = arithmetic.normalize_polynomial(coeffs)
+    with _input_error("--poly"):
+        normalized = arithmetic.normalize_polynomial(
+            [int(tok) for tok in args.poly.split(",")])
     degree = len(normalized) - 1
     diffs = arithmetic.difference_set(normalized, args.count,
                                       pair_budget=args.pair_budget)
@@ -510,7 +532,7 @@ def _cmd_divcheck(args) -> dict:
 def _cmd_random_baseline(args) -> dict:
     if args.seed is None:
         raise ConfigError("random-baseline requires --seed")
-    res = baselines.random_variance_experiment(args.n, Fraction(args.s),
+    res = baselines.random_variance_experiment(args.n, _dyadic_s(args.s),
                                                args.replicates, args.seed)
     return {
         "N": res.n,
@@ -526,7 +548,11 @@ def _cmd_random_baseline(args) -> dict:
 def _cmd_bridge_sim(args) -> dict:
     if args.seed is None:
         raise ConfigError("bridge-sim requires --seed")
-    s = Fraction(args.s)
+    s = _dyadic_s(args.s)
+    if args.m < 2 or args.m & (args.m - 1):
+        raise ConfigError(f"--m {args.m} is not a power of two >= 2")
+    if (s * args.m).denominator != 1:
+        raise ConfigError(f"S = {s} is not a multiple of 1/--m = 1/{args.m}")
     values = []
     for sub_seed in baselines._derived_seeds(args.seed, args.paths):
         path = baselines.bridge_path(args.m, sub_seed)
@@ -546,7 +572,8 @@ def _cmd_bridge_sim(args) -> dict:
 
 
 def _cmd_kronecker(args) -> dict:
-    alpha = Alpha.parse(args.alpha)
+    with _input_error("--alpha"):
+        alpha = Alpha.parse(args.alpha)
     grid = parse_s_grid(args.s_grid)
     rows = baselines.kronecker_experiment(alpha, grid, n_max=args.n_max)
     return {
@@ -564,10 +591,25 @@ def _cmd_preset(args) -> dict:
     return preset_verdict(args.name, result)
 
 
-def _positive_int(text: str) -> int:
+def _at_least(low: int, text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    return _at_least(1, text)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _at_least(0, text)
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
     return value
 
 
@@ -577,9 +619,9 @@ def _arg(*names, **kwargs):
 
 _OUT = _arg("--out", default=None, help="output path (default stdout)")
 _PAIR_BUDGET = _arg("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
-_SEED = _arg("--seed", type=int, default=None)
+_SEED = _arg("--seed", type=_nonnegative_int, default=None)
 _SEQUENCE = (_arg("--sequence", required=True),
-             _arg("--count", type=int, required=True))
+             _arg("--count", type=_positive_int, required=True))
 _WINDOW = (_arg("--n1", type=_positive_int, default=1),
            _arg("--n2", type=_positive_int, default=None, help="default: --count"))
 _SCAN = (_SEED,
@@ -602,17 +644,17 @@ _COMMANDS = {
     "gcdsum": (_cmd_gcdsum, None, (
         *_SEQUENCE,
         _arg("--variant", choices=sorted(arithmetic.GCD_VARIANTS), default="half"),
-        _arg("--threshold", type=float, default=None),
+        _arg("--threshold", type=_finite_float, default=None),
         _arg("--strategy", choices=("auto", "dense", "classes"), default="auto"),
         _PAIR_BUDGET, _OUT)),
     "divcheck": (_cmd_divcheck, "difference divisibility bound over a range of moduli", (
         _arg("--poly", required=True, help="coefficients c0,c1,..., ascending"),
-        _arg("--count", type=int, required=True),
+        _arg("--count", type=_positive_int, required=True),
         _arg("--ell-min", type=int, default=2),
         _arg("--ell-max", type=int, default=200),
         _PAIR_BUDGET, _OUT)),
     "random-baseline": (_cmd_random_baseline, "variance of i.i.d. uniform samples", (
-        _arg("--n", type=int, required=True),
+        _arg("--n", type=_nonnegative_int, required=True),
         _arg("--s", required=True),
         _arg("--replicates", type=_positive_int, default=200),
         _SEED, _OUT)),
@@ -657,10 +699,8 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError) as exc:
+    except (ConfigError, OverflowError) as exc:
+        # an OverflowError comes from inputs too large for the 64-bit paths
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

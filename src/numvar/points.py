@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +22,9 @@ GRID_ONE = 1 << GRID_BITS
 # Terms must fit in a signed 64-bit register so that downstream numpy paths
 # and the per-term rounding bound |x| * 2^-128 stay meaningful.
 TERM_LIMIT = (1 << 63) - 1
+
+_WORD = (1 << 64) - 1
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 _HEX_RE = re.compile(r"^[0-9a-fA-F]{32}$")
 
@@ -111,18 +115,40 @@ class Alpha:
         return f"hex:{self.hex}"
 
 
-@dataclass(frozen=True)
 class PointSet:
-    """Sorted multiset of circle points, each an integer on the 2^-128 grid."""
+    """Sorted multiset of circle points on the 2^-128 grid, held as 64-bit words.
 
-    points: tuple
+    Point k is the integer (hi[k] << 64) | lo[k].  The read-only uint64 arrays
+    `hi` and `lo` are sorted lexicographically, which is numeric order.
+    """
 
-    def __post_init__(self):
-        pts = self.points
-        if any(not 0 <= p < GRID_ONE for p in pts):
-            raise ValueError("points must lie on the grid [0, 2^128)")
-        if any(pts[i] > pts[i + 1] for i in range(len(pts) - 1)):
+    def __init__(self, hi, lo):
+        hi, lo = np.asarray(hi), np.asarray(lo)
+        if hi.dtype != np.uint64 or lo.dtype != np.uint64 or hi.ndim != 1 or hi.shape != lo.shape:
+            raise ValueError("point words must be two uint64 arrays of one length")
+        if not np.all((hi[1:] > hi[:-1]) | ((hi[1:] == hi[:-1]) & (lo[1:] >= lo[:-1]))):
             raise ValueError("points must be sorted")
+        self.hi, self.lo = hi.view(), lo.view()
+        self.hi.flags.writeable = self.lo.flags.writeable = False
+
+    @classmethod
+    def from_words(cls, hi, lo) -> "PointSet":
+        """From word arrays in any order; sorted here."""
+        order = np.argsort(hi)
+        hi_sorted = hi[order]
+        if np.any(hi_sorted[1:] == hi_sorted[:-1]):
+            # equal high words need the low word as the second key
+            order = np.lexsort((lo, hi))
+            hi_sorted = hi[order]
+        return cls(hi_sorted, lo[order])
+
+    @classmethod
+    def from_ints(cls, points) -> "PointSet":
+        """From sorted grid integers in [0, 2^128)."""
+        grid = np.array(points, dtype=object)
+        if np.any((grid < 0) | (grid >= GRID_ONE)):
+            raise ValueError("points must lie on the grid [0, 2^128)")
+        return cls((grid >> 64).astype(np.uint64), (grid & _WORD).astype(np.uint64))
 
     @classmethod
     def from_values(cls, values) -> "PointSet":
@@ -133,14 +159,27 @@ class PointSet:
             if not 0 <= f < 1:
                 raise ValueError("point values must lie in [0, 1)")
             grid.append((f.numerator << GRID_BITS) // f.denominator)
-        return cls(tuple(sorted(grid)))
+        return cls.from_ints(sorted(grid))
+
+    @cached_property
+    def points(self) -> tuple:
+        """The points as Python ints, for the exact oracles that walk them."""
+        return tuple((h << 64) | l for h, l in zip(self.hi.tolist(), self.lo.tolist()))
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.hi)
 
     def as_floats(self) -> list[float]:
         return [p / GRID_ONE for p in self.points]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PointSet):
+            return NotImplemented
+        return np.array_equal(self.hi, other.hi) and np.array_equal(self.lo, other.lo)
+
+    def __hash__(self) -> int:
+        return hash((self.hi.tobytes(), self.lo.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -262,16 +301,48 @@ def generate_terms(spec: SequenceSpec, count: int) -> list:
     return [_check_term(v, i + 1) for i, v in enumerate(spec.values[:count])]
 
 
+def _term_array(terms) -> np.ndarray:
+    """Terms as an int64 array; OverflowError for any |x| > TERM_LIMIT."""
+    message = "terms must lie within +-(2^63 - 1), the signed 64-bit range"
+    try:
+        x = np.asarray(terms, dtype=np.int64)
+    except OverflowError:
+        raise OverflowError(message) from None
+    if np.any(x == -TERM_LIMIT - 1):
+        raise OverflowError(message)
+    return x
+
+
+def _mulhi(x: np.ndarray, a: int) -> np.ndarray:
+    """High words of the 128-bit products x * a (uint64 x, 0 <= a < 2^64).
+
+    Schoolbook multiplication on 32-bit limbs (Knuth, TAOCP Vol. 2, 4.3.1):
+    every partial product and carry sum fits in 64 bits.
+    """
+    a0, a1 = np.uint64(a & _LOW32), np.uint64(a >> 32)
+    x0, x1 = x & _LOW32, x >> np.uint64(32)
+    p00, p01, p10 = x0 * a0, x0 * a1, x1 * a0
+    mid = (p00 >> np.uint64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
+    return x1 * a1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+
+
 def dilate_mod1(terms, alpha: Alpha) -> PointSet:
     """The multiset {alpha * x mod 1 : x in terms} on the 2^-128 grid.
 
-    The product A*x is exact (Python bignum); reduction mod 2^128 keeps the
-    low 128 bits with the correct sign convention for negative terms.  The
+    A*x mod 2^128 is computed exactly from word products: a term is its
+    two's-complement 128-bit value, whose high word is 0 or 2^64 - 1, so a
+    negative term subtracts A's low word from the product's high word.  The
     only rounding is the one already inside A, so each point is within
-    |x| * 2^-128 of the true alpha*x mod 1.
+    |x| * 2^-128 of the true alpha*x mod 1.  Terms outside the signed 64-bit
+    range raise OverflowError.
     """
-    a = alpha.a
-    return PointSet(tuple(sorted((a * x) % GRID_ONE for x in terms)))
+    x = _term_array(terms)
+    xw = x.view(np.uint64)
+    a_hi, a_lo = alpha.a >> 64, alpha.a & _WORD
+    hi = _mulhi(xw, a_lo)
+    hi += xw * np.uint64(a_hi)
+    hi[x < 0] -= np.uint64(a_lo)
+    return PointSet.from_words(hi, xw * np.uint64(a_lo))
 
 
 def continued_fraction_convergents(alpha: Alpha, count: int):

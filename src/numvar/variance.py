@@ -17,9 +17,10 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import ceil
 from typing import Union
+
+import numpy as np
 
 from .points import GRID_ONE, Alpha, PointSet
 
@@ -121,57 +122,109 @@ def counting_function(points: PointSet, s: SBin, y) -> int:
     return (points.n - bisect.bisect_left(pts, lo)) + bisect.bisect_left(pts, hi - GRID_ONE)
 
 
+_LIMB_BITS = 16
+_LIMB_MAX = (1 << _LIMB_BITS) - 1
+_INT64_MAX = (1 << 63) - 1
+
+
+def _limbs(points: PointSet) -> np.ndarray:
+    """(8, N) int64 array of the points' 16-bit limbs, least significant first."""
+    return np.stack([((word >> np.uint64(shift)) & np.uint64(_LIMB_MAX)).astype(np.int64)
+                     for word in (points.lo, points.hi) for shift in range(0, 64, _LIMB_BITS)])
+
+
+def _limb_dot(weights: np.ndarray, limbs: np.ndarray) -> int:
+    """sum_k weights[k] * (point k) exactly, from int64 dot products over limbs.
+
+    A dot product over L entries stays below 2^63 when max|weight| *
+    (2^16 - 1) * L does, so the sum is taken in chunks of that length; a
+    weight too large for even one entry raises OverflowError.
+    """
+    per_entry = int(np.abs(weights).max(initial=0)) * _LIMB_MAX
+    if per_entry > _INT64_MAX:
+        raise OverflowError("tent weight too large for the int64 limb products")
+    step = _INT64_MAX // max(per_entry, 1)
+    total = 0
+    for start in range(0, len(weights), step):
+        sums = limbs[:, start:start + step] @ weights[start:start + step]
+        total += sum(int(s) << (_LIMB_BITS * j) for j, s in enumerate(sums))
+    return total
+
+
+def _keys128(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """128-bit values as 16-byte big-endian strings, whose order is numeric."""
+    words = np.empty((len(hi), 2), dtype=">u8")
+    words[:, 0], words[:, 1] = hi, lo
+    return words.view("S16").ravel()
+
+
 class WindowAccumulator:
     """Reusable exact engine for pairwise tent sums over one sorted point set.
 
-    Precomputes the doubled array and its prefix sums once, so a scan can
-    evaluate many window lengths S against the same points in O(N) each.
+    Take the doubled sequence d_0..d_{2N-1} = t_0..t_{N-1}, t_0 + 1, ..,
+    t_{N-1} + 1 of the sorted points.  The partners of point k at clockwise
+    distance < S are the entries lower[k] <= j < upper[k], those with d_j in
+    (t_k + 1 - S, t_k + 1].  upper depends only on the points and is built
+    once; lower takes a searchsorted over the high words per window length, and
+    one over 128-bit keys for the targets whose high word a point shares.
     """
 
     def __init__(self, points: PointSet):
-        pts = points.points
-        self.n = len(pts)
-        self.pts = pts
-        doubled = list(pts) + [p + GRID_ONE for p in pts]
-        self.doubled = doubled
-        self.prefix = [0] + list(accumulate(doubled))
-        # Ordered pairs at circular distance exactly zero (coincident points).
-        coincident = 0
-        run = 1
-        for i in range(1, self.n):
-            if pts[i] == pts[i - 1]:
-                run += 1
-            else:
-                coincident += run * (run - 1)
-                run = 1
-        coincident += run * (run - 1)
-        self.coincident_pairs = coincident
+        n = self.n = points.n
+        self.points = points
+        self._keys = _keys128(points.hi, points.lo)
+        self._limbs = _limbs(points)
+        # runs of equal points: the last index of a point's run bounds its window
+        # from above, and a run of r points holds r(r - 1) coincident ordered pairs
+        hi, lo = points.hi, points.lo
+        new_run = np.ones(n, dtype=bool)
+        new_run[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+        starts = np.flatnonzero(new_run)
+        runs = np.diff(starts, append=n)
+        self._upper = n + np.repeat(starts + runs, runs)
+        self.coincident_pairs = int(np.dot(runs, runs - 1))
+
+    def _lower(self, width: int) -> np.ndarray:
+        """Per point, the number of doubled entries <= t_k + 1 - width."""
+        n = self.n
+        if width == GRID_ONE:  # no 64-bit high word; the window is (t_k, t_k + 1]
+            return self._upper - n
+        hi, lo = self.points.hi, self.points.lo
+        w_hi, w_lo = np.uint64(width >> 64), np.uint64(width & ((1 << 64) - 1))
+        carry = lo < w_lo
+        t_hi, t_lo = hi - w_hi - carry, lo - w_lo
+        wraps = (hi < w_hi) | ((hi == w_hi) & carry)  # t_k - width < 0
+        lower = np.searchsorted(hi, t_hi, side="right")
+        # where a point shares the target's high word, the low words decide
+        # (lower - 1 = -1 reads the largest high word, which is then > t_hi)
+        tied = np.flatnonzero(hi[lower - 1] == t_hi)
+        lower[tied] = np.searchsorted(self._keys, _keys128(t_hi[tied], t_lo[tied]), side="right")
+        lower[~wraps] += n
+        return lower
 
     def tent_pair_sum(self, width: int) -> int:
         """sum over ordered pairs m != n of the periodized tent at their gap.
 
-        Returned in grid units (multiples of 2^-128).  For each point the
-        window of partners at clockwise distance < width is aggregated with
-        prefix sums rather than visited pair by pair.
+        width and the result are in grid units (multiples of 2^-128), with
+        0 <= width <= 2^128.  Entry j of point k's window adds width minus
+        its distance, width - (t_k + 1 - d_j).  Summed over all windows, d_j
+        counts once per window covering j; folding that coverage onto the N
+        points leaves one exact weighted sum of the points.
         """
+        if not 0 <= width <= GRID_ONE:
+            raise ValueError(f"width {width} outside [0, 2^128]")
         n = self.n
         if n < 2 or width == 0:
             return 0
-        doubled = self.doubled
-        prefix = self.prefix
-        total = 0
-        lo_i = hi_i = 0
-        two_n = 2 * n
-        for p in self.pts:
-            v = p + GRID_ONE
-            floor_val = v - width
-            while hi_i < two_n and doubled[hi_i] <= v:
-                hi_i += 1
-            while doubled[lo_i] <= floor_val:
-                lo_i += 1
-            cnt = hi_i - lo_i
-            total += cnt * (width - v) + (prefix[hi_i] - prefix[lo_i])
-        total -= n * width  # each point saw itself at distance zero
+        lower, upper = self._lower(width), self._upper
+        edges = (np.bincount(lower, minlength=2 * n + 1)
+                 - np.bincount(upper, minlength=2 * n + 1))
+        cover = np.cumsum(edges[:2 * n])
+        count = upper - lower
+        total = (_limb_dot(cover[:n] + cover[n:] - count, self._limbs)
+                 + (width - GRID_ONE) * int(count.sum())
+                 + GRID_ONE * int(cover[n:].sum())
+                 - n * width)  # each point saw itself at distance zero
         return 2 * total - self.coincident_pairs * width
 
     def variance(self, s: SBin, *, exact: bool = False):

@@ -151,7 +151,7 @@ def test_run_scan_incremental_csv(tmp_path):
 
 
 def test_run_scan_threads_match_serial():
-    cfg = parse_config("alphas = golden, sqrt2m1\nn_grid = 60\ns_grid = 1/8,1/16\n")
+    cfg = parse_config("alphas = golden, sqrt2m1\nn_grid = 30, 60\ns_grid = 1/8,1/16\n")
     assert emit(run_scan(cfg, threads=2)) == emit(run_scan(cfg))
 
 
@@ -234,6 +234,7 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
                     "pair_budget = 10\n")
     assert main(["scan", "--config", str(over)]) == 3
     assert main(["decompose", "1/3"]) == 2  # not dyadic
+    assert main(["decompose", "1/0"]) == 2
     capsys.readouterr()
 
     def fake_scan(config, **kwargs):
@@ -322,11 +323,23 @@ def test_main_refuses_flags_a_subcommand_does_not_take(argv):
     ["bridge-sim", "--m", "64", "--s", "1/4", "--n", "8", "--paths", "0", "--seed", "1"],
     ["bridge-sim", "--m", "64", "--s", "1/4", "--n", "8", "--paths", "-2", "--seed", "1"],
     ["random-baseline", "--n", "4", "--s", "1/4", "--replicates", "0", "--seed", "1"],
+    ["random-baseline", "--n", "4", "--s", "1/4", "--seed", "-1"],
+    ["gcdsum", "--sequence", "linear", "--count", "10", "--strategy", "classes",
+     "--threshold", "nan"],
 ])
 def test_main_refuses_nonpositive_threads_and_window(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_main_internal_value_error_is_not_a_config_error(monkeypatch):
+    def broken(s):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli.dyadic, "decompose", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["decompose", "1/4"])
 
 
 def test_main_preset_format_needs_out(monkeypatch):

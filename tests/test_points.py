@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from numvar.points import (GRID_ONE, Alpha, PointSet, SequenceSpec,
@@ -61,12 +62,21 @@ def test_alpha_random_stream_reproducible():
 
 def test_pointset_validation():
     with pytest.raises(ValueError):
-        PointSet((2, 1))
+        PointSet.from_ints((2, 1))
     with pytest.raises(ValueError):
-        PointSet((GRID_ONE,))
+        PointSet.from_ints((GRID_ONE,))
     ps = PointSet.from_values([Fraction(1, 2), Fraction(1, 4)])
     assert ps.points == (GRID_ONE // 4, GRID_ONE // 2)
     assert ps.n == 2
+    assert ps == PointSet.from_ints((GRID_ONE // 4, GRID_ONE // 2))
+    assert ps != PointSet.from_ints((GRID_ONE // 4, GRID_ONE // 2 + 1))
+    # words in any order; equal high words are ordered by the low word
+    for his in ((5, 1, 5), (5, 1, 7)):
+        words = PointSet.from_words(np.array(his, dtype=np.uint64),
+                                    np.array([2, 9, 1], dtype=np.uint64))
+        assert words.points == tuple(sorted((h << 64) | lo for h, lo in zip(his, (2, 9, 1))))
+    with pytest.raises(ValueError):
+        PointSet(np.array([2, 1], dtype=np.uint64), np.array([0, 0], dtype=np.uint64))
 
 
 def test_sequence_spec_validation():
@@ -120,6 +130,21 @@ def test_dilate_examples():
     assert ps.points == (GRID_ONE // 4, GRID_ONE // 2, 3 * GRID_ONE // 4)
     assert dilate_mod1([3], Alpha(1 << 126)).points == (3 << 126,)
     assert dilate_mod1([-1], quarter).points == (3 * GRID_ONE // 4,)
+
+
+def test_dilate_matches_bignum_products():
+    big = (1 << 63) - 1
+    rng = np.random.default_rng(5)
+    terms = [big, -big, -1, 0, 1, -(1 << 40) - 7, *rng.integers(-big, big, 200).tolist()]
+    alphas = (Alpha(0), Alpha(GRID_ONE - 1), Alpha.parse("rat:3/1024"),
+              *Alpha.random_stream(3, 8))
+    for alpha in alphas:
+        want = tuple(sorted((alpha.a * x) % GRID_ONE for x in terms))
+        assert dilate_mod1(terms, alpha).points == want
+        assert dilate_mod1(np.array(terms, dtype=np.int64), alpha).points == want
+    for bad in (1 << 63, -(1 << 63)):
+        with pytest.raises(OverflowError):
+            dilate_mod1([1, bad], Alpha.golden())
 
 
 def test_dilate_sorted_and_permutation_invariant():

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from numvar.baselines import sample_uniform
 from numvar.points import GRID_ONE, Alpha, PointSet, dilate_mod1
 from numvar.variance import (TentKernel, VarianceRecord, WindowAccumulator,
-                             as_dyadic, counting_function, periodized_tent,
-                             variance_pairwise, variance_sweep)
+                             _limb_dot, _limbs, as_dyadic, counting_function,
+                             periodized_tent, variance_pairwise, variance_sweep)
 
 
 def brute_count(points: PointSet, s, y) -> int:
@@ -39,6 +40,72 @@ def brute_variance(points: PointSet, s) -> Fraction:
         integral += brute_count(points, sf, (a + b) / 2) ** 2 * (b - a)
     n = points.n
     return integral - (n * sf) ** 2
+
+
+def reference_tent_pair_sum(points: PointSet, width: int) -> int:
+    """The bignum loop WindowAccumulator.tent_pair_sum replaced: a sliding
+    window over the doubled point list with Python-int prefix sums."""
+    pts = points.points
+    n = len(pts)
+    if n < 2 or width == 0:
+        return 0
+    doubled = list(pts) + [p + GRID_ONE for p in pts]
+    prefix = [0] + list(accumulate(doubled))
+    coincident = 0
+    run = 1
+    for i in range(1, n):
+        if pts[i] == pts[i - 1]:
+            run += 1
+        else:
+            coincident += run * (run - 1)
+            run = 1
+    coincident += run * (run - 1)
+    total = 0
+    lo_i = hi_i = 0
+    for p in pts:
+        v = p + GRID_ONE
+        while hi_i < 2 * n and doubled[hi_i] <= v:
+            hi_i += 1
+        while doubled[lo_i] <= v - width:
+            lo_i += 1
+        total += (hi_i - lo_i) * (width - v) + (prefix[hi_i] - prefix[lo_i])
+    total -= n * width
+    return 2 * total - coincident * width
+
+
+def _squares_dilated(alpha: Alpha, n: int) -> PointSet:
+    return dilate_mod1([k * k for k in range(1, n + 1)], alpha)
+
+
+_ALPHAS = dict(zip(("random0", "random1"), Alpha.random_stream(2, 2024)),
+               rat3_1024=Alpha.parse("rat:3/1024"))
+_POINT_SETS = {f"{name}-N{n}": _squares_dilated(alpha, n)
+               for name, alpha in _ALPHAS.items() for n in (0, 1, 2, 10 ** 4)}
+_POINT_SETS["piled-at-0-and-max"] = PointSet.from_ints(
+    (0,) * 40 + (1, GRID_ONE // 2) + (GRID_ONE - 1,) * 40)
+_POINT_SETS["piled-at-max"] = PointSet.from_ints((GRID_ONE - 1,) * 7)
+
+
+@pytest.mark.parametrize("name", list(_POINT_SETS))
+def test_tent_pair_sum_matches_reference_loop(name):
+    points = _POINT_SETS[name]
+    acc = WindowAccumulator(points)
+    for s in (Fraction(1, 1 << 64), Fraction(1, 1 << 12), Fraction(1, 2), 1):
+        width = int(s * GRID_ONE)
+        assert acc.tent_pair_sum(width) == reference_tent_pair_sum(points, width)
+    for width in (1, 3 * (1 << 64) + 5, GRID_ONE - 1):  # off the 2^-64 lattice
+        assert acc.tent_pair_sum(width) == reference_tent_pair_sum(points, width)
+
+
+def test_limb_dot_chunks_or_refuses_large_weights():
+    points = PointSet.from_ints((GRID_ONE - 3, GRID_ONE - 2, GRID_ONE - 1))
+    limbs = _limbs(points)
+    # 2^46 * (2^16 - 1) * 3 > 2^63: one unchunked int64 dot would wrap
+    weights = np.array([1 << 46, (1 << 46) - 1, 1 << 46], dtype=np.int64)
+    want = sum(int(w) * p for w, p in zip(weights, points.points))
+    assert _limb_dot(weights, limbs) == want
+    with pytest.raises(OverflowError):
+        _limb_dot(np.array([1, 1 << 48, 1], dtype=np.int64), limbs)
 
 
 def test_as_dyadic_validation():
@@ -83,7 +150,7 @@ def test_counting_examples():
     pts = PointSet.from_values([0.1, 0.2, 0.9])
     assert counting_function(pts, 0.4, 0) == 2
     assert counting_function(PointSet.from_values([0.5]), 1, 0.37) == 1
-    assert counting_function(PointSet(()), Fraction(1, 2), 0) == 0
+    assert counting_function(PointSet.from_ints(()), Fraction(1, 2), 0) == 0
 
 
 def test_counting_boundary_convention():
@@ -100,8 +167,8 @@ def test_counting_against_brute_force():
     rng = np.random.default_rng(7)
     for _ in range(25):
         n = int(rng.integers(0, 12))
-        pts = PointSet(tuple(sorted(int(rng.integers(0, 1 << 63)) << 65
-                                    for _ in range(n))))
+        pts = PointSet.from_ints(tuple(sorted(int(rng.integers(0, 1 << 63)) << 65
+                                              for _ in range(n))))
         v = int(rng.integers(1, 17))
         s = Fraction(int(rng.integers(1, 1 << v)), 1 << v)
         for _ in range(8):
@@ -114,7 +181,7 @@ def test_variance_pairwise_examples():
     assert variance_pairwise(single, Fraction(1, 4), exact=True) == Fraction(3, 16)
     spaced = PointSet.from_values([0, Fraction(1, 2)])
     assert variance_pairwise(spaced, Fraction(1, 2), exact=True) == 0
-    coincident = PointSet((0, 0))
+    coincident = PointSet.from_ints((0, 0))
     assert variance_pairwise(coincident, Fraction(1, 2), exact=True) == 1
 
 
@@ -125,7 +192,7 @@ def test_variance_sweep_examples():
     assert variance_sweep(spaced, Fraction(1, 2), exact=True) == 0
     # 100 points at 0 and 100 at 1/2: S_N = 100 on measure 1/2, so the
     # integral is 5000 and V = 5000 - (200/4)^2 = 2500
-    piled = PointSet((0,) * 100 + (GRID_ONE // 2,) * 100)
+    piled = PointSet.from_ints((0,) * 100 + (GRID_ONE // 2,) * 100)
     assert variance_sweep(piled, Fraction(1, 4), exact=True) == 2500
     assert variance_pairwise(piled, Fraction(1, 4), exact=True) == 2500
 
@@ -143,7 +210,7 @@ def test_variance_shift_invariance():
     s = Fraction(3, 32)
     base = variance_pairwise(pts, s, exact=True)
     for shift in (123456789, GRID_ONE // 3, GRID_ONE - 1):
-        moved = PointSet(tuple(sorted((p + shift) % GRID_ONE for p in pts.points)))
+        moved = PointSet.from_ints(tuple(sorted((p + shift) % GRID_ONE for p in pts.points)))
         assert variance_pairwise(moved, s, exact=True) == base
 
 
