@@ -21,6 +21,7 @@ DEFAULT_CELL_BUDGET = 10 ** 9
 DEFAULT_MEM_BUDGET = 512 << 20  # bytes of scratch for the numpy paths
 
 GCD_VARIANTS = ("half", "one_over_max", "squared")
+_BLOCK_CELLS = 4 << 20  # cells of one numpy block in the gcd double sums
 
 
 class BudgetExceeded(RuntimeError):
@@ -236,7 +237,7 @@ def _gcd_sum_dense(us, rs, variant, threshold, cell_budget):
         raise OverflowError(
             "support too large for the filtered dense path; use strategy='classes'")
     uf = us.astype(np.float64)
-    block = max(1, min(k, (4 << 20) // max(k, 1)))
+    block = max(1, min(k, _BLOCK_CELLS // max(k, 1)))
     total = 0.0
     for i0 in range(0, k, block):
         u1 = us[i0:i0 + block, None]
@@ -291,6 +292,64 @@ def _gcd_sum_classes(us, rs, variant, threshold):
     return total
 
 
+def _jordan_totient(d: np.ndarray, k: int) -> np.ndarray:
+    """J_k(d) = d^k prod_{p | d} (1 - p^-k) for distinct positive int64 d, by
+    vectorised trial division; exact while d^k < 2^63."""
+    out = d ** k
+    rest = d.copy()
+    for p in range(2, math.isqrt(int(d.max())) + 1):
+        hit = rest % p == 0
+        if not hit.any():
+            continue  # p is composite, or divides no d
+        out[hit] -= out[hit] // p ** k
+        while hit.any():
+            rest[hit] //= p
+            hit = rest % p == 0
+    big = rest > 1  # one prime factor above the square root is left
+    out[big] -= out[big] // rest[big] ** k
+    return out
+
+
+def _gcd_sum_divisors(us, rs, variant, cell_budget):
+    # gcd(u1, u2) = sum of phi(d) and gcd(u1, u2)^2 = sum of J_2(d) over the
+    # common divisors d, so the double sum splits into one sum per divisor d
+    # over the u that d divides.  Divisor pairs (d, u) come from trial
+    # division by d <= isqrt(u), each d paired with its cofactor u / d.
+    k = us.size
+    root = math.isqrt(int(us[-1]))
+    if root * k > cell_budget:
+        raise BudgetExceeded("gcd divisor sum too large", root * k, cell_budget)
+    divs, cols = [], []
+    block = max(1, _BLOCK_CELLS // k)
+    for d0 in range(1, root + 1, block):
+        d = np.arange(d0, min(d0 + block, root + 1), dtype=np.int64)[:, None]
+        hit = (us[None, :] % d == 0) & (us[None, :] >= d * d)
+        di, j = np.nonzero(hit)
+        dv = d[di, 0]
+        cofactor = us[j] // dv
+        twin = cofactor > dv  # u = d^2 has one divisor there, not two
+        divs.extend((dv, cofactor[twin]))
+        cols.extend((j, j[twin]))
+    divs, cols = np.concatenate(divs), np.concatenate(cols)
+    order = np.lexsort((cols, divs))  # by divisor, then ascending u
+    divs, cols = divs[order], cols[order]
+    starts = np.concatenate(([0], np.flatnonzero(divs[1:] != divs[:-1]) + 1))
+    u, r = us[cols].astype(np.float64), rs[cols]
+    if variant == "one_over_max":
+        # sum over i, j of r_i r_j / max(u_i, u_j) = sum_i r_i (r_i + 2 C_{i-1}) / u_i,
+        # C the running sum of r over the smaller multiples of d
+        run = np.cumsum(r)
+        before = run - r
+        before -= np.repeat(before[starts], np.diff(np.append(starts, r.size)))
+        per_d = np.add.reduceat(r * (r + 2.0 * before) / u, starts)
+        return float(np.sum(_jordan_totient(divs[starts], 1) * per_d))
+    if variant == "half":
+        per_d = np.add.reduceat(r / np.sqrt(u), starts)
+        return float(np.sum(_jordan_totient(divs[starts], 1) * (per_d * per_d)))
+    per_d = np.add.reduceat(r / u, starts)
+    return float(np.sum(_jordan_totient(divs[starts], 2) * (per_d * per_d)))
+
+
 def gcd_sum(table: RepTable, variant: str, threshold=None, *,
             strategy: str = "auto", cell_budget: int = DEFAULT_CELL_BUDGET) -> float:
     """Double sum over the table of Rep(u1) Rep(u2) w(u1, u2), optionally
@@ -299,8 +358,12 @@ def gcd_sum(table: RepTable, variant: str, threshold=None, *,
     Weights: half = gcd/sqrt(u1 u2), one_over_max = gcd/max(u1, u2),
     squared = gcd^2/(u1 u2).  strategy 'dense' walks all K^2 cells in numpy
     blocks; 'classes' (threshold required) enumerates coprime shape classes
-    (a, b) with a b <= threshold, which is far cheaper for small thresholds;
-    'auto' picks between them.
+    (a, b) with a b <= threshold, which is far cheaper for small thresholds.
+    'auto' picks between them, except that without a threshold, when
+    isqrt(max u) < K, it splits the sum over common divisors d by gcd = sum
+    of phi(d) (gcd^2 = sum of J_2(d)), which costs isqrt(max u) * K cells of
+    trial division, charged against cell_budget.  That route needs max u <
+    2^31, so that J_2(d) <= d^2 stays exact in int64.
     """
     if variant not in GCD_VARIANTS:
         raise ValueError(f"unknown gcd_sum variant {variant!r}; expected one of {GCD_VARIANTS}")
@@ -310,6 +373,8 @@ def gcd_sum(table: RepTable, variant: str, threshold=None, *,
     rs = np.array([table.counts[int(u)] for u in us], dtype=np.float64)
     if strategy == "auto":
         k = us.size
+        if threshold is None and math.isqrt(int(us[-1])) < k and int(us[-1]) < 1 << 31:
+            return _gcd_sum_divisors(us, rs, variant, cell_budget)
         use_classes = (
             threshold is not None
             and threshold >= 1

@@ -92,7 +92,7 @@ def bridge_functional(path: BridgePath, s, count: int) -> float:
     shift = int(shift_frac) % path.m
     vals = path.values[: path.m]
     diffs = np.roll(vals, -shift) - vals
-    return count * float(np.dot(diffs, diffs)) / path.m
+    return count * float(np.sum(diffs * diffs)) / path.m
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import arithmetic, baselines, dyadic
 from .arithmetic import DEFAULT_PAIR_BUDGET, BudgetExceeded
-from .points import Alpha, SequenceSpec, dilate_mod1, generate_terms
+from .points import Alpha, SequenceSpec, _term_values, dilate_mod1, generate_terms
 from .variance import VarianceRecord, WindowAccumulator, as_dyadic
 
 CODE_VERSION = "0.1.0"
@@ -244,7 +244,7 @@ def run_scan(config: ExperimentConfig, *, skip_over_budget: bool = False,
     alphas = resolve_alphas(config)
     max_n = max(config.n_grid, default=0)
     with _input_error("sequence"):
-        terms = np.array(generate_terms(config.sequence, max_n), dtype=np.int64)
+        terms = _term_values(config.sequence, max_n)
     rows = []
     skipped = []
     stream = None

@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .points import GRID_ONE, Alpha
+import numpy as np
+
+from .points import GRID_BITS, GRID_ONE, Alpha, dilate_words
 from .variance import as_dyadic
 
 MAX_LEVEL = 64
@@ -146,16 +148,47 @@ def y_statistic(terms, n: int, kernel: PlateauKernel, alpha: Alpha) -> float:
     return 2.0 * acc - 2.0 * (n - 1) * float(kernel.mean())
 
 
+def _grid_floats(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """((hi << 64) | lo) / 2^128 as float64, correctly rounded like int / int.
+
+    A value with hi != 0 is shifted right by `top` bits, hi's bit length or
+    one more, so that it keeps 63 or 64 significant bits, and the bits
+    shifted out are ORed into bit 0 as a sticky bit.  Bit 0 lies below the
+    rounding position, so the one uint64 -> float64 cast rounds as the full
+    128-bit value would, and scaling by a power of two is then exact.
+    """
+    wide = hi != 0
+    # the float exponent of hi is its bit length, or one more where the cast
+    # rounded hi up to a power of two
+    top = np.clip(np.frexp(hi.astype(np.float64))[1], 1, 64).astype(np.uint64)
+    one = np.uint64(1)
+    mant = (hi << (np.uint64(64) - top)) | ((lo >> (top - one)) >> one)
+    mant |= ((lo << (np.uint64(64) - top)) != 0).astype(np.uint64)
+    mant = np.where(wide, mant, lo)
+    exp = np.where(wide, top.astype(np.int64), 0) - GRID_BITS
+    return np.ldexp(mant.astype(np.float64), exp)
+
+
 def y_window_sum(counts, pair_count: int, kernel: PlateauKernel, alpha: Alpha) -> float:
     """sum of y_statistic over a window, grouped by repeated gap values.
 
     counts maps u = |x_n - x_m| to its multiplicity over the window's pairs
     (pair_count = total pairs); the kernel is even, so each group contributes
-    multiplicity * periodized(alpha u).
+    multiplicity * periodized(alpha u).  Gaps must lie in the signed 64-bit
+    range (OverflowError otherwise).  Evaluated on arrays, with the same
+    roundings and the same summation order as the loop over counts.items().
     """
-    a = alpha.a
-    acc = 0.0
-    for u, rep in counts.items():
-        t = ((a * u) % GRID_ONE) / GRID_ONE
-        acc += rep * kernel.periodized(t)
+    gaps = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
+    reps = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    t = _grid_floats(*dilate_words(gaps, alpha))
+    h = 2.0 ** -kernel.v
+    inner = kernel.c * h
+    outer = inner + h
+
+    def value(x):  # PlateauKernel.value's float branch
+        ax = np.abs(x)
+        return np.where(ax <= inner, h, np.where(ax < outer, outer - ax, 0.0))
+
+    vals = value(t) + value(t - 1) + value(t + 1)
+    acc = float(np.cumsum(reps * vals)[-1]) if reps.size else 0.0
     return 2.0 * acc - 2.0 * pair_count * float(kernel.mean())

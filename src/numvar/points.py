@@ -170,9 +170,6 @@ class PointSet:
     def n(self) -> int:
         return len(self.hi)
 
-    def as_floats(self) -> list[float]:
-        return [p / GRID_ONE for p in self.points]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
@@ -266,18 +263,36 @@ def _check_term(value: int, index: int) -> int:
     return value
 
 
-def generate_terms(spec: SequenceSpec, count: int) -> list:
-    """First `count` terms x_1..x_count of the sequence, as exact Python ints.
+def _horner_fits(coeffs, count: int) -> bool:
+    """True when sum |c_i| count^i < 2^62, which bounds every Horner partial
+    value |acc * n| for 1 <= n <= count, so the int64 evaluation is exact.
 
-    Raises OverflowError naming the first index whose term leaves the signed
-    64-bit range, and ValueError if an explicit list is shorter than `count`.
+    Computed in float64: its rounding error is far below the margin to 2^63.
     """
+    if any(abs(c) > TERM_LIMIT for c in coeffs):
+        return False
+    return sum(abs(c) * float(count) ** i for i, c in enumerate(coeffs)) < 2.0 ** 62
+
+
+def _term_values(spec: SequenceSpec, count: int) -> np.ndarray:
+    """First `count` terms as an int64 array; errors as in generate_terms."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     if spec.kind == "linear":
         if count > TERM_LIMIT:
             raise OverflowError(f"term {TERM_LIMIT + 1} exceeds the signed 64-bit range")
-        return list(range(1, count + 1))
+        return np.arange(1, count + 1, dtype=np.int64)
+    if spec.kind == "poly" and _horner_fits(spec.coeffs, count):
+        n = np.arange(1, count + 1, dtype=np.int64)
+        acc = np.zeros(count, dtype=np.int64)
+        for c in reversed(spec.coeffs):
+            acc = acc * n + c
+        return acc
+    return np.array(_term_loop(spec, count), dtype=np.int64)
+
+
+def _term_loop(spec: SequenceSpec, count: int) -> list:
+    """The terms of a polynomial, lacunary or explicit spec, checked one by one."""
     if spec.kind == "poly":
         terms = []
         for n in range(1, count + 1):
@@ -299,6 +314,17 @@ def generate_terms(spec: SequenceSpec, count: int) -> list:
             f"explicit sequence has {len(spec.values)} terms, {count} requested"
         )
     return [_check_term(v, i + 1) for i, v in enumerate(spec.values[:count])]
+
+
+def generate_terms(spec: SequenceSpec, count: int) -> list:
+    """First `count` terms x_1..x_count of the sequence, as exact Python ints.
+
+    Raises OverflowError naming the first index whose term leaves the signed
+    64-bit range, and ValueError if an explicit list is shorter than `count`.
+    A polynomial is evaluated in int64 when its size bound certifies it, and
+    by an exact Python loop otherwise.
+    """
+    return _term_values(spec, count).tolist()
 
 
 def _term_array(terms) -> np.ndarray:
@@ -326,15 +352,13 @@ def _mulhi(x: np.ndarray, a: int) -> np.ndarray:
     return x1 * a1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
 
 
-def dilate_mod1(terms, alpha: Alpha) -> PointSet:
-    """The multiset {alpha * x mod 1 : x in terms} on the 2^-128 grid.
+def dilate_words(terms, alpha: Alpha):
+    """(hi, lo) uint64 words of A*x mod 2^128 for each term x, in term order.
 
-    A*x mod 2^128 is computed exactly from word products: a term is its
-    two's-complement 128-bit value, whose high word is 0 or 2^64 - 1, so a
-    negative term subtracts A's low word from the product's high word.  The
-    only rounding is the one already inside A, so each point is within
-    |x| * 2^-128 of the true alpha*x mod 1.  Terms outside the signed 64-bit
-    range raise OverflowError.
+    Computed exactly from word products: a term is its two's-complement
+    128-bit value, whose high word is 0 or 2^64 - 1, so a negative term
+    subtracts A's low word from the product's high word.  Terms outside the
+    signed 64-bit range raise OverflowError.
     """
     x = _term_array(terms)
     xw = x.view(np.uint64)
@@ -342,7 +366,17 @@ def dilate_mod1(terms, alpha: Alpha) -> PointSet:
     hi = _mulhi(xw, a_lo)
     hi += xw * np.uint64(a_hi)
     hi[x < 0] -= np.uint64(a_lo)
-    return PointSet.from_words(hi, xw * np.uint64(a_lo))
+    return hi, xw * np.uint64(a_lo)
+
+
+def dilate_mod1(terms, alpha: Alpha) -> PointSet:
+    """The multiset {alpha * x mod 1 : x in terms} on the 2^-128 grid.
+
+    The only rounding is the one already inside A, so each point is within
+    |x| * 2^-128 of the true alpha*x mod 1.  Terms outside the signed 64-bit
+    range raise OverflowError.
+    """
+    return PointSet.from_words(*dilate_words(terms, alpha))
 
 
 def continued_fraction_convergents(alpha: Alpha, count: int):

@@ -14,7 +14,6 @@ results agree as exact rationals.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
@@ -115,11 +114,17 @@ def counting_function(points: PointSet, s: SBin, y) -> int:
     # Integer grid positions in [y - S/2, y + S/2) are [ceil(Y - w/2), ceil(Y + w/2))
     # with Y = y * 2^128; w is even so the two bounds differ by exactly w.
     lo = ceil(yf * GRID_ONE - (width >> 1)) % GRID_ONE
-    pts = points.points
     hi = lo + width
+    keys = _keys128(points.hi, points.lo)
+
+    def below(x: int) -> int:  # points < x, for x in [0, 2^128]
+        if x == GRID_ONE:
+            return points.n
+        return int(np.searchsorted(keys, x.to_bytes(16, "big"), side="left"))
+
     if hi <= GRID_ONE:
-        return bisect.bisect_left(pts, hi) - bisect.bisect_left(pts, lo)
-    return (points.n - bisect.bisect_left(pts, lo)) + bisect.bisect_left(pts, hi - GRID_ONE)
+        return below(hi) - below(lo)
+    return (points.n - below(lo)) + below(hi - GRID_ONE)
 
 
 _LIMB_BITS = 16

@@ -228,6 +228,30 @@ def test_gcd_sum_strategies_agree_with_brute_force():
                 assert classes == pytest.approx(ref_t, rel=1e-12)
 
 
+def test_gcd_sum_auto_matches_brute_force_on_either_route():
+    squares = [rep_table(SQUARES, 1, 30), rep_table(SQUARES, 10, 30)]
+    lacunary = [rep_table(generate_terms(SequenceSpec.lacunary(2), 25), 1, 25),
+                rep_table(generate_terms(SequenceSpec.lacunary(3), 18), 4, 18)]
+    for table in squares + lacunary:
+        k, top = len(table.counts), max(table.counts)
+        # squares take the divisor-sum route, lacunary gaps the dense grid
+        assert (math.isqrt(top) < k) == (table in squares)
+        for variant in ("half", "one_over_max", "squared"):
+            ref = brute_gcd_sum(table.counts, variant, None)
+            assert gcd_sum(table, variant) == pytest.approx(ref, rel=1e-12)
+
+
+def test_gcd_sum_blocks_agree_with_one_block(monkeypatch):
+    import numvar.arithmetic as arithmetic
+    table = rep_table(SQUARES, 1, 40)
+    whole = [gcd_sum(table, v, strategy=s) for v in ("half", "one_over_max", "squared")
+             for s in ("auto", "dense")]
+    monkeypatch.setattr(arithmetic, "_BLOCK_CELLS", 3000)  # a few rows per block
+    blocked = [gcd_sum(table, v, strategy=s) for v in ("half", "one_over_max", "squared")
+               for s in ("auto", "dense")]
+    assert blocked == pytest.approx(whole, rel=1e-12)
+
+
 def test_gcd_sum_threshold_monotone():
     counts = {3: 2, 4: 1, 9: 1, 10: 3, 14: 1}
     table = _table(counts)

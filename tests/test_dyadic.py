@@ -5,9 +5,21 @@ import numpy as np
 import pytest
 
 from numvar.arithmetic import rep_table
-from numvar.dyadic import (PlateauKernel, decompose, verify_decomposition,
+from numvar.dyadic import (PlateauKernel, _grid_floats, decompose, verify_decomposition,
                            y_statistic, y_window_sum)
-from numvar.points import Alpha
+from numvar.points import GRID_ONE, Alpha, dilate_words
+
+BENCH_KERNELS = (PlateauKernel(4, 1), PlateauKernel(6, 10))
+
+
+def reference_y_window_sum(counts, pair_count, kernel, alpha):
+    """The per-gap loop that y_window_sum replaced, kept as its reference."""
+    a = alpha.a
+    acc = 0.0
+    for u, rep in counts.items():
+        t = ((a * u) % GRID_ONE) / GRID_ONE
+        acc += rep * kernel.periodized(t)
+    return 2.0 * acc - 2.0 * pair_count * float(kernel.mean())
 
 
 def test_decompose_example():
@@ -125,3 +137,47 @@ def test_window_sum_matches_per_term_sum():
         direct = sum(y_statistic(terms, n, kern, alpha) for n in range(1, 21))
         grouped = y_window_sum(table.counts, table.pair_count, kern, alpha)
         assert grouped == pytest.approx(direct, abs=1e-9)
+
+
+def test_window_sum_bit_identical_to_reference_loop():
+    squares = [k * k for k in range(1, 81)]
+    tables = [rep_table(squares, 1, 80), rep_table(squares, 30, 70), rep_table(squares, 2, 2)]
+    rng = np.random.default_rng(41)
+    near_top = [(1 << 62) - int(d) for d in rng.integers(1, 1 << 40, size=100)]
+    tables.append(rep_table([0] + near_top + [(1 << 62) - 1], 1, 102))
+    tables.append(rep_table([5], 1, 1))  # no pairs
+    alphas = [Alpha(0), Alpha.parse("rat:1/2"), Alpha.parse("rat:3/1024"), Alpha.golden(),
+              Alpha(12345), *Alpha.random_stream(3, seed=43)]
+    kernels = (*BENCH_KERNELS, PlateauKernel(0, 0), PlateauKernel(20, 700000))
+    for table in tables:
+        for alpha in alphas:
+            for kern in kernels:
+                want = reference_y_window_sum(table.counts, table.pair_count, kern, alpha)
+                got = y_window_sum(table.counts, table.pair_count, kern, alpha)
+                assert got == want, (table.window, alpha, kern)
+    with pytest.raises(OverflowError):
+        y_window_sum({1 << 63: 1}, 1, BENCH_KERNELS[0], Alpha.golden())
+
+
+def test_grid_floats_round_like_python_division():
+    rng = np.random.default_rng(47)
+    gaps = rng.integers(1, 1 << 62, size=10 ** 5)
+    gaps[:1000] = rng.integers(1, 1 << 12, size=1000)
+    # small alphas leave the high word 0 for small gaps: the value is the low word alone
+    for alpha in (*Alpha.random_stream(2, seed=53), Alpha(987654321), Alpha((1 << 64) + 3)):
+        got = _grid_floats(*dilate_words(gaps, alpha))
+        want = np.array([((alpha.a * int(u)) % GRID_ONE) / GRID_ONE for u in gaps])
+        assert np.array_equal(got, want)
+    # crafted words: high words just below a power of two (the float
+    # exponent overshoots the bit length), and values halfway between two
+    # doubles, where one low bit decides the rounding
+    words = [(0, 0), (0, 1), (0, (1 << 64) - 1), (1, 0), ((1 << 64) - 1, (1 << 64) - 1)]
+    words += [((1 << b) - d, lo) for b in (54, 60, 64) for d in (1, 3, 1 << 9)
+              for lo in (0, 1, (1 << 64) - 1)]
+    for mantissa, shift in (((1 << 52) + 1, 75), ((1 << 53) - 2, 22), (5 << 50, 12)):
+        tie = (2 * mantissa + 1) << (shift - 1)  # halfway above mantissa * 2^shift
+        for w in (tie - 1, tie, tie + 1):
+            words.append((w >> 64, w & ((1 << 64) - 1)))
+    hi, lo = (np.array(col, dtype=np.uint64) for col in zip(*words))
+    want = np.array([((h << 64) | l) / GRID_ONE for h, l in words])
+    assert np.array_equal(_grid_floats(hi, lo), want)

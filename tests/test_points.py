@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from numvar.points import (GRID_ONE, Alpha, PointSet, SequenceSpec,
+from numvar.points import (GRID_ONE, Alpha, PointSet, SequenceSpec, _term_values,
                            continued_fraction_convergents, dilate_mod1,
                            generate_terms)
 
@@ -114,6 +114,29 @@ def test_generate_terms_examples():
     assert generate_terms(SequenceSpec.linear(), 3) == [1, 2, 3]
     assert generate_terms(SequenceSpec.lacunary(2), 5) == [2, 4, 8, 16, 32]
     assert generate_terms(SequenceSpec.linear(), 0) == []
+
+
+def test_generate_terms_int64_path_matches_python_loop():
+    def loop(coeffs, count):
+        out = []
+        for n in range(1, count + 1):
+            acc = 0
+            for c in reversed(coeffs):
+                acc = acc * n + c
+            out.append(acc)
+        return out
+
+    edge = (1 << 62) // 10 ** 6
+    cases = [((0, 0, 1), 1000), ((3, -7, 0, 2), 500), ((5, 3, -(1 << 40)), 700),
+             ((0, 0, edge - 1), 1000),  # just under the 2^62 bound: int64 path
+             ((0, 0, edge + 1), 1000),  # just over it, terms still fit: exact loop
+             ((1, 1), 0)]
+    for coeffs, count in cases:
+        spec = SequenceSpec.poly(coeffs)
+        got = generate_terms(spec, count)
+        assert got == loop(coeffs, count)
+        assert all(type(x) is int for x in got)
+        assert np.array_equal(_term_values(spec, count), np.array(got, dtype=np.int64))
 
 
 def test_generate_terms_overflow_names_index():

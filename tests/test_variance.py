@@ -161,6 +161,9 @@ def test_counting_boundary_convention():
     assert counting_function(pts, s, Fraction(1, 2)) == 1
     # y = 0 wraps: [3/4, 1) u [0, 1/4) contains 3/4 only
     assert counting_function(pts, s, 0) == 1
+    # the arc [1/2, 1) ends exactly at 1, so the last grid point is inside
+    edge = PointSet.from_ints((GRID_ONE // 2 - 1, GRID_ONE // 2, GRID_ONE - 1))
+    assert counting_function(edge, s, Fraction(3, 4)) == 2
 
 
 def test_counting_against_brute_force():
