@@ -24,8 +24,7 @@ from .dyadic import (DyadicExpansion, PlateauKernel, decompose,
 from .points import (GRID_BITS, GRID_ONE, Alpha, PointSet, SequenceSpec,
                      continued_fraction_convergents, dilate_mod1,
                      generate_terms)
-from .variance import (TentKernel, VarianceRecord, WindowAccumulator,
-                       as_dyadic, counting_function, periodized_tent,
-                       variance_pairwise, variance_sweep)
+from .variance import (VarianceRecord, WindowAccumulator, as_dyadic,
+                       counting_function, variance_pairwise, variance_sweep)
 
 __version__ = "0.1.0"

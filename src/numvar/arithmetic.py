@@ -110,23 +110,26 @@ def energy_window(table: RepTable) -> int:
 
 
 def additive_energy(terms, count: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
-    """Quadruples with x_{n1} - x_{n2} = x_{n3} - x_{n4}, indices up to `count`.
+    """Quadruples with x_{n1} + x_{n2} = x_{n3} + x_{n4}, indices up to `count`.
 
-    Hashes all ordered differences (including zero), then sums squared
-    multiplicities.
+    Sorts the count^2 ordered sums in place (8 * count^2 bytes) and sums the
+    squared run lengths.  Forming no difference keeps it independent of the
+    gap histogram.  Terms with |x| >= 2^62 raise OverflowError.
     """
     if not 0 <= count <= len(terms):
         raise ValueError(f"count {count} outside 0..{len(terms)}")
     if count * count > pair_budget:
-        raise BudgetExceeded("ordered-difference enumeration too large",
+        raise BudgetExceeded("ordered-sum enumeration too large",
                              count * count, pair_budget)
-    d: dict = {}
-    head = terms[:count]
-    for x in head:
-        for y in head:
-            k = x - y
-            d[k] = d.get(k, 0) + 1
-    return sum(v * v for v in d.values())
+    x = np.asarray(terms[:count], dtype=np.int64)
+    if count and int(np.abs(x).max()) >= 1 << 62:
+        raise OverflowError("terms too large for the int64 sums")
+    sums = np.add.outer(x, x).ravel()
+    sums.sort()
+    runs = np.diff(np.concatenate(([0], np.flatnonzero(sums[1:] != sums[:-1]) + 1, [sums.size])))
+    if int(runs.max()) * sums.size >= 1 << 63:  # sum of r^2 <= max r * count^2
+        return sum(r * r for r in runs.tolist())
+    return int(np.sum(runs * runs))
 
 
 def energy_direct(terms, n1: int, n2: int, *, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:

@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from .points import (Alpha, PointSet, continued_fraction_convergents, dilate_mod1,
                      philox_words)
@@ -67,6 +66,8 @@ def bridge_path(m: int, seed) -> BridgePath:
 
     B(t_k) = W(t_k) - t_k W(1); both endpoints are exactly zero.
     """
+    from scipy.special import ndtri  # loaded here: scipy costs most of `import numvar`
+
     if m < 2 or m & (m - 1):
         raise ValueError("grid size M must be a power of two >= 2")
     words = philox_words(seed, m)

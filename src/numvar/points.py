@@ -105,9 +105,6 @@ class Alpha:
     def hex(self) -> str:
         return f"{self.a:032x}"
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.a, GRID_ONE)
-
     def as_float(self) -> float:
         return self.a / GRID_ONE
 

@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .points import GRID_ONE, Alpha, PointSet
+from .points import _LOW32, _WORD, GRID_ONE, Alpha, PointSet
 
 SBin = Union[Fraction, int, float]
 
@@ -42,46 +42,6 @@ def _grid_width(s: SBin) -> int:
     """S scaled to the 2^-128 grid (an integer in [0, 2^128], always even)."""
     f = as_dyadic(s)
     return (f.numerator * GRID_ONE) // f.denominator
-
-
-@dataclass(frozen=True)
-class TentKernel:
-    """The triangle psi_{S/2} = indicator[-S/2,S/2) * indicator[-S/2,S/2).
-
-    Peak value S at 0, support [-S, S], unit slopes: psi(t) = max(S - |t|, 0).
-    """
-
-    s: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", as_dyadic(self.s))
-
-    def value(self, t):
-        """psi_{S/2}(t); exact when t is a Fraction or int."""
-        s = float(self.s) if isinstance(t, float) else self.s
-        mag = s - abs(t)
-        return mag if mag > 0 else 0 * mag
-
-    def periodized(self, t):
-        """sum_j psi_{S/2}(t + j) for t in [0, 1); only j in {-1, 0} contribute."""
-        return self.value(t) + self.value(t - 1)
-
-    @property
-    def l1(self) -> Fraction:
-        return self.s * self.s
-
-    @property
-    def l2_squared(self) -> Fraction:
-        return 2 * self.s ** 3 / 3
-
-    @property
-    def peak(self) -> Fraction:
-        return self.s
-
-
-def periodized_tent(s: SBin, t):
-    """sum_j psi_{S/2}(t + j) for t reduced mod 1."""
-    return TentKernel(as_dyadic(s)).periodized(t % 1)
 
 
 @dataclass(frozen=True)
@@ -248,38 +208,77 @@ def variance_pairwise(points: PointSet, s: SBin, *, exact: bool = False):
     return WindowAccumulator(points).variance(s, exact=exact)
 
 
+def _add128(hi, lo, c: int):
+    """(hi, lo) + c mod 2^128 for 0 <= c < 2^128, as uint64 words."""
+    c_lo = np.uint64(c & _WORD)
+    s_lo = lo + c_lo
+    return hi + np.uint64(c >> 64) + (s_lo < c_lo), s_lo
+
+
+def _sub128(hi, lo, c: int):
+    """(hi, lo) - c mod 2^128 for 0 <= c < 2^128, as uint64 words."""
+    c_lo = np.uint64(c & _WORD)
+    return hi - np.uint64(c >> 64) - (lo < c_lo), lo - c_lo
+
+
+def _weighted_sum128(weights: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> int:
+    """sum_j weights[j] * ((hi[j] << 64) | lo[j]) exactly, for |weights| < 2^31.
+
+    Each word is cut into 32-bit halves, so one product stays below 2^63; the
+    products are summed in int64 over runs short enough not to wrap.
+    """
+    bound = (int(np.abs(weights).max(initial=0)) + 1) << 32
+    if bound > _INT64_MAX:
+        raise OverflowError("sweep weight too large for the int64 products")
+    cuts = np.arange(0, len(weights), _INT64_MAX // bound)
+    total = 0
+    for shift, word in ((0, lo), (64, hi)):
+        for half in (0, 32):
+            part = ((word >> np.uint64(half)) & _LOW32).astype(np.int64) * weights
+            total += sum(np.add.reduceat(part, cuts).tolist()) << (shift + half)
+    return total
+
+
 def variance_sweep(points: PointSet, s: SBin, *, exact: bool = False):
     """V(N, S) by integrating the counting step function over arc endpoints.
 
-    Each point contributes the indicator of an arc of length S; the integral
-    of the squared count is a sum of value^2 * segment length over segments
-    between consecutive endpoints, all exact integers on the grid.
+    Point p covers the arc [p - S/2, p + S/2) mod 1.  The arc starts and the
+    arc ends are rotations of the sorted points; undone, they are two sorted
+    runs, and one stable merge by (high, low) word orders all 2N events.  The
+    count after each event is a cumulative sum of the +1/-1 deltas.  With
+    base the count on the arc just below 1 and levels L_0 = base, L_1, ..,
+    L_2N at the event positions q_j, summation by parts gives
+
+        integral S_N^2 = base^2 * 2^128 + sum_j q_j (L_{j-1}^2 - L_j^2)
+
+    on the 2^-128 grid, one exact weighted sum of the positions.  Events at a
+    shared position may come in any order: the segment between them is empty.
+    The sweep shares no code with WindowAccumulator.
     """
     width = _grid_width(s)
     n = points.n
     if n == 0 or width == 0:
         return Fraction(0) if exact else 0.0
     half = width >> 1
-    events = {}
-    base = 0
-    for p in points.points:
-        start = (p - half) % GRID_ONE
-        end = start + width
-        if end >= GRID_ONE:
-            base += 1
-            end -= GRID_ONE
-        events[start] = events.get(start, 0) + 1
-        events[end] = events.get(end, 0) - 1
-    integral = 0
-    level = base
-    prev = 0
-    for pos in sorted(events):
-        integral += level * level * (pos - prev)
-        level += events[pos]
-        prev = pos
-    integral += level * level * (GRID_ONE - prev)
-    if level != base:
+    hi, lo = points.hi, points.lo
+    keys = _keys128(hi, lo)
+
+    def below(x: int) -> int:  # points < x, for 0 <= x < 2^128
+        return int(np.searchsorted(keys, x.to_bytes(16, "big"), side="left"))
+
+    wrap_start = below(half)  # p - S/2 < 0
+    wrap_end = n - below(GRID_ONE - half)  # p + S/2 >= 1
+    base = wrap_start + wrap_end
+    starts = [np.roll(w, -wrap_start) for w in _sub128(hi, lo, half)]
+    ends = [np.roll(w, wrap_end) for w in _add128(hi, lo, half)]
+    q_hi, q_lo = np.concatenate((starts[0], ends[0])), np.concatenate((starts[1], ends[1]))
+    order = np.argsort(q_hi, kind="stable")  # merges the two sorted runs
+    if np.any((q_hi[order[1:]] == q_hi[order[:-1]]) & (q_lo[order[1:]] < q_lo[order[:-1]])):
+        order = np.lexsort((q_lo, q_hi))  # equal high words, low words out of order
+    levels = base + np.concatenate(([0], np.cumsum(np.where(order < n, 1, -1))))
+    if levels[-1] != base:
         raise RuntimeError("event deltas must cancel around the circle")
+    weights = levels[:-1] ** 2 - levels[1:] ** 2
+    integral = base * base * GRID_ONE + _weighted_sum128(weights, q_hi[order], q_lo[order])
     v = Fraction(integral * GRID_ONE - (n * width) ** 2, GRID_ONE * GRID_ONE)
     return v if exact else float(v)
-

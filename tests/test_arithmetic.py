@@ -17,6 +17,18 @@ SQUARES = [k * k for k in range(1, 201)]
 LINEAR = list(range(1, 201))
 
 
+def reference_additive_energy(terms, count):
+    """The hash loop additive_energy replaced: every ordered difference
+    x - y, zero included, counted in a dict; E is the sum of squared counts."""
+    d: dict = {}
+    head = terms[:count]
+    for x in head:
+        for y in head:
+            k = x - y
+            d[k] = d.get(k, 0) + 1
+    return sum(v * v for v in d.values())
+
+
 def reference_rep_counts(terms, n1, n2):
     """Rep(u) over pairs m < n, N1 <= n <= N2, by a plain loop over all pairs."""
     counts: dict = {}
@@ -100,6 +112,31 @@ def test_additive_energy_examples():
         assert additive_energy(LINEAR, n) == n * (2 * n * n + 1) // 3
     with pytest.raises(BudgetExceeded):
         additive_energy(LINEAR, 100, pair_budget=50)
+
+
+_ENERGY_SEQUENCES = {
+    "squares": [k * k for k in range(1, 601)],
+    "linear": list(range(1, 601)),
+    "cubic": [k ** 3 - 7 * k for k in range(1, 601)],
+    "negative": [-(k * k) + 250 * k for k in range(1, 601)],
+    "repeated": [int(v) for v in np.random.default_rng(8).integers(-30, 30, 600)],
+    "explicit": [5, 5, -2, 5, 0, -2, 1 << 61, -(1 << 61)] * 75,
+}
+
+
+@pytest.mark.parametrize("name", list(_ENERGY_SEQUENCES))
+def test_additive_energy_matches_hash_reference(name):
+    terms = _ENERGY_SEQUENCES[name]
+    for count in (0, 1, 2, 600):
+        assert additive_energy(terms, count) == reference_additive_energy(terms, count)
+
+
+def test_additive_energy_refuses_terms_of_2_62():
+    with pytest.raises(OverflowError):
+        additive_energy([3, 1 << 62], 2)
+    with pytest.raises(OverflowError):
+        additive_energy([-(1 << 62)], 1)
+    assert additive_energy([3, 1 << 62], 1) == 1  # only the first `count` terms are read
 
 
 def test_energy_identity_with_rep_table():

@@ -1,9 +1,14 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import numvar
 from numvar.baselines import (BridgePath, bridge_functional, bridge_path,
                               kronecker_experiment, prop2_exceedance_scan,
                               random_variance_experiment, sample_uniform)
@@ -27,6 +32,25 @@ def test_sample_uniform_mean_clt():
     pts = sample_uniform(10 ** 4, 123).points
     mean = sum(pts.points) / (len(pts.points) * GRID_ONE)
     assert abs(mean - 0.5) <= 3 * (1 / math.sqrt(12)) / 100
+
+
+def test_bridge_path_values_pinned():
+    # sha256 of bridge_path(16, 42).values, recorded when scipy was still
+    # imported with the module; the deferred import must not move a bit
+    values = bridge_path(16, 42).values
+    assert values.dtype == np.float64
+    assert hashlib.sha256(values.tobytes()).hexdigest() == (
+        "2cf403342cd0e0b115b5a5ac724fb186f0cbea012c764b88000bd84c3a57e4a4")
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(numvar.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, numvar, numvar.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_bridge_path_shape():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -7,9 +8,51 @@ import pytest
 
 from numvar.baselines import sample_uniform
 from numvar.points import GRID_ONE, Alpha, PointSet, dilate_mod1
-from numvar.variance import (TentKernel, VarianceRecord, WindowAccumulator,
-                             _limb_dot, _limbs, as_dyadic, counting_function,
-                             periodized_tent, variance_pairwise, variance_sweep)
+import numvar.variance
+from numvar.variance import (VarianceRecord, WindowAccumulator, _add128, _keys128,
+                             _limb_dot, _limbs, _sub128, _weighted_sum128, as_dyadic,
+                             counting_function, variance_pairwise, variance_sweep)
+
+
+@dataclass(frozen=True)
+class TentKernel:
+    """The triangle psi_{S/2} = indicator[-S/2,S/2) * indicator[-S/2,S/2).
+
+    Peak value S at 0, support [-S, S], unit slopes: psi(t) = max(S - |t|, 0).
+    The pairwise route sums its periodization over point pairs.
+    """
+
+    s: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "s", as_dyadic(self.s))
+
+    def value(self, t):
+        """psi_{S/2}(t); exact when t is a Fraction or int."""
+        s = float(self.s) if isinstance(t, float) else self.s
+        mag = s - abs(t)
+        return mag if mag > 0 else 0 * mag
+
+    def periodized(self, t):
+        """sum_j psi_{S/2}(t + j) for t in [0, 1); only j in {-1, 0} contribute."""
+        return self.value(t) + self.value(t - 1)
+
+    @property
+    def l1(self) -> Fraction:
+        return self.s * self.s
+
+    @property
+    def l2_squared(self) -> Fraction:
+        return 2 * self.s ** 3 / 3
+
+    @property
+    def peak(self) -> Fraction:
+        return self.s
+
+
+def periodized_tent(s, t):
+    """sum_j psi_{S/2}(t + j) for t reduced mod 1."""
+    return TentKernel(as_dyadic(s)).periodized(t % 1)
 
 
 def brute_count(points: PointSet, s, y) -> int:
@@ -73,6 +116,37 @@ def reference_tent_pair_sum(points: PointSet, width: int) -> int:
     return 2 * total - coincident * width
 
 
+def reference_sweep(points: PointSet, s, *, exact: bool = False):
+    """The event loop variance_sweep replaced: a dict of Python-int arc
+    endpoints, walked in sorted order with the running count squared."""
+    width = int(as_dyadic(s) * GRID_ONE)
+    n = points.n
+    if n == 0 or width == 0:
+        return Fraction(0) if exact else 0.0
+    half = width >> 1
+    events = {}
+    base = 0
+    for p in points.points:
+        start = (p - half) % GRID_ONE
+        end = start + width
+        if end >= GRID_ONE:
+            base += 1
+            end -= GRID_ONE
+        events[start] = events.get(start, 0) + 1
+        events[end] = events.get(end, 0) - 1
+    integral = 0
+    level = base
+    prev = 0
+    for pos in sorted(events):
+        integral += level * level * (pos - prev)
+        level += events[pos]
+        prev = pos
+    integral += level * level * (GRID_ONE - prev)
+    assert level == base
+    v = Fraction(integral * GRID_ONE - (n * width) ** 2, GRID_ONE * GRID_ONE)
+    return v if exact else float(v)
+
+
 def _squares_dilated(alpha: Alpha, n: int) -> PointSet:
     return dilate_mod1([k * k for k in range(1, n + 1)], alpha)
 
@@ -84,6 +158,10 @@ _POINT_SETS = {f"{name}-N{n}": _squares_dilated(alpha, n)
 _POINT_SETS["piled-at-0-and-max"] = PointSet.from_ints(
     (0,) * 40 + (1, GRID_ONE // 2) + (GRID_ONE - 1,) * 40)
 _POINT_SETS["piled-at-max"] = PointSet.from_ints((GRID_ONE - 1,) * 7)
+# at S = 2^-64 the arc end of 1 (2^63 + 1) and the arc start of 2^64 + 2
+# (2^63 + 2) share a high word, so the sweep's merge must read the low words
+_POINT_SETS["shared-high-word"] = PointSet.from_ints(
+    (1, (1 << 64) + 2, (1 << 64) + 3, GRID_ONE - 1))
 
 
 @pytest.mark.parametrize("name", list(_POINT_SETS))
@@ -106,6 +184,78 @@ def test_limb_dot_chunks_or_refuses_large_weights():
     assert _limb_dot(weights, limbs) == want
     with pytest.raises(OverflowError):
         _limb_dot(np.array([1, 1 << 48, 1], dtype=np.int64), limbs)
+
+
+_SWEEP_WIDTHS = (Fraction(1, 32), Fraction(15, 64), Fraction(1, 2), Fraction(1, 1 << 64),
+                 Fraction(3, 1 << 40), 1)
+
+
+@pytest.mark.parametrize("n", (1, 2, 7, 100, 10 ** 4))
+@pytest.mark.parametrize("kind", ("uniform", "rat3_1024", "alpha0"))
+def test_sweep_matches_reference_loop(n, kind):
+    if kind == "uniform":
+        pts = sample_uniform(n, 1000 + n).points
+    else:
+        alpha = Alpha.parse("rat:3/1024") if kind == "rat3_1024" else Alpha(0)
+        pts = _squares_dilated(alpha, n)  # alpha = 0 puts every point at 0
+    for s in _SWEEP_WIDTHS:
+        assert variance_sweep(pts, s, exact=True) == reference_sweep(pts, s, exact=True)
+
+
+@pytest.mark.parametrize("name", ["piled-at-0-and-max", "piled-at-max", "shared-high-word",
+                                  "random0-N10000"])
+def test_sweep_matches_reference_on_crafted_points(name):
+    points = _POINT_SETS[name]
+    for s in _SWEEP_WIDTHS:
+        assert variance_sweep(points, s, exact=True) == reference_sweep(points, s, exact=True)
+
+
+def test_sweep_is_independent_of_the_pairwise_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("variance_sweep reached the pairwise engine")
+
+    pts = sample_uniform(500, 77).points
+    want = reference_sweep(pts, Fraction(3, 64), exact=True)
+    for name in ("WindowAccumulator", "_limb_dot", "_limbs"):
+        monkeypatch.setattr(numvar.variance, name, refuse)
+    assert variance_sweep(pts, Fraction(3, 64), exact=True) == want
+
+
+_WORD_EDGES = (0, 1, (1 << 64) - 1, 1 << 64, (1 << 64) + 1, (1 << 127) - 1, 1 << 127,
+               GRID_ONE - (1 << 64), GRID_ONE - (1 << 64) + 1, GRID_ONE - 2, GRID_ONE - 1)
+
+
+def _words(values):
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & ((1 << 64) - 1) for v in values], dtype=np.uint64))
+
+
+def test_sweep_word_helpers_match_python_ints():
+    hi, lo = _words(_WORD_EDGES)
+    for c in _WORD_EDGES:
+        for op, want in ((_add128, lambda v: (v + c) % GRID_ONE),
+                         (_sub128, lambda v: (v - c) % GRID_ONE)):
+            got_hi, got_lo = op(hi, lo, c)
+            got = [(int(h) << 64) | int(l) for h, l in zip(got_hi, got_lo)]
+            assert got == [want(v) for v in _WORD_EDGES]
+    keys = _keys128(hi, lo)
+    assert keys.tobytes() == b"".join(v.to_bytes(16, "big") for v in _WORD_EDGES)
+    shuffled = np.random.default_rng(5).permutation(len(_WORD_EDGES))
+    assert list(np.argsort(keys[shuffled], kind="stable")) == list(np.argsort(shuffled))
+    for v in _WORD_EDGES:  # the searches variance_sweep makes for its rotations
+        assert np.searchsorted(keys, v.to_bytes(16, "big")) == _WORD_EDGES.index(v)
+
+
+def test_sweep_weighted_sum_chunks_or_refuses_large_weights():
+    hi, lo = _words(_WORD_EDGES)
+    rng = np.random.default_rng(3)
+    for bound in (1, 5, 1 << 20, (1 << 31) - 2):  # the largest needs one product per run
+        weights = rng.integers(-bound, bound + 1, len(_WORD_EDGES))
+        want = sum(int(w) * v for w, v in zip(weights, _WORD_EDGES))
+        assert _weighted_sum128(weights, hi, lo) == want
+    assert _weighted_sum128(np.zeros(0, np.int64), hi[:0], lo[:0]) == 0
+    with pytest.raises(OverflowError):
+        _weighted_sum128(np.full(len(_WORD_EDGES), 1 << 31), hi, lo)
 
 
 def test_as_dyadic_validation():
