@@ -1,7 +1,7 @@
 """Arithmetic statistics of truncated integer sequences.
 
-Representation numbers of differences, additive energy, divisor moments, GCD
-sums, difference-set divisibility counts, and the repeated-difference mass
+Representation numbers of differences, additive energy, GCD sums,
+difference-set divisibility counts, and the repeated-difference mass
 used for sparsity checks.  Everything here is exact integer counting; floats
 appear only in the final weighted sums where the weights are irrational.
 """
@@ -9,8 +9,7 @@ appear only in the final weighted sums where the weights are irrational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,21 +39,6 @@ class RepTable:
     window: tuple
     counts: dict
     pair_count: int = 0
-
-    def merge(self, other: "RepTable") -> "RepTable":
-        """Combine with the table of the adjacent window (N2+1, N3)."""
-        if other.window[0] != self.window[1] + 1:
-            raise ValueError(
-                f"windows {self.window} and {other.window} are not adjacent"
-            )
-        merged = dict(self.counts)
-        for u, r in other.counts.items():
-            merged[u] = merged.get(u, 0) + r
-        return RepTable(
-            window=(self.window[0], other.window[1]),
-            counts=merged,
-            pair_count=self.pair_count + other.pair_count,
-        )
 
 
 def _gap_histogram(terms, n1: int, n2: int, buckets: int = 1, b: int = 0):
@@ -196,30 +180,6 @@ def rep_quadratic_divisor(p, u: int, n_limit=None, divisors=None) -> int:
             continue
         count += 1
     return count
-
-
-def tau_sieve(limit: int) -> np.ndarray:
-    """tau(n) for n <= limit as an int64 array (index 0 unused)."""
-    tau = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, math.isqrt(limit) + 1):
-        tau[d * d] += 1
-        tau[d * (d + 1):: d] += 2
-    return tau
-
-
-def tau_moment_sum(x: int, beta: int, *, mem_budget: int = 1 << 30) -> int:
-    """Exact sum of tau(n)^beta over n <= x, by divisor-pair sieve."""
-    if not 1 <= x <= 10 ** 8:
-        raise ValueError("x must be in 1..10^8")
-    if beta < 1:
-        raise ValueError("beta must be a positive integer")
-    if (x + 1) * 8 > mem_budget:
-        raise BudgetExceeded("tau sieve array too large", (x + 1) * 8, mem_budget)
-    tau = tau_sieve(x)[1:]
-    max_tau = int(tau.max())
-    if beta * max_tau.bit_length() + x.bit_length() <= 62:
-        return int(np.sum(tau ** beta))
-    return sum(int(t) ** beta for t in tau)  # overflow-proof fallback
 
 
 def _gcd_weight_grid(variant: str, g, u1, u2):
@@ -413,19 +373,9 @@ def gcd_average(x: int) -> float:
     return math.fsum(int(phi[d]) * (x // d) / d for d in range(1, x + 1)) - x
 
 
-@dataclass(eq=False)
-class DifferenceSet:
-    """Sorted distinct differences p(m) - p(n), m != n, both indices <= N."""
-
-    n: int
-    values: np.ndarray = field(repr=False)
-
-    def __len__(self):
-        return int(self.values.size)
-
-
-def difference_set(coeffs, count: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> DifferenceSet:
-    """All distinct nonzero differences of polynomial values at 1..count.
+def difference_set(coeffs, count: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> np.ndarray:
+    """Sorted int64 array of the distinct nonzero differences p(m) - p(n),
+    m != n, of polynomial values at 1..count.
 
     coeffs must be a valid SequenceSpec.poly, so a constant raises ValueError.
     """
@@ -434,7 +384,7 @@ def difference_set(coeffs, count: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
     if count * count > pair_budget:
         raise BudgetExceeded("difference grid too large", count * count, pair_budget)
     gaps, _ = _gap_histogram(generate_terms(SequenceSpec.poly(coeffs), count), 1, count)
-    return DifferenceSet(n=count, values=np.concatenate((-gaps[::-1], gaps)))
+    return np.concatenate((-gaps[::-1], gaps))
 
 
 def _radical(ell: int):
@@ -456,7 +406,7 @@ def _radical(ell: int):
     return rad, omega
 
 
-def divisibility_bound_check(diffs: DifferenceSet, ell: int, degree: int, count: int):
+def divisibility_bound_check(diffs: np.ndarray, ell: int, degree: int, count: int):
     """(count of multiples of ell in the set, (N + rad)^2 d^omega / rad, ok).
 
     The bound assumes the generating polynomial has no constant term and
@@ -464,7 +414,7 @@ def divisibility_bound_check(diffs: DifferenceSet, ell: int, degree: int, count:
     """
     if ell <= 1:
         raise ValueError("ell must be an integer > 1")
-    hits = int(np.count_nonzero(diffs.values % ell == 0))
+    hits = int(np.count_nonzero(diffs % ell == 0))
     rad, omega = _radical(ell)
     bound_num = (count + rad) ** 2 * degree ** omega
     return hits, bound_num / rad, hits * rad <= bound_num

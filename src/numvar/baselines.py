@@ -1,9 +1,8 @@
 """Random and Kronecker baselines for the number variance.
 
 Uniform i.i.d. samples (the Poissonian reference), a Brownian-bridge
-simulation of the limiting integral functional, an exploratory exceedance
-scan over S shrinking like a/lnln N, and the convergent-denominator check
-for badly approximable dilations.
+simulation of the limiting integral functional, and the
+convergent-denominator check for badly approximable dilations.
 
 All randomness flows through numpy's counter-based Philox generator so that
 identical seeds reproduce identical results across platforms; replicates use
@@ -16,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
 
 import numpy as np
 
@@ -130,48 +128,6 @@ def random_variance_experiment(count: int, s, replicates: int, seed) -> RandomVa
         stderr=stddev / math.sqrt(replicates),
         expected=count * float(f) * (1.0 - float(f)),
     )
-
-
-@dataclass(frozen=True)
-class ExceedanceRow:
-    """One (N, S) cell of the exploratory sup-ratio scan."""
-
-    n: int
-    s: Fraction
-    clamped: bool
-    replicates: int
-    max_ratio: Optional[float]
-
-
-def prop2_exceedance_scan(n_list, a: float = 35.0, replicates: int = 20, seed=0) -> list:
-    """Max over replicates of V/(NS) at S = min(1/2, a/lnln N), per N.
-
-    EXPLORATORY: the lnln regime is unreachable at desk scale, so this
-    reports raw ratios only; no pass/fail semantics.  S is rounded to the
-    nearest 2^-64 dyadic so the exact variance machinery applies; rows where
-    the formula would exceed 1/2 (or lnln is undefined) are clamped.
-    """
-    rows = []
-    for n in n_list:
-        if a == 0:
-            rows.append(ExceedanceRow(n=n, s=Fraction(0), clamped=False,
-                                      replicates=replicates, max_ratio=None))
-            continue
-        loglog = math.log(math.log(n)) if n > 2 else 0.0
-        if loglog <= 0 or a / loglog > 0.5:
-            f = Fraction(1, 2)
-            clamped = True
-        else:
-            f = Fraction(round(a / loglog * (1 << 64)), 1 << 64)
-            clamped = False
-        best = 0.0
-        for sub_seed in _derived_seeds((int(seed), n), replicates):
-            sample = sample_uniform(n, sub_seed)
-            v = variance_pairwise(sample.points, f)
-            best = max(best, v / (n * float(f)))
-        rows.append(ExceedanceRow(n=n, s=f, clamped=clamped,
-                                  replicates=replicates, max_ratio=best))
-    return rows
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-import numpy as np
-
 from . import arithmetic, baselines, dyadic
 from .arithmetic import DEFAULT_PAIR_BUDGET, BudgetExceeded
 from .points import Alpha, SequenceSpec, _term_values, dilate_mod1, generate_terms
@@ -69,7 +67,6 @@ class ExperimentConfig:
     n_grid: tuple
     s_grid: tuple
     seed: Optional[int]
-    pair_budget: int
     out: Optional[str]
     fmt: str
 
@@ -114,7 +111,7 @@ def parse_s_grid(text: str) -> tuple:
 
 
 _CONFIG_KEYS = {"sequence", "alpha_mode", "alpha_count", "alphas", "n_grid",
-                "s_grid", "seed", "pair_budget", "out", "format"}
+                "s_grid", "seed", "out", "format"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -179,7 +176,6 @@ def parse_config(text: str) -> ExperimentConfig:
         n_grid=n_grid,
         s_grid=s_grid,
         seed=seed,
-        pair_budget=_parse_int(data.get("pair_budget", str(DEFAULT_PAIR_BUDGET)), "pair_budget"),
         out=data.get("out"),
         fmt=fmt,
     )
@@ -200,15 +196,9 @@ def config_hash(config: ExperimentConfig) -> str:
         "n_grid": list(config.n_grid),
         "s_grid": [f"{s.numerator}/{s.denominator}" for s in config.s_grid],
         "seed": config.seed,
-        "pair_budget": config.pair_budget,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def estimate_pairs(n: int, s) -> int:
-    """ceil(N^2 S) + N: budget proxy for the work in one (N, S) cell."""
-    return math.ceil(n * n * as_dyadic(s)) + n
 
 
 def resolve_alphas(config: ExperimentConfig) -> list:
@@ -231,14 +221,11 @@ def _format_row(rec: VarianceRecord) -> str:
             f"{alpha},{format(rec.v, '.17g')},{ratio}")
 
 
-def run_scan(config: ExperimentConfig, *, skip_over_budget: bool = False,
-             threads: int = 1) -> ScanResult:
+def run_scan(config: ExperimentConfig, *, threads: int = 1) -> ScanResult:
     """Execute the (N, S, alpha) grid; rows N outer, S middle, alpha inner.
 
     If the config names a CSV output path, completed blocks are flushed as
     the scan progresses, so an interrupted run leaves a valid row prefix.
-    Over-budget (N, S) cells abort the scan unless skip_over_budget is set,
-    in which case their rows are omitted and listed in the metadata.
     """
     t0 = time.monotonic()
     alphas = resolve_alphas(config)
@@ -246,7 +233,6 @@ def run_scan(config: ExperimentConfig, *, skip_over_budget: bool = False,
     with _input_error("sequence"):
         terms = _term_values(config.sequence, max_n)
     rows = []
-    skipped = []
     stream = None
     if config.out and config.fmt == "csv":
         stream = open(config.out, "w", encoding="utf-8", newline="")
@@ -258,28 +244,12 @@ def run_scan(config: ExperimentConfig, *, skip_over_budget: bool = False,
         if stream:
             stream.write(CSV_HEADER + "\n")
             stream.flush()
+        s_pairs = [(s.numerator, s.denominator) for s in config.s_grid]
         for n in config.n_grid:
-            live = []
-            for s in config.s_grid:
-                est = estimate_pairs(n, s)
-                if est > config.pair_budget:
-                    cell = {"N": n, "S": f"{s.numerator}/{s.denominator}",
-                            "estimated_pairs": est, "pair_budget": config.pair_budget}
-                    if not skip_over_budget:
-                        raise BudgetExceeded(
-                            f"cell N={n}, S={s} estimates {est} pairs, over budget "
-                            f"{config.pair_budget}; rerun with --skip-over-budget to skip",
-                            est, config.pair_budget)
-                    skipped.append(cell)
-                else:
-                    live.append(s)
-            if not live:
-                continue
-            s_pairs = [(s.numerator, s.denominator) for s in live]
             tasks = [(terms[:n], a.a, s_pairs) for a in alphas]
             per_alpha = list(pool.map(_alpha_cell, tasks) if pool else map(_alpha_cell, tasks))
             block = []
-            for s_idx, s in enumerate(live):
+            for s_idx, s in enumerate(config.s_grid):
                 for a_idx, alpha in enumerate(alphas):
                     block.append(VarianceRecord.build(n, s, alpha, per_alpha[a_idx][s_idx]))
             rows.extend(block)
@@ -295,7 +265,6 @@ def run_scan(config: ExperimentConfig, *, skip_over_budget: bool = False,
         "config_hash": config_hash(config),
         "code_version": CODE_VERSION,
         "wall_time": time.monotonic() - t0,
-        "skipped": skipped,
     }
     return ScanResult(rows=tuple(rows), metadata=metadata)
 
@@ -368,7 +337,6 @@ def preset_config(name: str, seed: Optional[int] = None) -> ExperimentConfig:
             n_grid=(10 ** 5,),
             s_grid=tuple(Fraction(1, 1 << v) for v in range(5, 13)),
             seed=PRESET_SEED if seed is None else seed,
-            pair_budget=DEFAULT_PAIR_BUDGET,
             out=None,
             fmt="csv",
         )
@@ -428,8 +396,7 @@ def _scan_and_write(config: ExperimentConfig, args, *, stdout: bool) -> ScanResu
     overrides = {"seed": args.seed, "out": args.rows_out, "fmt": args.format}
     config = dataclasses.replace(
         config, **{k: v for k, v in overrides.items() if v is not None})
-    result = run_scan(config, skip_over_budget=args.skip_over_budget,
-                      threads=args.threads)
+    result = run_scan(config, threads=args.threads)
     if config.out is None:
         if stdout:
             _write_bytes(emit(result, config.fmt), None)
@@ -492,12 +459,9 @@ def _cmd_repstats(args) -> dict:
 
 
 def _cmd_gcdsum(args) -> dict:
-    if args.strategy == "classes" and args.threshold is None:
-        raise ConfigError("--strategy classes needs --threshold")
     terms = _sequence_terms(args)
     table = arithmetic.rep_table(terms, 1, args.count, pair_budget=args.pair_budget)
-    value = arithmetic.gcd_sum(table, args.variant, threshold=args.threshold,
-                               strategy=args.strategy)
+    value = arithmetic.gcd_sum(table, args.variant, threshold=args.threshold)
     return {
         "sequence": args.sequence,
         "count": args.count,
@@ -512,10 +476,13 @@ def _cmd_divcheck(args) -> dict:
         normalized = arithmetic.normalize_polynomial(
             [int(tok) for tok in args.poly.split(",")])
     degree = len(normalized) - 1
+    ell_min = max(2, args.ell_min)
+    if args.ell_max < ell_min:
+        raise ConfigError(f"--ell-max {args.ell_max} is below the first modulus {ell_min}")
     diffs = arithmetic.difference_set(normalized, args.count,
                                       pair_budget=args.pair_budget)
     failures = []
-    for ell in range(max(2, args.ell_min), args.ell_max + 1):
+    for ell in range(ell_min, args.ell_max + 1):
         hits, bound, ok = arithmetic.divisibility_bound_check(
             diffs, ell, degree, args.count)
         if not ok:
@@ -523,7 +490,7 @@ def _cmd_divcheck(args) -> dict:
     return {
         "poly": normalized,
         "count": args.count,
-        "ell_range": [max(2, args.ell_min), args.ell_max],
+        "ell_range": [ell_min, args.ell_max],
         "failures": failures,
         "all_ok": not failures,
     }
@@ -618,7 +585,7 @@ def _arg(*names, **kwargs):
 
 
 _OUT = _arg("--out", default=None, help="output path (default stdout)")
-_PAIR_BUDGET = _arg("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
+_PAIR_BUDGET = _arg("--pair-budget", type=_nonnegative_int, default=DEFAULT_PAIR_BUDGET)
 _SEED = _arg("--seed", type=_nonnegative_int, default=None)
 _SEQUENCE = (_arg("--sequence", required=True),
              _arg("--count", type=_positive_int, required=True))
@@ -626,8 +593,6 @@ _WINDOW = (_arg("--n1", type=_positive_int, default=1),
            _arg("--n2", type=_positive_int, default=None, help="default: --count"))
 _SCAN = (_SEED,
          _arg("--threads", type=_positive_int, default=1),
-         _arg("--skip-over-budget", action="store_true",
-              help="skip over-budget cells instead of aborting"),
          _arg("--out", dest="rows_out", default=None,
               help="path for the rows; CSV streams there as each N block completes"),
          _arg("--format", choices=("csv", "json"), default=None))
@@ -645,7 +610,6 @@ _COMMANDS = {
         *_SEQUENCE,
         _arg("--variant", choices=sorted(arithmetic.GCD_VARIANTS), default="half"),
         _arg("--threshold", type=_finite_float, default=None),
-        _arg("--strategy", choices=("auto", "dense", "classes"), default="auto"),
         _PAIR_BUDGET, _OUT)),
     "divcheck": (_cmd_divcheck, "difference divisibility bound over a range of moduli", (
         _arg("--poly", required=True, help="coefficients c0,c1,..., ascending"),
@@ -661,13 +625,13 @@ _COMMANDS = {
     "bridge-sim": (_cmd_bridge_sim, "Brownian-bridge functional simulation", (
         _arg("--m", type=int, default=baselines.DEFAULT_BRIDGE_GRID),
         _arg("--s", required=True),
-        _arg("--n", type=int, required=True),
+        _arg("--n", type=_nonnegative_int, required=True),
         _arg("--paths", type=_positive_int, default=1000),
         _SEED, _OUT)),
     "kronecker": (_cmd_kronecker, "variance at convergent denominators of alpha", (
         _arg("--alpha", required=True),
         _arg("--s-grid", default="k/64"),
-        _arg("--n-max", type=int, default=10 ** 5),
+        _arg("--n-max", type=_positive_int, default=10 ** 5),
         _OUT)),
     "preset": (_cmd_preset, "run a named experiment", (_arg("name"), *_SCAN)),
 }

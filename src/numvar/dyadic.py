@@ -9,7 +9,6 @@ the tent integral: sum_v d_v (2 c_v + 1) 2^(-2v) = S^2 exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,28 +57,6 @@ class PlateauKernel:
     def mean(self) -> Fraction:
         """Integral of f_{v,c} over the line: (2c + 1) 2^(-2v), exact."""
         return Fraction(2 * self.c + 1, 1 << (2 * self.v))
-
-    def fourier(self, j: int) -> float:
-        """Fourier coefficient at nonzero integer frequency j.
-
-        sin(2^(1-v) (c + 1/2) j pi) / (j pi) * sin(2^-v j pi) / (j pi), with
-        the sine arguments reduced mod 2 in exact rationals first, so lattice
-        frequencies give exact zeros.
-        """
-        if j == 0:
-            raise ValueError("j = 0 is the mean; use mean()")
-        z1 = Fraction((2 * self.c + 1) * j, 1 << self.v) % 2
-        z2 = Fraction(j, 1 << self.v) % 2
-        return _sin_pi(z1) * _sin_pi(z2) / (j * j * math.pi * math.pi)
-
-
-def _sin_pi(z: Fraction) -> float:
-    """sin(pi z) for z in [0, 2), exact at the lattice points 0, 1/2, 1, 3/2."""
-    if z.denominator == 1:
-        return 0.0
-    if z.denominator == 2:
-        return 1.0 if z.numerator % 4 == 1 else -1.0
-    return math.sin(math.pi * float(z))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -146,17 +145,6 @@ class PointSet:
         if np.any((grid < 0) | (grid >= GRID_ONE)):
             raise ValueError("points must lie on the grid [0, 2^128)")
         return cls((grid >> 64).astype(np.uint64), (grid & _WORD).astype(np.uint64))
-
-    @classmethod
-    def from_values(cls, values) -> "PointSet":
-        """Build from exact fractions/floats in [0, 1), flooring to the grid."""
-        grid = []
-        for v in values:
-            f = Fraction(v)
-            if not 0 <= f < 1:
-                raise ValueError("point values must lie in [0, 1)")
-            grid.append((f.numerator << GRID_BITS) // f.denominator)
-        return cls.from_ints(sorted(grid))
 
     @cached_property
     def points(self) -> tuple:

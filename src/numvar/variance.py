@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 from typing import Union
 
 import numpy as np
@@ -59,32 +58,6 @@ class VarianceRecord:
         s = as_dyadic(s)
         ratio = v / (n * float(s)) if n > 0 and s > 0 else None
         return cls(n=n, s=s, alpha=alpha, v=v, ratio=ratio)
-
-
-def counting_function(points: PointSet, s: SBin, y) -> int:
-    """S_N(y): points with alpha*x - y + j in [-S/2, S/2) for some integer j.
-
-    Equivalently, points in the circular half-open arc [y - S/2, y + S/2).
-    y may be a float or Fraction; the boundary is resolved exactly.
-    """
-    width = _grid_width(s)
-    if width == 0 or points.n == 0:
-        return 0
-    yf = Fraction(y) % 1
-    # Integer grid positions in [y - S/2, y + S/2) are [ceil(Y - w/2), ceil(Y + w/2))
-    # with Y = y * 2^128; w is even so the two bounds differ by exactly w.
-    lo = ceil(yf * GRID_ONE - (width >> 1)) % GRID_ONE
-    hi = lo + width
-    keys = _keys128(points.hi, points.lo)
-
-    def below(x: int) -> int:  # points < x, for x in [0, 2^128]
-        if x == GRID_ONE:
-            return points.n
-        return int(np.searchsorted(keys, x.to_bytes(16, "big"), side="left"))
-
-    if hi <= GRID_ONE:
-        return below(hi) - below(lo)
-    return (points.n - below(lo)) + below(hi - GRID_ONE)
 
 
 _LIMB_BITS = 16

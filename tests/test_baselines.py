@@ -10,8 +10,8 @@ import pytest
 
 import numvar
 from numvar.baselines import (BridgePath, bridge_functional, bridge_path,
-                              kronecker_experiment, prop2_exceedance_scan,
-                              random_variance_experiment, sample_uniform)
+                              kronecker_experiment, random_variance_experiment,
+                              sample_uniform)
 from numvar.points import GRID_ONE, Alpha, dilate_mod1
 from numvar.variance import variance_pairwise
 
@@ -125,26 +125,6 @@ def test_random_variance_determinism_and_tags():
 def test_random_variance_matches_expectation():
     res = random_variance_experiment(500, Fraction(1, 32), 200, seed=11)
     assert abs(res.mean - res.expected) <= 3 * res.stderr
-
-
-def test_prop2_scan_rows():
-    rows = prop2_exceedance_scan([100, 1000], a=35.0, replicates=3, seed=1)
-    assert [r.n for r in rows] == [100, 1000]
-    for r in rows:
-        # 35/lnln N is far above 1/2 at desk scale, so S clamps
-        assert r.clamped and r.s == Fraction(1, 2)
-        assert r.replicates == 3 and r.max_ratio > 0
-    null = prop2_exceedance_scan([100], a=0.0, replicates=3, seed=1)[0]
-    assert null.s == 0 and null.max_ratio is None and not null.clamped
-    again = prop2_exceedance_scan([100, 1000], a=35.0, replicates=3, seed=1)
-    assert [r.max_ratio for r in again] == [r.max_ratio for r in rows]
-
-
-def test_prop2_tiny_a_unclamped():
-    rows = prop2_exceedance_scan([10 ** 4], a=0.2, replicates=2, seed=3)
-    r = rows[0]
-    assert not r.clamped
-    assert abs(float(r.s) - 0.2 / math.log(math.log(10 ** 4))) < 1e-9
 
 
 def test_kronecker_rational_half():

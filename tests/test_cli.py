@@ -9,12 +9,11 @@ import pytest
 
 import numvar
 import numvar.cli as cli
-from numvar.arithmetic import BudgetExceeded
 from numvar.cli import (CSV_HEADER, ConfigError, ScanResult, config_hash,
-                        emit, estimate_pairs, main, parse, parse_config,
-                        parse_s_grid, preset_config, preset_verdict, run_scan)
-from numvar.points import Alpha
-from numvar.variance import VarianceRecord
+                        emit, main, parse, parse_config, parse_s_grid,
+                        preset_config, preset_verdict, run_scan)
+from numvar.points import Alpha, SequenceSpec, dilate_mod1, generate_terms
+from numvar.variance import VarianceRecord, variance_sweep
 
 BASE_CONFIG = """
 # quadratic scan, small
@@ -52,6 +51,7 @@ def test_parse_config_full_and_defaults():
     "alpha_mode = sobol\nn_grid = 10\ns_grid = 1/4\nseed = 1",
     "n_grid\ns_grid = 1/4\nseed = 1",              # no equals sign
     "n_grid = 10\ns_grid = 1/4\nseed = 1\nmemory_budget = 1",  # removed key
+    "n_grid = 10\ns_grid = 1/4\nseed = 1\npair_budget = 10",    # removed key
 ])
 def test_parse_config_rejects(text):
     with pytest.raises(ConfigError):
@@ -81,14 +81,6 @@ def test_config_hash_ignores_presentation():
     assert config_hash(a) != config_hash(reseeded)
 
 
-def test_estimate_pairs():
-    assert estimate_pairs(100, Fraction(1, 4)) == 2600
-    assert estimate_pairs(0, Fraction(1, 2)) == 0
-    for n in (10, 100, 1000):
-        for s in (Fraction(1, 64), Fraction(3, 8)):
-            assert estimate_pairs(2 * n, s) <= 4 * estimate_pairs(n, s)
-
-
 def test_run_scan_examples_and_determinism():
     cfg = parse_config(BASE_CONFIG)
     result = run_scan(cfg)
@@ -99,7 +91,6 @@ def test_run_scan_examples_and_determinism():
     assert emit(run_scan(cfg)) == emit(result)
     assert result.metadata["config_hash"] == config_hash(cfg)
     assert result.metadata["code_version"] == cli.CODE_VERSION
-    assert result.metadata["skipped"] == []
 
 
 def test_run_scan_single_point_ratio():
@@ -129,18 +120,14 @@ def test_run_scan_row_order():
     assert key == expect
 
 
-def test_run_scan_budget_abort_and_skip():
-    text = ("alphas = golden\nn_grid = 10,100\ns_grid = 1/64,1/4\n"
-            "pair_budget = 300\n")
-    cfg = parse_config(text)
-    with pytest.raises(BudgetExceeded, match="skip-over-budget"):
-        run_scan(cfg)
-    result = run_scan(cfg, skip_over_budget=True)
-    # N=100, S=1/4 estimates 2600 pairs and is the only over-budget cell
-    assert [(r.n, r.s) for r in result.rows] == [
-        (10, Fraction(1, 64)), (10, Fraction(1, 4)), (100, Fraction(1, 64))]
-    assert result.metadata["skipped"] == [
-        {"N": 100, "S": "1/4", "estimated_pairs": 2600, "pair_budget": 300}]
+def test_run_scan_large_n_is_not_screened():
+    # N^2 S is 1.25e9 here; a scan cell costs O(N log N) per width whatever
+    # N^2 S is, so the scan runs it
+    cfg = parse_config("sequence = poly:0,0,1\nalphas = golden\n"
+                       "n_grid = 200000\ns_grid = 1/32\n")
+    (rec,) = run_scan(cfg).rows
+    terms = generate_terms(SequenceSpec.poly((0, 0, 1)), 200000)
+    assert rec.v == float(variance_sweep(dilate_mod1(terms, Alpha.golden()), Fraction(1, 32)))
 
 
 def test_run_scan_incremental_csv(tmp_path):
@@ -232,7 +219,7 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     over = tmp_path / "over.conf"
     over.write_text("alphas = golden\nn_grid = 100\ns_grid = 1/4\n"
                     "pair_budget = 10\n")
-    assert main(["scan", "--config", str(over)]) == 3
+    assert main(["scan", "--config", str(over)]) == 2  # pair_budget is not a key
     assert main(["decompose", "1/3"]) == 2  # not dyadic
     assert main(["decompose", "1/0"]) == 2
     capsys.readouterr()
@@ -276,6 +263,10 @@ def test_main_divcheck(capsys):
     assert main(["divcheck", "--poly", "0,1,1,0", "--count", "20",
                  "--ell-min", "2", "--ell-max", "50"]) == 0
     assert json.loads(capsys.readouterr().out)["poly"] == [0, 1, 1]
+    # a range with no modulus in it checks nothing, so it is refused
+    for ell_min, ell_max in (("5", "1"), ("-4", "1")):
+        assert main(["divcheck", "--poly", "0,1", "--count", "5",
+                     "--ell-min", ell_min, "--ell-max", ell_max]) == 2
 
 
 def test_main_random_baseline(capsys):
@@ -308,6 +299,9 @@ def test_main_kronecker(capsys):
     ["kronecker", "--alpha", "golden", "--seed", "3"],
     ["energy", "--sequence", "linear", "--count", "10", "--config", "x.conf"],
     ["preset", "thm1-quadratic", "--config", "x.conf"],
+    ["scan", "--config", "scan.conf", "--skip-over-budget"],
+    ["preset", "thm1-quadratic", "--skip-over-budget"],
+    ["gcdsum", "--sequence", "linear", "--count", "10", "--strategy", "dense"],
 ])
 def test_main_refuses_flags_a_subcommand_does_not_take(argv):
     with pytest.raises(SystemExit) as exc:
@@ -324,8 +318,12 @@ def test_main_refuses_flags_a_subcommand_does_not_take(argv):
     ["bridge-sim", "--m", "64", "--s", "1/4", "--n", "8", "--paths", "-2", "--seed", "1"],
     ["random-baseline", "--n", "4", "--s", "1/4", "--replicates", "0", "--seed", "1"],
     ["random-baseline", "--n", "4", "--s", "1/4", "--seed", "-1"],
-    ["gcdsum", "--sequence", "linear", "--count", "10", "--strategy", "classes",
-     "--threshold", "nan"],
+    ["gcdsum", "--sequence", "linear", "--count", "10", "--threshold", "nan"],
+    ["bridge-sim", "--m", "64", "--s", "1/4", "--n", "-5", "--seed", "1"],
+    ["kronecker", "--alpha", "golden", "--n-max", "-3"],
+    ["kronecker", "--alpha", "golden", "--n-max", "0"],
+    ["energy", "--sequence", "linear", "--count", "10", "--pair-budget", "-1"],
+    ["divcheck", "--poly", "0,1", "--count", "5", "--pair-budget", "-1"],
 ])
 def test_main_refuses_nonpositive_threads_and_window(argv):
     with pytest.raises(SystemExit) as exc:

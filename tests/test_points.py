@@ -65,7 +65,8 @@ def test_pointset_validation():
         PointSet.from_ints((2, 1))
     with pytest.raises(ValueError):
         PointSet.from_ints((GRID_ONE,))
-    ps = PointSet.from_values([Fraction(1, 2), Fraction(1, 4)])
+    ps = PointSet.from_words(np.array([1 << 63, 1 << 62], dtype=np.uint64),
+                             np.zeros(2, dtype=np.uint64))
     assert ps.points == (GRID_ONE // 4, GRID_ONE // 2)
     assert ps.n == 2
     assert ps == PointSet.from_ints((GRID_ONE // 4, GRID_ONE // 2))

@@ -9,9 +9,46 @@ import pytest
 from numvar.baselines import sample_uniform
 from numvar.points import GRID_ONE, Alpha, PointSet, dilate_mod1
 import numvar.variance
-from numvar.variance import (VarianceRecord, WindowAccumulator, _add128, _keys128,
-                             _limb_dot, _limbs, _sub128, _weighted_sum128, as_dyadic,
-                             counting_function, variance_pairwise, variance_sweep)
+from numvar.variance import (VarianceRecord, WindowAccumulator, _add128, _grid_width,
+                             _keys128, _limb_dot, _limbs, _sub128, _weighted_sum128,
+                             as_dyadic, variance_pairwise, variance_sweep)
+
+
+def from_values(values) -> PointSet:
+    """PointSet of exact fractions/floats in [0, 1), floored to the grid."""
+    grid = []
+    for v in values:
+        f = Fraction(v)
+        if not 0 <= f < 1:
+            raise ValueError("point values must lie in [0, 1)")
+        grid.append((f.numerator * GRID_ONE) // f.denominator)
+    return PointSet.from_ints(sorted(grid))
+
+
+def counting_function(points: PointSet, s, y) -> int:
+    """S_N(y): points in the circular half-open arc [y - S/2, y + S/2).
+
+    y may be a float or Fraction; the boundary is resolved exactly by a
+    search over the 128-bit keys.  The Monte Carlo oracle for the sweep.
+    """
+    width = _grid_width(s)
+    if width == 0 or points.n == 0:
+        return 0
+    yf = Fraction(y) % 1
+    # Integer grid positions in [y - S/2, y + S/2) are [ceil(Y - w/2), ceil(Y + w/2))
+    # with Y = y * 2^128; w is even so the two bounds differ by exactly w.
+    lo = math.ceil(yf * GRID_ONE - (width >> 1)) % GRID_ONE
+    hi = lo + width
+    keys = _keys128(points.hi, points.lo)
+
+    def below(x: int) -> int:  # points < x, for x in [0, 2^128]
+        if x == GRID_ONE:
+            return points.n
+        return int(np.searchsorted(keys, x.to_bytes(16, "big"), side="left"))
+
+    if hi <= GRID_ONE:
+        return below(hi) - below(lo)
+    return (points.n - below(lo)) + below(hi - GRID_ONE)
 
 
 @dataclass(frozen=True)
@@ -297,14 +334,14 @@ def test_tent_norms_by_quadrature():
 
 
 def test_counting_examples():
-    pts = PointSet.from_values([0.1, 0.2, 0.9])
+    pts = from_values([0.1, 0.2, 0.9])
     assert counting_function(pts, 0.4, 0) == 2
-    assert counting_function(PointSet.from_values([0.5]), 1, 0.37) == 1
+    assert counting_function(from_values([0.5]), 1, 0.37) == 1
     assert counting_function(PointSet.from_ints(()), Fraction(1, 2), 0) == 0
 
 
 def test_counting_boundary_convention():
-    pts = PointSet.from_values([Fraction(1, 4), Fraction(3, 4)])
+    pts = from_values([Fraction(1, 4), Fraction(3, 4)])
     s = Fraction(1, 2)
     # arc [0, 1/2): 1/4 in, 3/4 out; arc [1/4, 3/4): 1/4 in, 3/4 out
     assert counting_function(pts, s, Fraction(1, 4)) == 1
@@ -330,18 +367,18 @@ def test_counting_against_brute_force():
 
 
 def test_variance_pairwise_examples():
-    single = PointSet.from_values([Fraction(2, 5)])
+    single = from_values([Fraction(2, 5)])
     assert variance_pairwise(single, Fraction(1, 4), exact=True) == Fraction(3, 16)
-    spaced = PointSet.from_values([0, Fraction(1, 2)])
+    spaced = from_values([0, Fraction(1, 2)])
     assert variance_pairwise(spaced, Fraction(1, 2), exact=True) == 0
     coincident = PointSet.from_ints((0, 0))
     assert variance_pairwise(coincident, Fraction(1, 2), exact=True) == 1
 
 
 def test_variance_sweep_examples():
-    single = PointSet.from_values([Fraction(2, 5)])
+    single = from_values([Fraction(2, 5)])
     assert variance_sweep(single, Fraction(1, 4), exact=True) == Fraction(3, 16)
-    spaced = PointSet.from_values([0, Fraction(1, 2)])
+    spaced = from_values([0, Fraction(1, 2)])
     assert variance_sweep(spaced, Fraction(1, 2), exact=True) == 0
     # 100 points at 0 and 100 at 1/2: S_N = 100 on measure 1/2, so the
     # integral is 5000 and V = 5000 - (200/4)^2 = 2500
