@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,39 +34,164 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RepTable:
-    """Counts Rep(u) of pairs m < n with N1 <= n <= N2 and |x_n - x_m| = u > 0."""
+    """Rep(u), the number of pairs m < n with N1 <= n <= N2 and |x_n - x_m| = u > 0.
+
+    `gaps` holds the distinct u in ascending order and `reps` their counts,
+    both read-only int64 arrays; `counts` is the same table as a read-only
+    dict {u: Rep(u)}, built on first access.
+    """
 
     window: tuple
-    counts: dict
+    gaps: np.ndarray
+    reps: np.ndarray
     pair_count: int = 0
 
+    def __post_init__(self):
+        gaps, reps = np.asarray(self.gaps), np.asarray(self.reps)
+        if gaps.dtype != np.int64 or reps.dtype != np.int64 or gaps.ndim != 1 or gaps.shape != reps.shape:
+            raise ValueError("gaps and reps must be two int64 arrays of one length")
+        if gaps.size and (gaps[0] < 1 or np.any(gaps[1:] <= gaps[:-1]) or np.any(reps < 1)):
+            raise ValueError("gaps must be positive and increasing, with positive counts")
+        for name, arr in (("gaps", gaps), ("reps", reps)):
+            arr = arr.view()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
-def _gap_histogram(terms, n1: int, n2: int, buckets: int = 1, b: int = 0):
-    """Sorted distinct gaps u = |x_n - x_m| > 0 over pairs m < n with
-    N1 <= n <= N2, and their multiplicities, as int64 arrays.
+    @cached_property
+    def counts(self) -> MappingProxyType:
+        """{u: Rep(u)} with Python int keys and values, for callers that look gaps up."""
+        return MappingProxyType(dict(zip(self.gaps.tolist(), self.reps.tolist())))
 
-    With buckets > 1 only the gaps with u % buckets == b are kept, so a
-    caller can hold one residue class at a time.  Exact for |terms| < 2^62.
-    """
-    x = np.asarray(terms[:n2], dtype=np.int64)
-    if x.size and int(np.abs(x).max()) >= 1 << 62:
+
+_ROW_BLOCK = 128  # rows of the gap kernel's blocks
+
+
+def _sorted_offsets(terms, count: int):
+    """The first `count` terms sorted, minus their minimum: the int64 offsets
+    for the run searches, and the same offsets in the key dtype, uint32 when
+    the span is below 2^32 and int64 otherwise."""
+    x = np.sort(np.asarray(terms[:count], dtype=np.int64))
+    if x.size and max(-int(x[0]), int(x[-1])) >= 1 << 62:
         raise OverflowError("terms too large for the int64 gap path")
-    chunks = []
-    for n in range(max(n1, 2), n2 + 1):
-        gaps = np.abs(x[n - 1] - x[: n - 1])
-        chunks.append(gaps[gaps % buckets == b] if buckets > 1 else gaps)
-    # Sort in place and cut the zero gaps off by position: np.unique or a
-    # boolean filter would hold a second copy of every pair's gap.
-    arr = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-    del chunks
-    arr.sort()
-    arr = arr[np.searchsorted(arr, 0, side="right"):]
-    if not arr.size:
-        return arr, arr
-    starts = np.concatenate(([0], np.flatnonzero(arr[1:] != arr[:-1]) + 1))
-    return arr[starts], np.diff(np.append(starts, arr.size))
+    t = x - x[0] if x.size else x
+    return t, t.astype(np.uint32) if t.size and int(t[-1]) < 1 << 32 else t
+
+
+def _value_ranges(t, cap: int) -> list:
+    """Gap ranges [lo, hi) in ascending order that cover 1..span of the
+    sorted offsets t, each holding at most `cap` pairs unless it holds one
+    gap value alone; each ends at the largest hi that fits, by bisection."""
+    span = int(t[-1]) if t.size else 0
+    if span < 1:
+        return []
+    b = t.searchsorted(t - 1, side="right")
+
+    def below(v):  # pairs with 1 <= gap < v
+        return int((b - t.searchsorted(t - v, side="right")).sum())
+
+    ranges, lo, base, top = [], 1, 0, int(b.sum())
+    while top - base > cap:
+        good, bad = lo + 1, span + 1  # hi >= lo + 1 even when gap lo alone tops cap
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            if below(mid) - base <= cap:
+                good = mid
+            else:
+                bad = mid
+        ranges.append((lo, good))
+        lo, base = good, below(good)
+    ranges.append((lo, span + 1))
+    return ranges
+
+
+def _range_histogram(t, tk, lo: int, hi: int):
+    """The gaps t_j - t_i in [lo, hi) over pairs i < j of the sorted offsets,
+    as (distinct gaps in tk's dtype, run lengths as int64), ascending.
+
+    Each block of rows writes the columns every row of it partners into one
+    rectangle of the key buffer; the ragged ends of the rows' runs (the
+    triangle inside the block, and the edges of a value range) are taken
+    from small rectangles through a mask.
+    """
+    # row j partners the run a_j <= i < b_j; lo >= 1 puts every such i below j
+    a, b = t.searchsorted(t - hi, side="right"), t.searchsorted(t - lo, side="right")
+    keys = np.empty(int((b - a).sum()), dtype=tk.dtype)
+    pos = 0
+    for j0 in range(1, t.size, _ROW_BLOCK):
+        j1 = min(j0 + _ROW_BLOCK, t.size)
+        rows, first, last = tk[j0:j1, None], a[j0:j1, None], b[j0:j1, None]
+        inner_lo = int(first[-1, 0])
+        inner_hi = max(int(last[0, 0]), inner_lo)  # [inner_lo, inner_hi) is in every row's run
+        width = inner_hi - inner_lo
+        if width:
+            end = pos + (j1 - j0) * width
+            np.subtract(rows, tk[inner_lo:inner_hi], out=keys[pos:end].reshape(j1 - j0, width))
+            pos = end
+        for c0, c1 in ((int(first[0, 0]), inner_lo), (inner_hi, int(last[-1, 0]))):
+            if c1 <= c0:
+                continue
+            cols = np.arange(c0, c1)
+            keep = ((cols >= first) & (cols < last)).ravel()
+            end = pos + int(np.count_nonzero(keep))
+            np.compress(keep, (rows - tk[c0:c1]).ravel(), out=keys[pos:end])
+            pos = end
+    keys.sort()
+    if not keys.size:
+        return keys, np.zeros(0, dtype=np.int64)
+    edge = np.empty(keys.size, dtype=bool)
+    edge[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:])
+    starts = np.flatnonzero(edge)
+    del edge
+    reps = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=reps[:-1])
+    reps[-1] = keys.size - starts[-1]
+    return keys[starts], reps
+
+
+def _gap_histogram(terms, n1: int, n2: int, mem_budget: int = DEFAULT_MEM_BUDGET):
+    """Yield, per gap value range in ascending order, the sorted distinct
+    gaps u = |x_n - x_m| > 0 over pairs m < n with N1 <= n <= N2 and their
+    multiplicities: (gaps in the narrowest exact dtype, int64 counts).
+
+    The pair multiset of a prefix does not depend on term order, so the
+    terms are sorted first and every gap is a difference of sorted values.
+    A window with N1 > 2 is the prefix N2's histogram minus the prefix
+    (N1 - 1)'s.  The value ranges keep each pass's scratch within
+    mem_budget, at 2 w + 17 bytes per gap for w-byte keys: the key, a mask
+    byte, the run start and length, and the distinct key; twice that when
+    the prefix N1 - 1's histogram is held too.  A range holds at least N2
+    pairs, as the per-row run bounds take 16 bytes a row anyway.
+    Exact for |terms| < 2^62 (OverflowError otherwise).
+    """
+    t, tk = _sorted_offsets(terms, n2)
+    head = _sorted_offsets(terms, n1 - 1) if n1 > 2 else None
+    cap = max(n2, mem_budget // ((2 * tk.itemsize + 17) * (1 if head is None else 2)))
+    for lo, hi in _value_ranges(t, cap):
+        gaps, reps = _range_histogram(t, tk, lo, hi)
+        if head is not None:
+            drop_gaps, drop_reps = _range_histogram(*head, lo, hi)
+            reps[gaps.searchsorted(drop_gaps)] -= drop_reps
+            kept = reps > 0
+            gaps, reps = gaps[kept], reps[kept]
+        yield gaps, reps
+
+
+def _gap_arrays(terms, n1: int, n2: int):
+    """_gap_histogram's value ranges joined into two int64 arrays."""
+    empty = np.zeros(0, dtype=np.int64)
+    parts = list(_gap_histogram(terms, n1, n2))
+    return (np.concatenate([empty, *(g for g, _ in parts)]),
+            np.concatenate([empty, *(r for _, r in parts)]))
+
+
+def _square_sum(reps) -> int:
+    """sum of r^2 over int64 counts, exactly: one int64 dot unless it could overflow."""
+    if reps.size and int(reps.max()) * int(reps.sum()) >= 1 << 63:
+        return sum(r * r for r in reps.tolist())
+    return int(np.dot(reps, reps))
 
 
 def rep_table(terms, n1: int, n2: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RepTable:
@@ -83,14 +210,13 @@ def rep_table(terms, n1: int, n2: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
             pairs,
             pair_budget,
         )
-    gaps, reps = _gap_histogram(terms, n1, n2)
-    counts = dict(zip(gaps.tolist(), reps.tolist()))
-    return RepTable(window=(n1, n2), counts=counts, pair_count=pairs)
+    gaps, reps = _gap_arrays(terms, n1, n2)
+    return RepTable(window=(n1, n2), gaps=gaps, reps=reps, pair_count=pairs)
 
 
 def energy_window(table: RepTable) -> int:
     """E(N1, N2) = sum of Rep(u)^2 over the table's support."""
-    return sum(r * r for r in table.counts.values())
+    return _square_sum(table.reps)
 
 
 def additive_energy(terms, count: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
@@ -119,19 +245,13 @@ def additive_energy(terms, count: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
 def energy_direct(terms, n1: int, n2: int, *, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
     """E(N1, N2) = sum Rep(u)^2 without materializing the count map.
 
-    Takes the gap histogram one residue bucket (u mod B) at a time, so each
-    pass holds about pairs * 8 / B <= mem_budget bytes of gaps.  Exact for
+    Takes the gap histogram one gap value range at a time, each sized so that
+    its keys and run-length temporaries fit in mem_budget bytes.  Exact for
     |terms| < 2^62; intended for windows far beyond rep_table's reach.
     """
     if not 1 <= n1 <= n2 <= len(terms):
         raise ValueError(f"window ({n1}, {n2}) outside 1..{len(terms)}")
-    pairs = (n2 * (n2 - 1) - (n1 - 1) * (n1 - 2)) // 2
-    buckets = max(1, -(-pairs * 8 // mem_budget))
-    total = 0
-    for b in range(buckets):
-        _, reps = _gap_histogram(terms, n1, n2, buckets, b)
-        total += int(np.dot(reps, reps))
-    return total
+    return sum(_square_sum(reps) for _, reps in _gap_histogram(terms, n1, n2, mem_budget))
 
 
 def _divisors(u: int) -> list:
@@ -330,10 +450,9 @@ def gcd_sum(table: RepTable, variant: str, threshold=None, *,
     """
     if variant not in GCD_VARIANTS:
         raise ValueError(f"unknown gcd_sum variant {variant!r}; expected one of {GCD_VARIANTS}")
-    if not table.counts:
+    if not table.gaps.size:
         return 0.0
-    us = np.array(sorted(table.counts), dtype=np.int64)
-    rs = np.array([table.counts[int(u)] for u in us], dtype=np.float64)
+    us, rs = table.gaps, table.reps.astype(np.float64)
     if strategy == "auto":
         k = us.size
         if threshold is None and math.isqrt(int(us[-1])) < k and int(us[-1]) < 1 << 31:
@@ -383,7 +502,7 @@ def difference_set(coeffs, count: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
         raise ValueError("count must be >= 1")
     if count * count > pair_budget:
         raise BudgetExceeded("difference grid too large", count * count, pair_budget)
-    gaps, _ = _gap_histogram(generate_terms(SequenceSpec.poly(coeffs), count), 1, count)
+    gaps, _ = _gap_arrays(generate_terms(SequenceSpec.poly(coeffs), count), 1, count)
     return np.concatenate((-gaps[::-1], gaps))
 
 
@@ -480,7 +599,7 @@ def sparse_u2_mass(table: RepTable):
     reporting (nan when undefined).
     """
     count = table.window[1]
-    mass = sum(r * r for r in table.counts.values() if r >= 2)
+    mass = _square_sum(table.reps[table.reps >= 2])
     if mass > 0 and count > 1:
         exponent = math.log(mass) / math.log(count)
     else:

@@ -450,8 +450,8 @@ def _cmd_repstats(args) -> dict:
         "sequence": args.sequence,
         "window": list(table.window),
         "pair_count": table.pair_count,
-        "distinct_differences": len(table.counts),
-        "max_rep": max(table.counts.values(), default=0),
+        "distinct_differences": table.gaps.size,
+        "max_rep": int(table.reps.max(initial=0)),
         "energy_window": arithmetic.energy_window(table),
         "repeated_mass": mass,
         "repeated_mass_exponent": exponent,
@@ -481,6 +481,10 @@ def _cmd_divcheck(args) -> dict:
         raise ConfigError(f"--ell-max {args.ell_max} is below the first modulus {ell_min}")
     diffs = arithmetic.difference_set(normalized, args.count,
                                       pair_budget=args.pair_budget)
+    cost = (args.ell_max - ell_min + 1) * len(diffs)
+    if cost > args.pair_budget:
+        raise BudgetExceeded("modulus scan too large: moduli times differences",
+                             cost, args.pair_budget)
     failures = []
     for ell in range(ell_min, args.ell_max + 1):
         hits, bound, ok = arithmetic.divisibility_bound_check(

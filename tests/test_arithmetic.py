@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from numvar.arithmetic import (BudgetExceeded, additive_energy,
-                               congruence_solution_count, difference_set,
+from numvar.arithmetic import (_ROW_BLOCK, BudgetExceeded, RepTable, _gap_histogram,
+                               additive_energy, congruence_solution_count, difference_set,
                                divisibility_bound_check, divisor_lists,
                                energy_direct, energy_window, gcd_average,
                                gcd_sum, normalize_polynomial, rep_quadratic_divisor,
@@ -43,27 +43,51 @@ def reference_rep_counts(terms, n1, n2):
     return counts
 
 
+def _with_span(span, size, seed):
+    """size terms in shuffled order spanning exactly 0..span."""
+    rng = np.random.default_rng(seed)
+    inner = rng.integers(0, span, size=size - 2, endpoint=True).tolist()
+    return [int(v) for v in rng.permutation([0, span, *inner])]
+
+
 def _differential_inputs():
     cubic = (3, -7, 0, 2)
     noisy = np.random.default_rng(8).integers(-50, 50, size=60)
+    top = (1 << 62) - 1
     return [
         pytest.param(SQUARES[:60], (0, 0, 1), id="squares"),
         pytest.param(generate_terms(SequenceSpec.poly(cubic), 60), cubic, id="poly:3,-7,0,2"),
         pytest.param(noisy.tolist(), None, id="random-with-duplicates"),
         pytest.param(np.array(SQUARES[:60], dtype=np.int64), None, id="int64-squares"),
         pytest.param(noisy, None, id="int64-random"),
+        # uint32 keys up to a span of 2^32 - 1, int64 keys from 2^32 on
+        pytest.param(_with_span((1 << 32) - 1, 60, 9), None, id="span-2^32-1"),
+        pytest.param(_with_span(1 << 32, 60, 10), None, id="span-2^32"),
+        # a length that is not a multiple of the kernel's row block
+        pytest.param(SQUARES[: 2 * _ROW_BLOCK + 45], (0, 0, 1), id="squares-ragged-blocks"),
+        pytest.param(SQUARES[:60][::-1], None, id="decreasing"),
+        pytest.param((noisy[:40] * 1000 - 7).tolist() * 2, None, id="unsorted-repeated"),
+        pytest.param([top - k for k in range(0, 40, 3)] + [0, 1, -1]
+                     + [k - top for k in range(0, 40, 4)], None, id="near-2^62"),
     ]
 
 
 @pytest.mark.parametrize("terms,coeffs", _differential_inputs())
 def test_gap_counters_match_reference_loop(terms, coeffs):
     n = len(terms)
-    for n1, n2 in ((1, n), (3, n), (n // 2, n), (1, 1), (2, 2)):
+    inside_block = min(n, _ROW_BLOCK + 7)
+    for n1, n2 in ((1, n), (3, n), (n // 2, n), (inside_block, n), (1, 1), (2, 2)):
         ref = reference_rep_counts(terms, n1, n2)
         energy = sum(r * r for r in ref.values())
         assert rep_table(terms, n1, n2).counts == ref
         assert energy_direct(terms, n1, n2) == energy
+        # a small budget splits the gaps into several value ranges
         assert energy_direct(terms, n1, n2, mem_budget=256) == energy
+        parts = list(_gap_histogram(terms, n1, n2, mem_budget=256))
+        assert [u for gaps, _ in parts for u in gaps.tolist()] == sorted(ref)
+        assert [r for _, reps in parts for r in reps.tolist()] == [ref[u] for u in sorted(ref)]
+        if (n1, n2) == (1, n) and n > 2:
+            assert len(parts) > 1
         if coeffs is not None and (n1, n2) == (1, n):
             gaps = sorted(ref)
             values = difference_set(coeffs, n).tolist()
@@ -78,6 +102,33 @@ def test_rep_table_examples():
     assert lin.counts == {1: 5, 2: 4, 3: 3, 4: 2, 5: 1}
     assert rep_table(SQUARES, 1, 1).counts == {}
     assert rep_table(SQUARES, 1, 1).pair_count == 0
+
+
+def test_rep_table_arrays_and_counts_view():
+    terms = generate_terms(SequenceSpec.poly((3, -7, 0, 2)), 80)
+    for n1, n2 in ((1, 80), (30, 70), (1, 1)):
+        table = rep_table(terms, n1, n2)
+        ref = reference_rep_counts(terms, n1, n2)
+        assert table.gaps.dtype == table.reps.dtype == np.int64
+        assert table.gaps.tolist() == sorted(ref)
+        assert table.reps.tolist() == [ref[u] for u in sorted(ref)]
+        assert table.counts == ref and table.counts is table.counts
+        # the sums energy_window and sparse_u2_mass took over the dict
+        assert energy_window(table) == sum(r * r for r in table.counts.values())
+        assert sparse_u2_mass(table)[0] == sum(r * r for r in table.counts.values() if r >= 2)
+    table = rep_table(terms, 1, 80)
+    with pytest.raises(TypeError):
+        table.counts[1] = 5
+    with pytest.raises(ValueError):
+        table.reps[0] = 1
+    for gaps, reps in (([3, 2], [1, 1]), ([0, 2], [1, 1]), ([2, 3], [1, 0]), ([2], [1, 1])):
+        with pytest.raises(ValueError):
+            RepTable(window=(1, 2), gaps=np.array(gaps, dtype=np.int64),
+                     reps=np.array(reps, dtype=np.int64))
+    # squares past 2^63 leave the int64 dot for exact Python ints
+    huge = _table({1: 3 << 31, 2: 3 << 31})
+    assert energy_window(huge) == 2 * (3 << 31) ** 2
+    assert sparse_u2_mass(huge)[0] == 2 * (3 << 31) ** 2
 
 
 def test_rep_table_validation_and_budget():
@@ -159,8 +210,11 @@ def test_energy_direct_matches_window():
         # tiny budget forces the multi-bucket path
         assert energy_direct(SQUARES, n1, n2, mem_budget=256) == expect
     assert energy_direct(SQUARES, 1, 1) == 0
-    with pytest.raises(OverflowError):
-        energy_direct([0, 1 << 62], 1, 2)
+    for terms in ([0, 1 << 62], [-(1 << 62), 0], [5, -(1 << 62) - 3]):
+        with pytest.raises(OverflowError):
+            energy_direct(terms, 1, 2)
+        with pytest.raises(OverflowError):
+            rep_table(terms, 1, 2)
 
 
 def test_rep_quadratic_divisor_examples():
@@ -189,8 +243,10 @@ def test_rep_bounded_by_tau():
 
 
 def _table(counts):
-    from numvar.arithmetic import RepTable
-    return RepTable(window=(1, 2), counts=counts, pair_count=sum(counts.values()))
+    gaps = sorted(counts)
+    return RepTable(window=(1, 2), gaps=np.array(gaps, dtype=np.int64),
+                    reps=np.array([counts[u] for u in gaps], dtype=np.int64),
+                    pair_count=sum(counts.values()))
 
 
 def test_gcd_sum_examples():

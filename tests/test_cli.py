@@ -269,6 +269,23 @@ def test_main_divcheck(capsys):
                      "--ell-min", ell_min, "--ell-max", ell_max]) == 2
 
 
+def test_main_divcheck_cost_budget(capsys):
+    # moduli times differences is charged against --pair-budget before any
+    # modulus is tried, so a huge range is refused at once
+    assert main(["divcheck", "--poly", "0,1,1", "--count", "20",
+                 "--ell-max", str(10 ** 7)]) == 3
+    assert "estimated" in capsys.readouterr().err
+    # x at count 5 has 8 differences; moduli 2..50 cost 49 * 8 = 392
+    linear = ["divcheck", "--poly", "0,1", "--count", "5", "--ell-max", "50"]
+    assert main([*linear, "--pair-budget", "391"]) == 3
+    assert "estimated 392, budget 391" in capsys.readouterr().err
+    assert main([*linear, "--pair-budget", "392"]) == 0
+    capsys.readouterr()
+    # the default range 2..200 fits the default budget
+    assert main(["divcheck", "--poly", "0,1,0,1", "--count", "500"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_ok"]
+
+
 def test_main_random_baseline(capsys):
     assert main(["random-baseline", "--n", "1", "--s", "3/8",
                  "--replicates", "3", "--seed", "5"]) == 0
