@@ -49,13 +49,8 @@ class RepTable:
     pair_count: int = 0
 
     def __post_init__(self):
-        gaps, reps = np.asarray(self.gaps), np.asarray(self.reps)
-        if gaps.dtype != np.int64 or reps.dtype != np.int64 or gaps.ndim != 1 or gaps.shape != reps.shape:
-            raise ValueError("gaps and reps must be two int64 arrays of one length")
-        if gaps.size and (gaps[0] < 1 or np.any(gaps[1:] <= gaps[:-1]) or np.any(reps < 1)):
-            raise ValueError("gaps must be positive and increasing, with positive counts")
-        for name, arr in (("gaps", gaps), ("reps", reps)):
-            arr = arr.view()
+        for name in ("gaps", "reps"):
+            arr = np.asarray(getattr(self, name)).view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -68,30 +63,43 @@ class RepTable:
 _ROW_BLOCK = 128  # rows of the gap kernel's blocks
 
 
-def _sorted_offsets(terms, count: int):
-    """The first `count` terms sorted, minus their minimum: the int64 offsets
-    for the run searches, and the same offsets in the key dtype, uint32 when
-    the span is below 2^32 and int64 otherwise."""
-    x = np.sort(np.asarray(terms[:count], dtype=np.int64))
-    if x.size and max(-int(x[0]), int(x[-1])) >= 1 << 62:
+def _window_parts(terms, n1: int, n2: int):
+    """The pairs of the window (N1, N2) as (rows, cols) parts whose pairs
+    are the row-column differences r - c > 0, plus the span max - min.
+
+    The pair multiset does not depend on term order, so the head x_1..x_{N1-1}
+    and the tail x_{N1}..x_{N2} are sorted, as offsets from the window's
+    minimum.  The parts are the tail against itself and the tail against the
+    head from either side.  Each side is the int64 offsets for the run
+    searches and the same offsets as keys: uint32 when the span is below
+    2^32, int64 otherwise.
+    """
+    x = np.asarray(terms[:n2], dtype=np.int64)
+    if max(-int(x.min()), int(x.max())) >= 1 << 62:
         raise OverflowError("terms too large for the int64 gap path")
-    t = x - x[0] if x.size else x
-    return t, t.astype(np.uint32) if t.size and int(t[-1]) < 1 << 32 else t
+    base, span = int(x.min()), int(x.max()) - int(x.min())
+    dtype = np.uint32 if span < 1 << 32 else np.int64
+
+    def side(v):
+        t = np.sort(v) - base
+        return t, t.astype(dtype, copy=False)
+
+    head, tail = side(x[:n1 - 1]), side(x[n1 - 1:])
+    return [(tail, tail)] + ([(tail, head), (head, tail)] if head[0].size else []), span
 
 
-def _value_ranges(t, cap: int) -> list:
-    """Gap ranges [lo, hi) in ascending order that cover 1..span of the
-    sorted offsets t, each holding at most `cap` pairs unless it holds one
-    gap value alone; each ends at the largest hi that fits, by bisection."""
-    span = int(t[-1]) if t.size else 0
+def _value_ranges(parts, span: int, cap: int) -> list:
+    """Gap ranges [lo, hi) in ascending order that cover 1..span, each
+    holding at most `cap` of the parts' pairs unless it holds one gap value
+    alone; each ends at the largest hi that fits, by bisection."""
     if span < 1:
         return []
-    b = t.searchsorted(t - 1, side="right")
+    sides = [(rows, cols, cols.searchsorted(rows - 1, side="right")) for (rows, _), (cols, _) in parts]
 
     def below(v):  # pairs with 1 <= gap < v
-        return int((b - t.searchsorted(t - v, side="right")).sum())
+        return sum(int((b - cols.searchsorted(rows - v, side="right")).sum()) for rows, cols, b in sides)
 
-    ranges, lo, base, top = [], 1, 0, int(b.sum())
+    ranges, lo, base, top = [], 1, 0, below(span + 1)
     while top - base > cap:
         good, bad = lo + 1, span + 1  # hi >= lo + 1 even when gap lo alone tops cap
         while bad - good > 1:
@@ -106,37 +114,39 @@ def _value_ranges(t, cap: int) -> list:
     return ranges
 
 
-def _range_histogram(t, tk, lo: int, hi: int):
-    """The gaps t_j - t_i in [lo, hi) over pairs i < j of the sorted offsets,
-    as (distinct gaps in tk's dtype, run lengths as int64), ascending.
+def _range_histogram(parts, lo: int, hi: int):
+    """The parts' gaps r - c in [lo, hi) as (distinct gaps in the key dtype,
+    run lengths as int64), ascending.
 
     Each block of rows writes the columns every row of it partners into one
     rectangle of the key buffer; the ragged ends of the rows' runs (the
-    triangle inside the block, and the edges of a value range) are taken
-    from small rectangles through a mask.
+    triangle where a part meets itself, and the edges of a value range) are
+    taken from small rectangles through a mask.
     """
-    # row j partners the run a_j <= i < b_j; lo >= 1 puts every such i below j
-    a, b = t.searchsorted(t - hi, side="right"), t.searchsorted(t - lo, side="right")
-    keys = np.empty(int((b - a).sum()), dtype=tk.dtype)
+    # sorted row r partners the run a <= i < b of the sorted cols c with lo <= r - c < hi
+    bounds = [(cols.searchsorted(rows - hi, side="right"), cols.searchsorted(rows - lo, side="right"))
+              for (rows, _), (cols, _) in parts]
+    keys = np.empty(sum(int((b - a).sum()) for a, b in bounds), dtype=parts[0][0][1].dtype)
     pos = 0
-    for j0 in range(1, t.size, _ROW_BLOCK):
-        j1 = min(j0 + _ROW_BLOCK, t.size)
-        rows, first, last = tk[j0:j1, None], a[j0:j1, None], b[j0:j1, None]
-        inner_lo = int(first[-1, 0])
-        inner_hi = max(int(last[0, 0]), inner_lo)  # [inner_lo, inner_hi) is in every row's run
-        width = inner_hi - inner_lo
-        if width:
-            end = pos + (j1 - j0) * width
-            np.subtract(rows, tk[inner_lo:inner_hi], out=keys[pos:end].reshape(j1 - j0, width))
-            pos = end
-        for c0, c1 in ((int(first[0, 0]), inner_lo), (inner_hi, int(last[-1, 0]))):
-            if c1 <= c0:
-                continue
-            cols = np.arange(c0, c1)
-            keep = ((cols >= first) & (cols < last)).ravel()
-            end = pos + int(np.count_nonzero(keep))
-            np.compress(keep, (rows - tk[c0:c1]).ravel(), out=keys[pos:end])
-            pos = end
+    for ((_, rk), (_, ck)), (a, b) in zip(parts, bounds):
+        for j0 in range(0, rk.size, _ROW_BLOCK):
+            j1 = min(j0 + _ROW_BLOCK, rk.size)
+            rows, first, last = rk[j0:j1, None], a[j0:j1, None], b[j0:j1, None]
+            inner_lo = int(first[-1, 0])
+            inner_hi = max(int(last[0, 0]), inner_lo)  # [inner_lo, inner_hi) is in every row's run
+            width = inner_hi - inner_lo
+            if width:
+                end = pos + (j1 - j0) * width
+                np.subtract(rows, ck[inner_lo:inner_hi], out=keys[pos:end].reshape(j1 - j0, width))
+                pos = end
+            for c0, c1 in ((int(first[0, 0]), inner_lo), (inner_hi, int(last[-1, 0]))):
+                if c1 <= c0:
+                    continue
+                cols = np.arange(c0, c1)
+                keep = ((cols >= first) & (cols < last)).ravel()
+                end = pos + int(np.count_nonzero(keep))
+                np.compress(keep, (rows - ck[c0:c1]).ravel(), out=keys[pos:end])
+                pos = end
     keys.sort()
     if not keys.size:
         return keys, np.zeros(0, dtype=np.int64)
@@ -156,27 +166,17 @@ def _gap_histogram(terms, n1: int, n2: int, mem_budget: int = DEFAULT_MEM_BUDGET
     gaps u = |x_n - x_m| > 0 over pairs m < n with N1 <= n <= N2 and their
     multiplicities: (gaps in the narrowest exact dtype, int64 counts).
 
-    The pair multiset of a prefix does not depend on term order, so the
-    terms are sorted first and every gap is a difference of sorted values.
-    A window with N1 > 2 is the prefix N2's histogram minus the prefix
-    (N1 - 1)'s.  The value ranges keep each pass's scratch within
-    mem_budget, at 2 w + 17 bytes per gap for w-byte keys: the key, a mask
-    byte, the run start and length, and the distinct key; twice that when
-    the prefix N1 - 1's histogram is held too.  A range holds at least N2
-    pairs, as the per-row run bounds take 16 bytes a row anyway.
-    Exact for |terms| < 2^62 (OverflowError otherwise).
+    Builds each of the window's pairs once (see _window_parts).  The value
+    ranges keep each pass's scratch within mem_budget, at 2 w + 17 bytes per
+    gap for w-byte keys: the key, a mask byte, the run start and length, and
+    the distinct key.  A range holds at least N2 pairs, as the per-row run
+    bounds take 16 bytes a row anyway.  Exact for |terms| < 2^62
+    (OverflowError otherwise).
     """
-    t, tk = _sorted_offsets(terms, n2)
-    head = _sorted_offsets(terms, n1 - 1) if n1 > 2 else None
-    cap = max(n2, mem_budget // ((2 * tk.itemsize + 17) * (1 if head is None else 2)))
-    for lo, hi in _value_ranges(t, cap):
-        gaps, reps = _range_histogram(t, tk, lo, hi)
-        if head is not None:
-            drop_gaps, drop_reps = _range_histogram(*head, lo, hi)
-            reps[gaps.searchsorted(drop_gaps)] -= drop_reps
-            kept = reps > 0
-            gaps, reps = gaps[kept], reps[kept]
-        yield gaps, reps
+    parts, span = _window_parts(terms, n1, n2)
+    cap = max(n2, mem_budget // (2 * parts[0][0][1].itemsize + 17))
+    for lo, hi in _value_ranges(parts, span, cap):
+        yield _range_histogram(parts, lo, hi)
 
 
 def _gap_arrays(terms, n1: int, n2: int):
