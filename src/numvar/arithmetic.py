@@ -18,7 +18,6 @@ import numpy as np
 from .points import SequenceSpec, generate_terms
 
 DEFAULT_PAIR_BUDGET = 10 ** 9
-DEFAULT_CELL_BUDGET = 10 ** 9
 DEFAULT_MEM_BUDGET = 512 << 20  # bytes of scratch for the numpy paths
 
 GCD_VARIANTS = ("half", "one_over_max", "squared")
@@ -46,7 +45,7 @@ class RepTable:
     window: tuple
     gaps: np.ndarray
     reps: np.ndarray
-    pair_count: int = 0
+    pair_count: int
 
     def __post_init__(self):
         for name in ("gaps", "reps"):
@@ -302,20 +301,20 @@ def rep_quadratic_divisor(p, u: int, n_limit=None, divisors=None) -> int:
     return count
 
 
-def _gcd_weight_grid(variant: str, g, u1, u2):
+def _gcd_weight(variant: str, g, u1, u2):
+    """w(u1, u2) given g = gcd(u1, u2); with u1 = g a, u2 = g b it is also
+    the weight of a coprime class (a, b) at g = 1."""
     if variant == "half":
         return g / np.sqrt(u1 * u2)
     if variant == "one_over_max":
         return g / np.maximum(u1, u2)
-    if variant == "squared":
-        return (g * g) / (u1 * u2)
-    raise ValueError(f"unknown gcd_sum variant {variant!r}; expected one of {GCD_VARIANTS}")
+    return (g * g) / (u1 * u2)
 
 
-def _gcd_sum_dense(us, rs, variant, threshold, cell_budget):
+def _gcd_sum_dense(us, rs, variant, threshold, pair_budget):
     k = us.size
-    if k * k > cell_budget:
-        raise BudgetExceeded("gcd double sum too large", k * k, cell_budget)
+    if k * k > pair_budget:
+        raise BudgetExceeded("gcd double sum too large", k * k, pair_budget)
     if threshold is not None and int(us[-1]) ** 2 >= 1 << 62:
         raise OverflowError(
             "support too large for the filtered dense path; use strategy='classes'")
@@ -325,25 +324,13 @@ def _gcd_sum_dense(us, rs, variant, threshold, cell_budget):
     for i0 in range(0, k, block):
         u1 = us[i0:i0 + block, None]
         g = np.gcd(u1, us[None, :])
-        w = _gcd_weight_grid(variant, g.astype(np.float64), uf[i0:i0 + block, None], uf[None, :])
+        w = _gcd_weight(variant, g.astype(np.float64), uf[i0:i0 + block, None], uf[None, :])
         if threshold is not None:
             # u1 u2 / g^2 is the exact integer (u1/g)(u2/g); compare without rounding
             ab = (u1 // g) * (us[None, :] // g)
             w = np.where(ab <= threshold, w, 0.0)
         total += float(np.sum(w * (rs[i0:i0 + block, None] * rs[None, :])))
     return total
-
-
-def _gcd_weight_class(variant: str, a: int, b: int) -> float:
-    # After writing u1 = g a, u2 = g b with gcd(a, b) = 1, every variant's
-    # weight depends on (a, b) alone.
-    if variant == "half":
-        return 1.0 / math.sqrt(a * b)
-    if variant == "one_over_max":
-        return 1.0 / max(a, b)
-    if variant == "squared":
-        return 1.0 / (a * b)
-    raise ValueError(f"unknown gcd_sum variant {variant!r}; expected one of {GCD_VARIANTS}")
 
 
 def _gcd_sum_classes(us, rs, variant, threshold):
@@ -369,7 +356,7 @@ def _gcd_sum_classes(us, rs, variant, threshold):
             pos_c = np.minimum(pos, n - 1)
             hit = us[pos_c] == cand
             if hit.any():
-                total += _gcd_weight_class(variant, a, b) * float(
+                total += float(_gcd_weight(variant, 1.0, a, b)) * float(
                     np.dot(r_a[hit], rs[pos_c[hit]])
                 )
     return total
@@ -393,15 +380,15 @@ def _jordan_totient(d: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _gcd_sum_divisors(us, rs, variant, cell_budget):
+def _gcd_sum_divisors(us, rs, variant, pair_budget):
     # gcd(u1, u2) = sum of phi(d) and gcd(u1, u2)^2 = sum of J_2(d) over the
     # common divisors d, so the double sum splits into one sum per divisor d
     # over the u that d divides.  Divisor pairs (d, u) come from trial
     # division by d <= isqrt(u), each d paired with its cofactor u / d.
     k = us.size
     root = math.isqrt(int(us[-1]))
-    if root * k > cell_budget:
-        raise BudgetExceeded("gcd divisor sum too large", root * k, cell_budget)
+    if root * k > pair_budget:
+        raise BudgetExceeded("gcd divisor sum too large", root * k, pair_budget)
     divs, cols = [], []
     block = max(1, _BLOCK_CELLS // k)
     for d0 in range(1, root + 1, block):
@@ -434,7 +421,7 @@ def _gcd_sum_divisors(us, rs, variant, cell_budget):
 
 
 def gcd_sum(table: RepTable, variant: str, threshold=None, *,
-            strategy: str = "auto", cell_budget: int = DEFAULT_CELL_BUDGET) -> float:
+            strategy: str = "auto", pair_budget: int = DEFAULT_PAIR_BUDGET) -> float:
     """Double sum over the table of Rep(u1) Rep(u2) w(u1, u2), optionally
     restricted to pairs with u1 u2 / gcd(u1, u2)^2 <= threshold.
 
@@ -445,36 +432,33 @@ def gcd_sum(table: RepTable, variant: str, threshold=None, *,
     'auto' picks between them, except that without a threshold, when
     isqrt(max u) < K, it splits the sum over common divisors d by gcd = sum
     of phi(d) (gcd^2 = sum of J_2(d)), which costs isqrt(max u) * K cells of
-    trial division, charged against cell_budget.  That route needs max u <
-    2^31, so that J_2(d) <= d^2 stays exact in int64.
+    trial division.  That route needs max u < 2^31, so that J_2(d) <= d^2
+    stays exact in int64.  The dense cells and the trial divisions are
+    charged against pair_budget, like rep_table's pairs.
     """
     if variant not in GCD_VARIANTS:
         raise ValueError(f"unknown gcd_sum variant {variant!r}; expected one of {GCD_VARIANTS}")
     if not table.gaps.size:
         return 0.0
     us, rs = table.gaps, table.reps.astype(np.float64)
-    if strategy == "auto":
+    auto = strategy == "auto"
+    if auto:
         k = us.size
         if threshold is None and math.isqrt(int(us[-1])) < k and int(us[-1]) < 1 << 31:
-            return _gcd_sum_divisors(us, rs, variant, cell_budget)
-        use_classes = (
-            threshold is not None
-            and threshold >= 1
-            and threshold * math.log(threshold + 2) * k < k * k
-            and int(us[-1]) * int(threshold) < 1 << 62
-        )
-        strategy = "classes" if use_classes else "dense"
+            return _gcd_sum_divisors(us, rs, variant, pair_budget)
+        cheap = (threshold is not None and threshold >= 1
+                 and threshold * math.log(threshold + 2) * k < k * k)
+        strategy = "classes" if cheap else "dense"
     if strategy == "classes":
         if threshold is None:
             raise ValueError("the class strategy requires a threshold")
-        if int(us[-1]) * int(threshold) >= 1 << 62:
+        if int(us[-1]) * int(threshold) < 1 << 62:
+            return _gcd_sum_classes(us, rs, variant, threshold)  # 0.0 for threshold < 1
+        if not auto:
             raise OverflowError("threshold too large for the class strategy")
-        if threshold < 1:
-            return 0.0
-        return _gcd_sum_classes(us, rs, variant, threshold)
-    if strategy != "dense":
+    elif strategy != "dense":
         raise ValueError(f"unknown strategy {strategy!r}")
-    return _gcd_sum_dense(us, rs, variant, threshold, cell_budget)
+    return _gcd_sum_dense(us, rs, variant, threshold, pair_budget)
 
 
 def gcd_average(x: int) -> float:
@@ -557,24 +541,13 @@ def normalize_polynomial(coeffs):
     return tuple(c // g for c in body)
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            return False
-        p += 1 if p == 2 else 2
-    return True
-
-
 def congruence_solution_count(coeffs, q: int) -> int:
     """Roots of the polynomial mod a prime q, by exhaustive evaluation.
 
     At most deg many exist (checked); rejects moduli where every coefficient
     vanishes, since the root bound's hypothesis fails there.
     """
-    if not _is_prime(q):
+    if _radical(q) != (q, 1):  # q prime
         raise ValueError(f"modulus {q} is not prime")
     reduced = [c % q for c in coeffs]
     if not any(reduced):

@@ -64,10 +64,10 @@ def bridge_path(m: int, seed) -> BridgePath:
 
     B(t_k) = W(t_k) - t_k W(1); both endpoints are exactly zero.
     """
-    from scipy.special import ndtri  # loaded here: scipy costs most of `import numvar`
-
     if m < 2 or m & (m - 1):
         raise ValueError("grid size M must be a power of two >= 2")
+    from scipy.special import ndtri  # loaded here: scipy costs most of `import numvar`
+
     words = philox_words(seed, m)
     uniforms = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
     steps = ndtri(uniforms) / math.sqrt(m)

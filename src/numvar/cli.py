@@ -44,6 +44,12 @@ CSV_HEADER = "N,S_num,S_den,alpha_hex,V,ratio"
 # Fixed seed for named presets so a bare re-run is reproducible.
 PRESET_SEED = 1
 
+# Named experiments as config text, without the seed.
+_PRESETS = {
+    "thm1-quadratic": ("sequence = poly:0,0,1\nalpha_mode = uniform-random\nalpha_count = 100\n"
+                       "n_grid = 100000\ns_grid = logspace:5..12\n"),
+}
+
 
 class ConfigError(ValueError):
     """Invalid configuration or command-line input (exit code 2)."""
@@ -132,8 +138,12 @@ def parse_config(text: str) -> ExperimentConfig:
         sequence = SequenceSpec.parse(data.get("sequence", "linear"))
 
     mode = data.get("alpha_mode", "explicit" if "alphas" in data else "uniform-random")
-    if mode not in ("uniform-random", "explicit"):
+    unused = {"explicit": ("alpha_count", "seed"), "uniform-random": ("alphas",)}
+    if mode not in unused:
         raise ConfigError(f"alpha_mode: expected uniform-random or explicit, got {mode!r}")
+    for key in unused[mode]:
+        if key in data:
+            raise ConfigError(f"{key} has no effect when alpha_mode is {mode}")
     alphas: tuple = ()
     if mode == "explicit":
         if "alphas" not in data:
@@ -328,24 +338,14 @@ def parse(data: bytes, fmt: str = "csv") -> ScanResult:
 
 
 def preset_config(name: str, seed: Optional[int] = None) -> ExperimentConfig:
-    if name == "thm1-quadratic":
-        return ExperimentConfig(
-            sequence=SequenceSpec.poly((0, 0, 1)),
-            alpha_mode="uniform-random",
-            alpha_count=100,
-            alphas=(),
-            n_grid=(10 ** 5,),
-            s_grid=tuple(Fraction(1, 1 << v) for v in range(5, 13)),
-            seed=PRESET_SEED if seed is None else seed,
-            out=None,
-            fmt="csv",
-        )
-    raise ConfigError(f"unknown preset {name!r}")
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}")
+    return parse_config(f"{_PRESETS[name]}seed = {PRESET_SEED if seed is None else seed}\n")
 
 
 def preset_verdict(name: str, result: ScanResult) -> dict:
     """Pass rule for thm1-quadratic: per-S median of V/(NS(1-S)) in [0.85, 1.15]."""
-    if name != "thm1-quadratic":
+    if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}")
     by_s = defaultdict(list)
     for rec in result.rows:
@@ -393,6 +393,8 @@ def _scan_and_write(config: ExperimentConfig, args, *, stdout: bool) -> ScanResu
     Rows go to --out (CSV rows there are streamed by run_scan itself).
     Without --out they go to stdout if `stdout` is set, and nowhere otherwise.
     """
+    if args.seed is not None and config.alpha_mode == "explicit":
+        raise ConfigError("--seed has no effect when alpha_mode is explicit")
     overrides = {"seed": args.seed, "out": args.rows_out, "fmt": args.format}
     config = dataclasses.replace(
         config, **{k: v for k, v in overrides.items() if v is not None})
@@ -461,7 +463,8 @@ def _cmd_repstats(args) -> dict:
 def _cmd_gcdsum(args) -> dict:
     terms = _sequence_terms(args)
     table = arithmetic.rep_table(terms, 1, args.count, pair_budget=args.pair_budget)
-    value = arithmetic.gcd_sum(table, args.variant, threshold=args.threshold)
+    value = arithmetic.gcd_sum(table, args.variant, threshold=args.threshold,
+                               pair_budget=args.pair_budget)
     return {
         "sequence": args.sequence,
         "count": args.count,
@@ -520,14 +523,11 @@ def _cmd_bridge_sim(args) -> dict:
     if args.seed is None:
         raise ConfigError("bridge-sim requires --seed")
     s = _dyadic_s(args.s)
-    if args.m < 2 or args.m & (args.m - 1):
-        raise ConfigError(f"--m {args.m} is not a power of two >= 2")
-    if (s * args.m).denominator != 1:
-        raise ConfigError(f"S = {s} is not a multiple of 1/--m = 1/{args.m}")
     values = []
-    for sub_seed in baselines._derived_seeds(args.seed, args.paths):
-        path = baselines.bridge_path(args.m, sub_seed)
-        values.append(baselines.bridge_functional(path, s, args.n))
+    with _input_error("bridge-sim"):  # --m off the powers of two, S off the 1/--m grid
+        for sub_seed in baselines._derived_seeds(args.seed, args.paths):
+            path = baselines.bridge_path(args.m, sub_seed)
+            values.append(baselines.bridge_functional(path, s, args.n))
     mean = statistics.fmean(values)
     stddev = statistics.stdev(values) if len(values) > 1 else 0.0
     return {

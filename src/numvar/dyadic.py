@@ -36,19 +36,12 @@ class PlateauKernel:
     def value(self, x):
         """f_{v,c}(x); exact for Fraction/int x, float arithmetic for float x."""
         t = abs(x)
-        if isinstance(t, float):
-            h = 2.0 ** -self.v
-            inner = self.c * h
-            if t <= inner:
-                return h
-            outer = inner + h
-            return outer - t if t < outer else 0.0
-        h = Fraction(1, 1 << self.v)
+        h = 2.0 ** -self.v if isinstance(t, float) else Fraction(1, 1 << self.v)
         inner = self.c * h
         if t <= inner:
             return h
         outer = inner + h
-        return outer - t if t < outer else Fraction(0)
+        return outer - t if t < outer else 0 * h
 
     def periodized(self, t):
         """sum_j f_{v,c}(t + j); j in {-1, 0, 1} is exhaustive since support <= 1."""
@@ -149,11 +142,13 @@ def _grid_floats(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 def y_window_sum(counts, pair_count: int, kernel: PlateauKernel, alpha: Alpha) -> float:
     """sum of y_statistic over a window, grouped by repeated gap values.
 
-    counts maps u = |x_n - x_m| to its multiplicity over the window's pairs
-    (pair_count = total pairs); the kernel is even, so each group contributes
-    multiplicity * periodized(alpha u).  Gaps must lie in the signed 64-bit
-    range (OverflowError otherwise).  Evaluated on arrays, with the same
-    roundings and the same summation order as the loop over counts.items().
+    counts maps u = |x_n - x_m| > 0 to its multiplicity over the window's
+    pairs (pair_count = total pairs); the kernel is even, so each group
+    contributes multiplicity * periodized(alpha u).  The pairs counts leaves
+    out have equal terms (u = 0, as in rep_table) and add periodized(0) each.
+    Gaps must lie in the signed 64-bit range (OverflowError otherwise).
+    Evaluated on arrays, with the same roundings and the same summation
+    order as the loop over counts.items().
     """
     gaps = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
     reps = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
@@ -168,4 +163,5 @@ def y_window_sum(counts, pair_count: int, kernel: PlateauKernel, alpha: Alpha) -
 
     vals = value(t) + value(t - 1) + value(t + 1)
     acc = float(np.cumsum(reps * vals)[-1]) if reps.size else 0.0
+    acc += (pair_count - int(reps.sum())) * kernel.periodized(0.0)
     return 2.0 * acc - 2.0 * pair_count * float(kernel.mean())

@@ -104,9 +104,6 @@ class Alpha:
     def hex(self) -> str:
         return f"{self.a:032x}"
 
-    def as_float(self) -> float:
-        return self.a / GRID_ONE
-
     def __str__(self) -> str:
         return f"hex:{self.hex}"
 

@@ -345,7 +345,7 @@ def test_gcd_sum_guards():
     with pytest.raises(ValueError):
         gcd_sum(_table({1: 1}), "half", strategy="sparse")
     with pytest.raises(BudgetExceeded):
-        gcd_sum(_table({u: 1 for u in range(1, 100)}), "half", cell_budget=10)
+        gcd_sum(_table({u: 1 for u in range(1, 100)}), "half", pair_budget=10)
     with pytest.raises(OverflowError):
         gcd_sum(_table({1 << 32: 1}), "half", 1, strategy="dense")
     with pytest.raises(OverflowError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,9 +10,10 @@ import pytest
 
 import numvar
 import numvar.cli as cli
-from numvar.cli import (CSV_HEADER, ConfigError, ScanResult, config_hash,
-                        emit, main, parse, parse_config, parse_s_grid,
-                        preset_config, preset_verdict, run_scan)
+from numvar.arithmetic import gcd_sum, rep_table
+from numvar.cli import (CSV_HEADER, ConfigError, ExperimentConfig, ScanResult,
+                        config_hash, emit, main, parse, parse_config,
+                        parse_s_grid, preset_config, preset_verdict, run_scan)
 from numvar.points import Alpha, SequenceSpec, dilate_mod1, generate_terms
 from numvar.variance import VarianceRecord, variance_sweep
 
@@ -52,6 +54,11 @@ def test_parse_config_full_and_defaults():
     "n_grid\ns_grid = 1/4\nseed = 1",              # no equals sign
     "n_grid = 10\ns_grid = 1/4\nseed = 1\nmemory_budget = 1",  # removed key
     "n_grid = 10\ns_grid = 1/4\nseed = 1\npair_budget = 10",    # removed key
+    # keys the alpha mode does not read
+    "alpha_mode = uniform-random\nalphas = golden\nn_grid = 10\ns_grid = 1/4\nseed = 1",
+    "alphas = golden\nalpha_count = 5\nn_grid = 10\ns_grid = 1/4",
+    "alphas = golden\nn_grid = 10\ns_grid = 1/4\nseed = 8",
+    "alpha_mode = explicit\nalphas = golden\nn_grid = 10\ns_grid = 1/4\nseed = 9",
 ])
 def test_parse_config_rejects(text):
     with pytest.raises(ConfigError):
@@ -190,6 +197,18 @@ def test_preset_config_and_verdict():
     assert not bad["pass"]
 
 
+def test_preset_config_equals_hand_built_config():
+    want = ExperimentConfig(
+        sequence=SequenceSpec.poly((0, 0, 1)), alpha_mode="uniform-random",
+        alpha_count=100, alphas=(), n_grid=(10 ** 5,),
+        s_grid=tuple(Fraction(1, 1 << v) for v in range(5, 13)),
+        seed=cli.PRESET_SEED, out=None, fmt="csv")
+    got = preset_config("thm1-quadratic")
+    for field in dataclasses.fields(ExperimentConfig):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+    assert config_hash(got) == config_hash(want)
+
+
 def test_main_decompose(capsys):
     assert main(["decompose", "15/64"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -208,6 +227,20 @@ def test_main_scan_end_to_end(tmp_path, capsys):
                  "--out", str(tmp_path / "rows.json")]) == 0
     doc = json.loads((tmp_path / "rows.json").read_text())
     assert doc["rows"][0]["V"] == 625.0 and doc["rows"][0]["ratio"] == 25.0
+
+
+def test_main_scan_prints_csv_without_out(tmp_path, capsys):
+    conf = tmp_path / "scan.conf"
+    conf.write_text(BASE_CONFIG)
+    assert main(["scan", "--config", str(conf)]) == 0
+    assert capsys.readouterr().out.encode() == emit(run_scan(parse_config(BASE_CONFIG)))
+
+
+def test_main_scan_refuses_seed_for_explicit_alphas(tmp_path, capsys):
+    conf = tmp_path / "scan.conf"
+    conf.write_text("alphas = golden\nn_grid = 10\ns_grid = 1/4\n")
+    assert main(["scan", "--config", str(conf), "--seed", "3"]) == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):
@@ -253,6 +286,19 @@ def test_main_gcdsum(capsys):
     doc = json.loads(capsys.readouterr().out)
     # gaps {1: 2, 2: 1}: 4 + 1 + 2*2/sqrt(2)
     assert doc["value"] == pytest.approx(5 + 2 * math.sqrt(2))
+
+
+def test_main_gcdsum_threshold_and_budget(capsys):
+    argv = ["gcdsum", "--sequence", "poly:0,0,1", "--count", "30", "--variant", "one_over_max"]
+    assert main([*argv, "--threshold", "12"]) == 0
+    table = rep_table(generate_terms(SequenceSpec.poly((0, 0, 1)), 30), 1, 30)
+    assert json.loads(capsys.readouterr().out)["value"] == gcd_sum(table, "one_over_max", 12)
+    # the 435 pairs of x at count 30 fit the budget; the 29^2 cells of the
+    # dense gcd grid do not
+    linear = ["gcdsum", "--sequence", "linear", "--count", "30", "--threshold", "1000"]
+    assert main([*linear, "--pair-budget", "841"]) == 0
+    assert main([*linear, "--pair-budget", "840"]) == 3
+    assert "estimated 841, budget 840" in capsys.readouterr().err
 
 
 def test_main_divcheck(capsys):
@@ -301,6 +347,14 @@ def test_main_bridge_sim(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["expected"] == pytest.approx(1.5)
     assert doc["stddev"] > 0 and math.isfinite(doc["mean"])
+
+
+@pytest.mark.parametrize("m, s", [("48", "1/4"), ("1", "1/4"), ("64", "1/128")])
+def test_main_bridge_sim_refuses_off_grid_input(m, s, capsys):
+    # --m must be a power of two >= 2, and S a multiple of 1/--m
+    assert main(["bridge-sim", "--m", m, "--s", s, "--n", "8", "--paths", "3",
+                 "--seed", "1"]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_main_kronecker(capsys):

@@ -7,7 +7,7 @@ import pytest
 from numvar.arithmetic import rep_table
 from numvar.dyadic import (PlateauKernel, _grid_floats, decompose, verify_decomposition,
                            y_statistic, y_window_sum)
-from numvar.points import GRID_ONE, Alpha, dilate_words
+from numvar.points import GRID_ONE, Alpha, SequenceSpec, dilate_words, generate_terms
 
 BENCH_KERNELS = (PlateauKernel(4, 1), PlateauKernel(6, 10))
 
@@ -123,6 +123,19 @@ def test_window_sum_matches_per_term_sum():
     table = rep_table(terms, 2, 20)
     for tag in ("golden", "sqrt2m1", "rat:3/7"):
         alpha = Alpha.parse(tag)
+        direct = sum(y_statistic(terms, n, kern, alpha) for n in range(1, 21))
+        grouped = y_window_sum(table.counts, table.pair_count, kern, alpha)
+        assert grouped == pytest.approx(direct, abs=1e-9)
+
+
+def test_window_sum_counts_pairs_of_equal_terms():
+    # x^2 - 3x takes -2 at both 1 and 2; rep_table stores no zero gap, but
+    # the pair is in pair_count and in y_statistic's sum
+    terms = generate_terms(SequenceSpec.parse("poly:0,-3,1"), 20)
+    table = rep_table(terms, 1, 20)
+    assert table.pair_count - int(table.reps.sum()) == 1
+    kern = PlateauKernel(4, 5)
+    for alpha in (Alpha.golden(), Alpha.sqrt2m1()):
         direct = sum(y_statistic(terms, n, kern, alpha) for n in range(1, 21))
         grouped = y_window_sum(table.counts, table.pair_count, kern, alpha)
         assert grouped == pytest.approx(direct, abs=1e-9)

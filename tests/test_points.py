@@ -25,7 +25,7 @@ def test_alpha_golden_ulp():
     # (2a+2^128)^2 <= 5*2^256 < (2a+2+2^128)^2 pins a to the floor value
     assert (2 * a + GRID_ONE) ** 2 <= 5 << 256
     assert (2 * (a + 1) + GRID_ONE) ** 2 > 5 << 256
-    assert abs(Alpha.golden().as_float() - (math.sqrt(5) - 1) / 2) < 1e-15
+    assert abs(Alpha.golden().a / GRID_ONE - (math.sqrt(5) - 1) / 2) < 1e-15
 
 
 def test_alpha_sqrt2m1_ulp():
