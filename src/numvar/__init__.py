@@ -14,9 +14,9 @@ from .arithmetic import (BudgetExceeded, RepTable, additive_energy,
                          energy_direct, energy_window, gcd_average, gcd_sum,
                          normalize_polynomial, rep_quadratic_divisor,
                          rep_table, sparse_u2_mass)
-from .baselines import (BridgePath, RandomSample, bridge_functional,
-                        bridge_path, kronecker_experiment,
-                        random_variance_experiment, sample_uniform)
+from .baselines import (RandomSample, bridge_functional, bridge_path,
+                        kronecker_experiment, random_variance_experiment,
+                        sample_uniform)
 from .dyadic import (DyadicExpansion, PlateauKernel, decompose,
                      verify_decomposition, y_statistic)
 from .points import (GRID_BITS, GRID_ONE, Alpha, PointSet, SequenceSpec,

@@ -45,7 +45,6 @@ class RepTable:
     window: tuple
     gaps: np.ndarray
     reps: np.ndarray
-    pair_count: int
 
     def __post_init__(self):
         for name in ("gaps", "reps"):
@@ -57,6 +56,15 @@ class RepTable:
     def counts(self) -> MappingProxyType:
         """{u: Rep(u)} with Python int keys and values, for callers that look gaps up."""
         return MappingProxyType(dict(zip(self.gaps.tolist(), self.reps.tolist())))
+
+    @property
+    def pair_count(self) -> int:
+        return _pair_count(*self.window)
+
+
+def _pair_count(n1: int, n2: int) -> int:
+    """Pairs m < n with N1 <= n <= N2, pairs of equal terms (no gap) included."""
+    return (n2 * (n2 - 1) - (n1 - 1) * (n1 - 2)) // 2
 
 
 _ROW_BLOCK = 128  # rows of the gap kernel's blocks
@@ -201,7 +209,7 @@ def rep_table(terms, n1: int, n2: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
     """
     if not 1 <= n1 <= n2 <= len(terms):
         raise ValueError(f"window ({n1}, {n2}) outside 1..{len(terms)}")
-    pairs = (n2 * (n2 - 1) - (n1 - 1) * (n1 - 2)) // 2
+    pairs = _pair_count(n1, n2)
     if pairs > pair_budget:
         raise BudgetExceeded(
             "pair enumeration too large; for quadratics use the divisor route"
@@ -210,7 +218,7 @@ def rep_table(terms, n1: int, n2: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
             pair_budget,
         )
     gaps, reps = _gap_arrays(terms, n1, n2)
-    return RepTable(window=(n1, n2), gaps=gaps, reps=reps, pair_count=pairs)
+    return RepTable(window=(n1, n2), gaps=gaps, reps=reps)
 
 
 def energy_window(table: RepTable) -> int:

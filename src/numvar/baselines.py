@@ -13,15 +13,14 @@ applied to 53-bit uniforms (no rejection loops).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .points import (Alpha, PointSet, continued_fraction_convergents, dilate_mod1,
                      philox_words)
-from .variance import (VarianceRecord, WindowAccumulator, as_dyadic,
-                       variance_pairwise)
+from .variance import WindowAccumulator, as_dyadic, variance_pairwise
 
 DEFAULT_BRIDGE_GRID = 1 << 14
 
@@ -50,18 +49,10 @@ def sample_uniform(count: int, seed) -> RandomSample:
                         points=PointSet.from_words(words[:, 0], words[:, 1]))
 
 
-@dataclass(frozen=True)
-class BridgePath:
-    """Brownian bridge values on the grid t_k = k/M, k = 0..M."""
+def bridge_path(m: int, seed) -> np.ndarray:
+    """Brownian bridge values B(t_k) on the grid t_k = k/M, k = 0..M, as float64.
 
-    m: int
-    seed: int
-    values: np.ndarray = field(repr=False)
-
-
-def bridge_path(m: int, seed) -> BridgePath:
-    """Bridge from cumulative Gaussian steps of variance 1/M, pinned at 1.
-
+    Built from cumulative Gaussian steps of variance 1/M, pinned at 1:
     B(t_k) = W(t_k) - t_k W(1); both endpoints are exactly zero.
     """
     if m < 2 or m & (m - 1):
@@ -74,24 +65,25 @@ def bridge_path(m: int, seed) -> BridgePath:
     walk = np.concatenate(([0.0], np.cumsum(steps)))
     values = walk - (np.arange(m + 1) / m) * walk[-1]
     values[-1] = 0.0
-    return BridgePath(m=m, seed=int(seed), values=values)
+    return values
 
 
-def bridge_functional(path: BridgePath, s, count: int) -> float:
+def bridge_functional(path: np.ndarray, s, count: int) -> float:
     """N * integral over [0,1) of (B(t + S mod 1) - B(t))^2, on the path's grid.
 
-    Exact Riemann sum over the M cells; S must align to the grid.
+    path holds the M + 1 values of bridge_path.  Exact Riemann sum over the
+    M cells; S must align to the grid.
     """
     f = as_dyadic(s)
-    shift_frac = f * path.m
+    m = len(path) - 1
+    shift_frac = f * m
     if shift_frac.denominator != 1:
-        raise ValueError(
-            f"S = {f} is not aligned to the bridge grid; finest admissible step is 1/{path.m}"
-        )
-    shift = int(shift_frac) % path.m
-    vals = path.values[: path.m]
+        raise ValueError(f"S = {f} is not aligned to the bridge grid;"
+                         f" finest admissible step is 1/{m}")
+    shift = int(shift_frac) % m
+    vals = path[:m]
     diffs = np.roll(vals, -shift) - vals
-    return count * float(np.sum(diffs * diffs)) / path.m
+    return count * float(np.sum(diffs * diffs)) / m
 
 
 @dataclass(frozen=True)
@@ -100,7 +92,7 @@ class RandomVarianceResult:
 
     n: int
     s: Fraction
-    records: tuple
+    values: tuple  # V of each replicate, in replicate order
     mean: float
     stddev: float
     stderr: float
@@ -112,17 +104,14 @@ def random_variance_experiment(count: int, s, replicates: int, seed) -> RandomVa
     f = as_dyadic(s)
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    records = []
-    for i, sub_seed in enumerate(_derived_seeds(seed, replicates)):
-        sample = sample_uniform(count, sub_seed)
-        v = variance_pairwise(sample.points, f)
-        records.append(VarianceRecord.build(count, f, f"random:{int(seed)}/{i}", v))
-    vs = np.array([r.v for r in records])
+    values = tuple(variance_pairwise(sample_uniform(count, sub_seed).points, f)
+                   for sub_seed in _derived_seeds(seed, replicates))
+    vs = np.array(values)
     stddev = float(vs.std(ddof=1)) if replicates > 1 else 0.0
     return RandomVarianceResult(
         n=count,
         s=f,
-        records=tuple(records),
+        values=values,
         mean=float(vs.mean()),
         stddev=stddev,
         stderr=stddev / math.sqrt(replicates),
@@ -132,31 +121,24 @@ def random_variance_experiment(count: int, s, replicates: int, seed) -> RandomVa
 
 @dataclass(frozen=True)
 class KroneckerRow:
-    """Variances of the linear sequence dilated by alpha at one convergent q."""
+    """Max over the S grid of V(q, S, alpha) for the linear sequence, at one convergent p/q."""
 
     p: int
     q: int
-    records: tuple
     max_v: float
 
 
 def kronecker_experiment(alpha: Alpha, s_grid, n_max: int = 10 ** 5) -> list:
     """V(q, S, alpha) for the linear sequence at convergent denominators q.
 
-    One row per convergent with q <= n_max, reporting all S in the grid and
-    the max V over the grid.
+    One row per convergent with q <= n_max, holding the max V over the grid.
     """
     grid = [as_dyadic(s) for s in s_grid]
-    convergents, _ = continued_fraction_convergents(alpha, 200)
     rows = []
-    for p, q in convergents:
+    for p, q in continued_fraction_convergents(alpha, 200):
         if q > n_max:
             break
-        points = dilate_mod1(range(1, q + 1), alpha)
-        engine = WindowAccumulator(points)
-        records = tuple(
-            VarianceRecord.build(q, f, alpha, engine.variance(f)) for f in grid
-        )
-        rows.append(KroneckerRow(p=p, q=q, records=records,
-                                 max_v=max((r.v for r in records), default=0.0)))
+        engine = WindowAccumulator(dilate_mod1(range(1, q + 1), alpha))
+        max_v = max((engine.variance(f) for f in grid), default=0.0)
+        rows.append(KroneckerRow(p=p, q=q, max_v=max_v))
     return rows

@@ -31,15 +31,16 @@ from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
+from . import __version__ as CODE_VERSION
 from . import arithmetic, baselines, dyadic
 from .arithmetic import DEFAULT_PAIR_BUDGET, BudgetExceeded
 from .points import Alpha, SequenceSpec, _term_values, dilate_mod1, generate_terms
 from .variance import VarianceRecord, WindowAccumulator, as_dyadic
 
-CODE_VERSION = "0.1.0"
 CSV_HEADER = "N,S_num,S_den,alpha_hex,V,ratio"
+_COLUMNS = tuple(CSV_HEADER.split(","))
 
 # Fixed seed for named presets so a bare re-run is reproducible.
 PRESET_SEED = 1
@@ -113,6 +114,8 @@ def parse_s_grid(text: str) -> tuple:
             raise ConfigError(f"s_grid: bad entry {tok.strip()!r}: {exc}") from None
     if not out:
         raise ConfigError("s_grid: empty")
+    if len(set(out)) < len(out):
+        raise ConfigError(f"s_grid: repeated entry in {text!r}")
     return tuple(out)
 
 
@@ -132,6 +135,8 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        if key in data:
+            raise ConfigError(f"config line {lineno}: repeated key {key!r}")
         data[key] = value.strip()
 
     with _input_error("sequence"):
@@ -150,6 +155,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("alpha_mode=explicit requires an alphas list")
         with _input_error("alphas"):
             alphas = tuple(Alpha.parse(tok.strip()) for tok in data["alphas"].split(","))
+        if len(set(alphas)) < len(alphas):
+            raise ConfigError(f"alphas: repeated entry in {data['alphas']!r}")
         count = len(alphas)
     else:
         count = _parse_int(data.get("alpha_count", "1"), "alpha_count")
@@ -174,6 +181,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if seed is not None and seed < 0:
         raise ConfigError("seed must be >= 0")
 
+    if data.get("out") == "":
+        raise ConfigError("out: empty path")
     fmt = data.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format: expected csv or json, got {fmt!r}")
@@ -191,11 +200,6 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
-
-
 def config_hash(config: ExperimentConfig) -> str:
     """sha256 over the canonical JSON of the science fields (not output paths)."""
     payload = {
@@ -211,12 +215,6 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def resolve_alphas(config: ExperimentConfig) -> list:
-    if config.alpha_mode == "explicit":
-        return list(config.alphas)
-    return Alpha.random_stream(config.alpha_count, config.seed)
-
-
 def _alpha_cell(args):
     """Worker: variance of one dilated point set over a list of widths."""
     terms, a, s_pairs = args
@@ -224,11 +222,19 @@ def _alpha_cell(args):
     return [acc.variance(Fraction(num, den)) for num, den in s_pairs]
 
 
+def _row_values(rec: VarianceRecord) -> tuple:
+    """The values of a row, in CSV_HEADER order."""
+    return (rec.n, rec.s.numerator, rec.s.denominator, rec.alpha.hex, rec.v, rec.ratio)
+
+
+def _csv_field(value) -> str:
+    if value is None:
+        return ""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
 def _format_row(rec: VarianceRecord) -> str:
-    alpha = rec.alpha.hex if isinstance(rec.alpha, Alpha) else str(rec.alpha)
-    ratio = "" if rec.ratio is None else format(rec.ratio, ".17g")
-    return (f"{rec.n},{rec.s.numerator},{rec.s.denominator},"
-            f"{alpha},{format(rec.v, '.17g')},{ratio}")
+    return ",".join(_csv_field(value) for value in _row_values(rec))
 
 
 def run_scan(config: ExperimentConfig, *, threads: int = 1) -> ScanResult:
@@ -238,13 +244,14 @@ def run_scan(config: ExperimentConfig, *, threads: int = 1) -> ScanResult:
     the scan progresses, so an interrupted run leaves a valid row prefix.
     """
     t0 = time.monotonic()
-    alphas = resolve_alphas(config)
+    alphas = (list(config.alphas) if config.alpha_mode == "explicit"
+              else Alpha.random_stream(config.alpha_count, config.seed))
     max_n = max(config.n_grid, default=0)
     with _input_error("sequence"):
         terms = _term_values(config.sequence, max_n)
     rows = []
     stream = None
-    if config.out and config.fmt == "csv":
+    if config.out is not None and config.fmt == "csv":
         stream = open(config.out, "w", encoding="utf-8", newline="")
     pool = None
     try:
@@ -261,7 +268,7 @@ def run_scan(config: ExperimentConfig, *, threads: int = 1) -> ScanResult:
             block = []
             for s_idx, s in enumerate(config.s_grid):
                 for a_idx, alpha in enumerate(alphas):
-                    block.append(VarianceRecord.build(n, s, alpha, per_alpha[a_idx][s_idx]))
+                    block.append(VarianceRecord(n, s, alpha, per_alpha[a_idx][s_idx]))
             rows.extend(block)
             if stream:
                 stream.write("".join(_format_row(r) + "\n" for r in block))
@@ -288,47 +295,37 @@ def emit(result: ScanResult, fmt: str = "csv") -> bytes:
     if fmt == "json":
         doc = {
             "metadata": result.metadata,
-            "rows": [
-                {"N": r.n, "S_num": r.s.numerator, "S_den": r.s.denominator,
-                 "alpha_hex": r.alpha.hex if isinstance(r.alpha, Alpha) else str(r.alpha),
-                 "V": r.v, "ratio": r.ratio}
-                for r in result.rows
-            ],
+            "rows": [dict(zip(_COLUMNS, _row_values(r))) for r in result.rows],
         }
         return (json.dumps(doc, indent=2) + "\n").encode()
     raise ConfigError(f"format: expected csv or json, got {fmt!r}")
 
 
-def _record_from_fields(n, s_num, s_den, alpha_hex, v, ratio) -> VarianceRecord:
-    try:
-        alpha: Union[Alpha, str] = Alpha.from_hex(alpha_hex)
-    except ValueError:
-        alpha = alpha_hex  # free-form tag, e.g. from the random baseline
-    return VarianceRecord(n=int(n), s=Fraction(int(s_num), int(s_den)),
-                          alpha=alpha, v=float(v), ratio=ratio)
+def _record(where: str, n, s_num, s_den, alpha_hex, v, _ratio) -> VarianceRecord:
+    """The record of a row given in CSV_HEADER order; the record derives the ratio."""
+    with _input_error(where):
+        return VarianceRecord(n=int(n), s=as_dyadic(Fraction(int(s_num), int(s_den))),
+                              alpha=Alpha.from_hex(alpha_hex), v=float(v))
 
 
 def parse(data: bytes, fmt: str = "csv") -> ScanResult:
     """Inverse of emit.  CSV carries no metadata; JSON restores it."""
     text = data.decode()
     if fmt == "csv":
-        lines = [ln for ln in text.splitlines() if ln]
-        if not lines or lines[0] != CSV_HEADER:
+        lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln]
+        if not lines or lines[0][1] != CSV_HEADER:
             raise ConfigError("csv: missing or malformed header")
         rows = []
-        for ln in lines[1:]:
+        for lineno, ln in lines[1:]:
             parts = ln.split(",")
-            if len(parts) != 6:
-                raise ConfigError(f"csv: expected 6 fields, got {len(parts)}: {ln!r}")
-            ratio = None if parts[5] == "" else float(parts[5])
-            rows.append(_record_from_fields(*parts[:5], ratio))
+            if len(parts) != len(_COLUMNS):
+                raise ConfigError(f"csv line {lineno}: expected 6 fields, got {len(parts)}")
+            rows.append(_record(f"csv line {lineno}", *parts))
         return ScanResult(rows=tuple(rows), metadata={})
     if fmt == "json":
         doc = json.loads(text)
-        rows = tuple(
-            _record_from_fields(row["N"], row["S_num"], row["S_den"],
-                                row["alpha_hex"], row["V"], row["ratio"])
-            for row in doc["rows"])
+        rows = tuple(_record(f"json row {k}", *(row[c] for c in _COLUMNS))
+                     for k, row in enumerate(doc["rows"], 1))
         return ScanResult(rows=rows, metadata=doc.get("metadata", {}))
     raise ConfigError(f"format: expected csv or json, got {fmt!r}")
 
@@ -395,6 +392,8 @@ def _scan_and_write(config: ExperimentConfig, args, *, stdout: bool) -> ScanResu
     """
     if args.seed is not None and config.alpha_mode == "explicit":
         raise ConfigError("--seed has no effect when alpha_mode is explicit")
+    if args.rows_out == "":
+        raise ConfigError("--out: empty path")
     overrides = {"seed": args.seed, "out": args.rows_out, "fmt": args.format}
     config = dataclasses.replace(
         config, **{k: v for k, v in overrides.items() if v is not None})
@@ -412,9 +411,9 @@ def _scan_and_write(config: ExperimentConfig, args, *, stdout: bool) -> ScanResu
 
 
 def _cmd_scan(args) -> None:
-    if not args.config:
-        raise ConfigError("scan requires --config")
-    _scan_and_write(load_config(args.config), args, stdout=True)
+    with open(args.config, "r", encoding="utf-8") as fh:
+        config = parse_config(fh.read())
+    _scan_and_write(config, args, stdout=True)
 
 
 def _cmd_decompose(args) -> dict:
@@ -504,8 +503,6 @@ def _cmd_divcheck(args) -> dict:
 
 
 def _cmd_random_baseline(args) -> dict:
-    if args.seed is None:
-        raise ConfigError("random-baseline requires --seed")
     res = baselines.random_variance_experiment(args.n, _dyadic_s(args.s),
                                                args.replicates, args.seed)
     return {
@@ -520,8 +517,6 @@ def _cmd_random_baseline(args) -> dict:
 
 
 def _cmd_bridge_sim(args) -> dict:
-    if args.seed is None:
-        raise ConfigError("bridge-sim requires --seed")
     s = _dyadic_s(args.s)
     values = []
     with _input_error("bridge-sim"):  # --m off the powers of two, S off the 1/--m grid
@@ -591,6 +586,7 @@ def _arg(*names, **kwargs):
 _OUT = _arg("--out", default=None, help="output path (default stdout)")
 _PAIR_BUDGET = _arg("--pair-budget", type=_nonnegative_int, default=DEFAULT_PAIR_BUDGET)
 _SEED = _arg("--seed", type=_nonnegative_int, default=None)
+_REQUIRED_SEED = _arg("--seed", type=_nonnegative_int, required=True)
 _SEQUENCE = (_arg("--sequence", required=True),
              _arg("--count", type=_positive_int, required=True))
 _WINDOW = (_arg("--n1", type=_positive_int, default=1),
@@ -605,7 +601,7 @@ _SCAN = (_SEED,
 # its handler reads, so any other flag is an argparse error (exit 2).
 _COMMANDS = {
     "scan": (_cmd_scan, "run the (N, S, alpha) grid from --config",
-             (_arg("--config", help="flat key=value config file"), *_SCAN)),
+             (_arg("--config", required=True, help="flat key=value config file"), *_SCAN)),
     "decompose": (_cmd_decompose, "dyadic plateau decomposition of S",
                   (_arg("s", help="dyadic fraction, e.g. 15/64"), _OUT)),
     "energy": (_cmd_energy, None, (*_SEQUENCE, *_WINDOW, _PAIR_BUDGET, _OUT)),
@@ -625,13 +621,13 @@ _COMMANDS = {
         _arg("--n", type=_nonnegative_int, required=True),
         _arg("--s", required=True),
         _arg("--replicates", type=_positive_int, default=200),
-        _SEED, _OUT)),
+        _REQUIRED_SEED, _OUT)),
     "bridge-sim": (_cmd_bridge_sim, "Brownian-bridge functional simulation", (
         _arg("--m", type=int, default=baselines.DEFAULT_BRIDGE_GRID),
         _arg("--s", required=True),
         _arg("--n", type=_nonnegative_int, required=True),
         _arg("--paths", type=_positive_int, default=1000),
-        _SEED, _OUT)),
+        _REQUIRED_SEED, _OUT)),
     "kronecker": (_cmd_kronecker, "variance at convergent denominators of alpha", (
         _arg("--alpha", required=True),
         _arg("--s-grid", default="k/64"),

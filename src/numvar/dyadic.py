@@ -15,9 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .points import GRID_BITS, GRID_ONE, Alpha, dilate_words
-from .variance import as_dyadic
-
-MAX_LEVEL = 64
+from .variance import S_DEN_BITS, as_dyadic
 
 
 @dataclass(frozen=True)
@@ -54,39 +52,34 @@ class PlateauKernel:
 
 @dataclass(frozen=True)
 class DyadicExpansion:
-    """Digits and plateau offsets for one dyadic window length S."""
+    """The plateau levels of one dyadic window length S."""
 
     s: Fraction
-    digits: tuple
-    coeffs: tuple
+    levels: tuple  # the (v, c_v) with d_v = 1, in increasing v
 
     def pairs(self) -> list:
-        """The (v, c_v) pairs with d_v = 1, in increasing v."""
-        return [(v, self.coeffs[v]) for v, d in enumerate(self.digits) if d]
+        return list(self.levels)
 
     def kernels(self) -> list:
-        return [PlateauKernel(v, c) for v, c in self.pairs()]
+        return [PlateauKernel(v, c) for v, c in self.levels]
 
     def scalar_sum(self) -> Fraction:
         """sum_v d_v (2 c_v + 1) 2^(-2v); equals S^2 exactly."""
-        return sum((PlateauKernel(v, c).mean() for v, c in self.pairs()), Fraction(0))
+        return sum((PlateauKernel(v, c).mean() for v, c in self.levels), Fraction(0))
 
 
-def decompose(s, max_level: int = MAX_LEVEL) -> DyadicExpansion:
-    """Binary digits d_v and offsets c_v of S, with c_{v+1} = 2 (c_v + d_v)."""
+def decompose(s) -> DyadicExpansion:
+    """Levels (v, c_v) of the digits d_v = 1 of S, with c_{v+1} = 2 (c_v + d_v)."""
     f = as_dyadic(s)
-    k = f.numerator * (1 << MAX_LEVEL) // f.denominator  # S * 2^64, exact
-    digits = []
-    coeffs = []
+    k = f.numerator * (1 << S_DEN_BITS) // f.denominator  # S * 2^64, exact
+    levels = []
     c = 0
-    for v in range(max_level + 1):
-        d = (k >> (MAX_LEVEL - v)) & 1 if v <= MAX_LEVEL else 0
-        digits.append(d)
-        coeffs.append(c)
+    for v in range(S_DEN_BITS + 1):
+        d = (k >> (S_DEN_BITS - v)) & 1
+        if d:
+            levels.append((v, c))
         c = 2 * (c + d)
-    if max_level < MAX_LEVEL and (k & ((1 << (MAX_LEVEL - max_level)) - 1)):
-        raise ValueError(f"S = {f} has binary digits beyond level {max_level}")
-    return DyadicExpansion(s=f, digits=tuple(digits), coeffs=tuple(coeffs))
+    return DyadicExpansion(s=f, levels=tuple(levels))
 
 
 def verify_decomposition(s, x):
@@ -105,15 +98,16 @@ def y_statistic(terms, n: int, kernel: PlateauKernel, alpha: Alpha) -> float:
 
     Y = 2 sum_{m<n} sum_j f_{v,c}(alpha (x_n - x_m) + j) - 2 (n-1) mean(f).
     Gaps are reduced mod 1 on the exact grid before the float kernel is
-    applied.  n is 1-based; n = 1 has no earlier terms and gives 0.
+    applied.  n is 1-based; n = 1 has no earlier terms and gives 0.  Terms
+    may be any integers, numpy ones included; they are read as Python ints.
     """
     if not 1 <= n <= len(terms):
         raise ValueError(f"index n = {n} outside 1..{len(terms)}")
     a = alpha.a
-    xn = terms[n - 1]
+    *earlier, xn = (int(x) for x in terms[:n])
     acc = 0.0
-    for m in range(n - 1):
-        t = ((a * (xn - terms[m])) % GRID_ONE) / GRID_ONE
+    for xm in earlier:
+        t = ((a * (xn - xm)) % GRID_ONE) / GRID_ONE
         acc += kernel.periodized(t)
     return 2.0 * acc - 2.0 * (n - 1) * float(kernel.mean())
 

@@ -104,9 +104,6 @@ class Alpha:
     def hex(self) -> str:
         return f"{self.a:032x}"
 
-    def __str__(self) -> str:
-        return f"hex:{self.hex}"
-
 
 class PointSet:
     """Sorted multiset of circle points on the 2^-128 grid, held as 64-bit words.
@@ -361,14 +358,14 @@ def dilate_mod1(terms, alpha: Alpha) -> PointSet:
     return PointSet.from_words(*dilate_words(terms, alpha))
 
 
-def continued_fraction_convergents(alpha: Alpha, count: int):
+def continued_fraction_convergents(alpha: Alpha, count: int) -> list:
     """Up to `count` continued-fraction convergents (p, q) of alpha.
 
     Runs the Euclidean algorithm on the exact 128-bit fraction.  Denominators
     are strictly increasing (when two convergents share q = 1 the better one
     is kept), and the list stops once q would reach 2^64, past which the
     grid representation no longer pins down convergents of the underlying
-    real number.  Returns (convergents, truncated).
+    real number.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -389,4 +386,4 @@ def continued_fraction_convergents(alpha: Alpha, count: int):
         hm2, hm1 = hm1, h
         km2, km1 = km1, k
         num, den = den, num - a * den
-    return res, len(res) < count
+    return res

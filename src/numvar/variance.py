@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -45,19 +45,17 @@ def _grid_width(s: SBin) -> int:
 
 @dataclass(frozen=True)
 class VarianceRecord:
-    """One computed variance cell.  alpha is an Alpha, or a tag for random draws."""
+    """One computed variance cell V(N, S, alpha)."""
 
     n: int
     s: Fraction
-    alpha: Union[Alpha, str]
+    alpha: Alpha
     v: float
-    ratio: Union[float, None]
 
-    @classmethod
-    def build(cls, n: int, s, alpha, v: float) -> "VarianceRecord":
-        s = as_dyadic(s)
-        ratio = v / (n * float(s)) if n > 0 and s > 0 else None
-        return cls(n=n, s=s, alpha=alpha, v=v, ratio=ratio)
+    @property
+    def ratio(self) -> Optional[float]:
+        """V/(NS), or None where NS = 0."""
+        return self.v / (self.n * float(self.s)) if self.n > 0 and self.s > 0 else None
 
 
 _LIMB_BITS = 16

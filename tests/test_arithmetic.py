@@ -255,8 +255,7 @@ def test_rep_bounded_by_tau():
 def _table(counts):
     gaps = sorted(counts)
     return RepTable(window=(1, 2), gaps=np.array(gaps, dtype=np.int64),
-                    reps=np.array([counts[u] for u in gaps], dtype=np.int64),
-                    pair_count=sum(counts.values()))
+                    reps=np.array([counts[u] for u in gaps], dtype=np.int64))
 
 
 def test_gcd_sum_examples():

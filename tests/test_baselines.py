@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import numvar
-from numvar.baselines import (BridgePath, bridge_functional, bridge_path,
-                              kronecker_experiment, random_variance_experiment,
-                              sample_uniform)
+from numvar.baselines import (bridge_functional, bridge_path, kronecker_experiment,
+                              random_variance_experiment, sample_uniform)
 from numvar.points import GRID_ONE, Alpha, dilate_mod1
 from numvar.variance import variance_pairwise
 
@@ -35,9 +34,9 @@ def test_sample_uniform_mean_clt():
 
 
 def test_bridge_path_values_pinned():
-    # sha256 of bridge_path(16, 42).values, recorded when scipy was still
+    # sha256 of bridge_path(16, 42), recorded when scipy was still
     # imported with the module; the deferred import must not move a bit
-    values = bridge_path(16, 42).values
+    values = bridge_path(16, 42)
     assert values.dtype == np.float64
     assert hashlib.sha256(values.tobytes()).hexdigest() == (
         "2cf403342cd0e0b115b5a5ac724fb186f0cbea012c764b88000bd84c3a57e4a4")
@@ -55,10 +54,10 @@ def test_import_does_not_load_scipy():
 
 def test_bridge_path_shape():
     path = bridge_path(16, 42)
-    assert path.values.shape == (17,)
-    assert path.values[0] == 0.0 and path.values[-1] == 0.0
+    assert path.shape == (17,)
+    assert path[0] == 0.0 and path[-1] == 0.0
     again = bridge_path(16, 42)
-    assert np.array_equal(path.values, again.values)
+    assert np.array_equal(path, again)
     for bad in (0, 1, 3, 24):
         with pytest.raises(ValueError):
             bridge_path(bad, 0)
@@ -69,7 +68,7 @@ def test_bridge_covariance_structure():
     m, paths = 64, 10 ** 4
     idx = [m // 4, m // 2, 3 * m // 4]
     ts = [i / m for i in idx]
-    samples = np.array([bridge_path(m, seed).values[idx] for seed in range(paths)])
+    samples = np.array([bridge_path(m, seed)[idx] for seed in range(paths)])
     for i, s in enumerate(ts):
         for j, t in enumerate(ts):
             exact = min(s, t) - s * t
@@ -79,7 +78,7 @@ def test_bridge_covariance_structure():
 
 
 def test_bridge_functional_hand_case():
-    path = BridgePath(m=4, seed=0, values=np.array([0.0, 1.0, 2.0, 1.0, 0.0]))
+    path = np.array([0.0, 1.0, 2.0, 1.0, 0.0])
     assert bridge_functional(path, Fraction(1, 4), 10) == pytest.approx(10.0)
     assert bridge_functional(path, 0, 10) == 0.0
     assert bridge_functional(path, 1, 10) == 0.0
@@ -100,7 +99,7 @@ def test_bridge_functional_mean():
 def test_random_variance_single_point_exact():
     res = random_variance_experiment(1, Fraction(3, 8), 12, seed=5)
     expect = 3 / 8 - (3 / 8) ** 2
-    assert all(r.v == expect for r in res.records)
+    assert all(v == expect for v in res.values)
     assert res.mean == expect and res.stddev == 0.0
     assert res.expected == expect
 
@@ -115,11 +114,10 @@ def test_random_variance_degenerate_and_validation():
 def test_random_variance_determinism_and_tags():
     a = random_variance_experiment(100, Fraction(1, 16), 8, seed=31)
     b = random_variance_experiment(100, Fraction(1, 16), 8, seed=31)
-    assert [r.v for r in a.records] == [r.v for r in b.records]
-    assert a.records[3].alpha == "random:31/3"
+    assert a.values == b.values
     assert a.stderr == a.stddev / math.sqrt(8)
     c = random_variance_experiment(100, Fraction(1, 16), 8, seed=32)
-    assert [r.v for r in c.records] != [r.v for r in a.records]
+    assert c.values != a.values
 
 
 def test_random_variance_matches_expectation():
@@ -139,9 +137,6 @@ def test_kronecker_golden_denominators_stay_flat():
                                 [Fraction(1, 4), Fraction(1, 16)], n_max=100)
     assert [r.q for r in rows] == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
     assert max(r.max_v for r in rows) <= 9.0
-    for row in rows:
-        assert len(row.records) == 2
-        assert row.records[0].n == row.q
 
 
 def test_rational_dilation_blows_up():

@@ -59,6 +59,14 @@ def test_parse_config_full_and_defaults():
     "alphas = golden\nalpha_count = 5\nn_grid = 10\ns_grid = 1/4",
     "alphas = golden\nn_grid = 10\ns_grid = 1/4\nseed = 8",
     "alpha_mode = explicit\nalphas = golden\nn_grid = 10\ns_grid = 1/4\nseed = 9",
+    # input that would write rows nowhere or repeat or drop them
+    "n_grid = 10\ns_grid = 1/4\nseed = 1\nout =",
+    "n_grid = 10\ns_grid = 1/4\nseed = 1\nseed = 2",
+    "n_grid = 10\nn_grid = 20\ns_grid = 1/4\nseed = 1",
+    "n_grid = 10\ns_grid = 1/4, 1/4\nseed = 1",
+    "n_grid = 10\ns_grid = 1/4, 2/8\nseed = 1",
+    "alphas = golden, golden\nn_grid = 10\ns_grid = 1/4",
+    "alphas = rat:1/4, rat:5/4\nn_grid = 10\ns_grid = 1/4",
 ])
 def test_parse_config_rejects(text):
     with pytest.raises(ConfigError):
@@ -71,7 +79,7 @@ def test_parse_s_grid_forms():
         Fraction(1, 4), Fraction(1, 8), Fraction(1, 16))
     grid = parse_s_grid("k/64")
     assert len(grid) == 63 and grid[0] == Fraction(1, 64) and grid[-1] == Fraction(63, 64)
-    for bad in ("logspace:4..2", "logspace:0..65", "logspace:3", "", "2/6"):
+    for bad in ("logspace:4..2", "logspace:0..65", "logspace:3", "", "2/6", "1/4,1/4"):
         with pytest.raises(ConfigError):
             parse_s_grid(bad)
 
@@ -150,12 +158,20 @@ def test_run_scan_threads_match_serial():
 
 
 def test_emit_parse_roundtrip():
-    cfg = parse_config("alphas = golden\nn_grid = 1,10\ns_grid = 1/4,1/32\n")
+    # N = 0 and S = 0 rows have no ratio; S = 1 is the whole circle
+    cfg = parse_config("alphas = golden, rat:1/2\nn_grid = 0,1,10\ns_grid = 1/4,1/32,0,1\n")
     result = run_scan(cfg)
-    back = parse(emit(result, "csv"), "csv")
-    assert back.rows == result.rows and back.metadata == {}
-    back = parse(emit(result, "json"), "json")
-    assert back.rows == result.rows and back.metadata == result.metadata
+    ratios = [r.ratio for r in result.rows]
+    assert None in ratios and all(r is None for r in ratios[:8])
+    assert all(r.ratio == r.v / r.n for r in result.rows if r.s == 1 and r.n)
+    for fmt in ("csv", "json"):
+        data = emit(result, fmt)
+        back = parse(data, fmt)
+        assert back.rows == result.rows
+        assert [r.ratio for r in back.rows] == ratios
+        assert emit(back, fmt) == data
+    assert parse(emit(result, "csv"), "csv").metadata == {}
+    assert parse(emit(result, "json"), "json").metadata == result.metadata
     with pytest.raises(ConfigError):
         emit(result, "yaml")
     with pytest.raises(ConfigError):
@@ -170,10 +186,13 @@ def test_parse_csv_edge_cases():
         parse(b"not,a,header\n")
     with pytest.raises(ConfigError, match="6 fields"):
         parse((CSV_HEADER + "\n1,2\n").encode())
-    # free-form alpha tags survive the round trip as strings
-    rec = VarianceRecord(n=3, s=Fraction(1, 2), alpha="random:9/0", v=1.0, ratio=None)
-    back = parse(emit(ScanResult(rows=(rec,), metadata={}))).rows[0]
-    assert back == rec
+    # a row names its line when a field does not parse, the alpha included
+    good = "3,1,2," + "0" * 32 + ",1,0.66666666666666663"
+    assert parse(f"{CSV_HEADER}\n{good}\n".encode()).rows[0].alpha == Alpha(0)
+    for bad in ("3,1,2,random:9/0,1,", "3,1,2," + "0" * 31 + ",1,", "x,1,2," + "0" * 32 + ",1,",
+                "3,1,3," + "0" * 32 + ",1,"):
+        with pytest.raises(ConfigError, match="csv line 3"):
+            parse(f"{CSV_HEADER}\n{good}\n{bad}\n".encode())
 
 
 def test_preset_config_and_verdict():
@@ -188,7 +207,7 @@ def test_preset_config_and_verdict():
         n, s = 1000, Fraction(1, 64)
         scale = n * float(s) * (1 - float(s))
         return tuple(
-            VarianceRecord.build(n, s, Alpha.golden(), scale * level * f)
+            VarianceRecord(n, s, Alpha.golden(), scale * level * f)
             for f in (0.99, 1.0, 1.01))
 
     good = preset_verdict("thm1-quadratic", ScanResult(rows_at(1.0), {}))
@@ -236,6 +255,16 @@ def test_main_scan_prints_csv_without_out(tmp_path, capsys):
     assert capsys.readouterr().out.encode() == emit(run_scan(parse_config(BASE_CONFIG)))
 
 
+def test_main_scan_refuses_empty_out(tmp_path, capsys, monkeypatch):
+    conf = tmp_path / "scan.conf"
+    conf.write_text("alphas = golden\nn_grid = 10\ns_grid = 1/4\n")
+    monkeypatch.setattr(cli, "run_scan", lambda *a, **k: pytest.fail("scan ran"))
+    assert main(["scan", "--config", str(conf), "--out", ""]) == 2
+    assert "--out" in capsys.readouterr().err
+    conf.write_text("alphas = golden\nn_grid = 10\ns_grid = 1/4\nout =\n")
+    assert main(["scan", "--config", str(conf)]) == 2
+
+
 def test_main_scan_refuses_seed_for_explicit_alphas(tmp_path, capsys):
     conf = tmp_path / "scan.conf"
     conf.write_text("alphas = golden\nn_grid = 10\ns_grid = 1/4\n")
@@ -244,7 +273,9 @@ def test_main_scan_refuses_seed_for_explicit_alphas(tmp_path, capsys):
 
 
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):
-    assert main(["scan"]) == 2  # --config required
+    with pytest.raises(SystemExit) as exc:
+        main(["scan"])  # --config required
+    assert exc.value.code == 2
     assert main(["scan", "--config", str(tmp_path / "missing.conf")]) == 2
     bad = tmp_path / "bad.conf"
     bad.write_text("n_grid = 10\n")
@@ -261,7 +292,7 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         n, s = 1000, Fraction(1, 64)
         scale = n * float(s) * (1 - float(s))
         return ScanResult(
-            rows=tuple(VarianceRecord.build(n, s, Alpha.golden(), scale * f)
+            rows=tuple(VarianceRecord(n, s, Alpha.golden(), scale * f)
                        for f in (0.2, 0.25, 0.3)),
             metadata={})
 
@@ -337,8 +368,9 @@ def test_main_random_baseline(capsys):
                  "--replicates", "3", "--seed", "5"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["mean"] == doc["expected"] == pytest.approx(0.234375)
-    assert main(["random-baseline", "--n", "1", "--s", "3/8",
-                 "--replicates", "3"]) == 2  # seed required
+    with pytest.raises(SystemExit) as exc:
+        main(["random-baseline", "--n", "1", "--s", "3/8", "--replicates", "3"])  # seed required
+    assert exc.value.code == 2
 
 
 def test_main_bridge_sim(capsys):
@@ -395,6 +427,7 @@ def test_main_refuses_flags_a_subcommand_does_not_take(argv):
     ["kronecker", "--alpha", "golden", "--n-max", "0"],
     ["energy", "--sequence", "linear", "--count", "10", "--pair-budget", "-1"],
     ["divcheck", "--poly", "0,1", "--count", "5", "--pair-budget", "-1"],
+    ["bridge-sim", "--m", "64", "--s", "1/4", "--n", "8"],  # --seed required
 ])
 def test_main_refuses_nonpositive_threads_and_window(argv):
     with pytest.raises(SystemExit) as exc:

@@ -42,10 +42,6 @@ def test_decompose_half_and_scalar_identity():
 
 def test_decompose_residual_rejected():
     with pytest.raises(ValueError):
-        decompose(Fraction(15, 64), max_level=3)
-    # prefix digits alone are fine at a tight level cap
-    assert decompose(Fraction(1, 8), max_level=3).pairs() == [(3, 0)]
-    with pytest.raises(ValueError):
         decompose(Fraction(1, 3))
 
 
@@ -106,6 +102,17 @@ def test_y_statistic_examples():
     assert y_statistic([1, 2], 2, kern, Alpha.parse("rat:1/8")) == pytest.approx(0.25)
     with pytest.raises(ValueError):
         y_statistic([1, 2], 3, kern, Alpha.golden())
+
+
+def test_y_statistic_takes_int64_arrays():
+    # numpy terms are read as Python ints, so the grid products stay exact
+    kern = PlateauKernel(4, 1)
+    assert y_statistic(np.array([1, 4, 9, 16]), 4, kern, Alpha.golden()) == -0.0703125
+    terms = generate_terms(SequenceSpec.poly((0, -3, 1)), 40)
+    for alpha in (Alpha.golden(), Alpha.sqrt2m1()):
+        for n in (1, 2, 17, 40):
+            assert (y_statistic(np.array(terms, dtype=np.int64), n, kern, alpha)
+                    == y_statistic(terms, n, kern, alpha))
 
 
 def test_y_statistic_mean_zero_over_alpha():

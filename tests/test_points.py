@@ -193,25 +193,23 @@ def test_dilate_matches_exact_rationals():
 
 
 def test_convergents_golden_fibonacci():
-    convs, truncated = continued_fraction_convergents(Alpha.golden(), 6)
+    convs = continued_fraction_convergents(Alpha.golden(), 6)
     assert [q for _, q in convs] == [1, 2, 3, 5, 8, 13]
-    assert not truncated
 
 
 def test_convergents_rational_truncates():
-    convs, truncated = continued_fraction_convergents(Alpha.from_rational(1, 3), 10)
+    convs = continued_fraction_convergents(Alpha.from_rational(1, 3), 10)
     assert convs == [(0, 1), (1, 3)]
-    assert truncated
 
 
 def test_convergents_sqrt2m1():
-    convs, _ = continued_fraction_convergents(Alpha.sqrt2m1(), 4)
+    convs = continued_fraction_convergents(Alpha.sqrt2m1(), 4)
     assert [q for _, q in convs] == [1, 2, 5, 12]
 
 
 def test_convergents_dirichlet_property():
     for alpha in (Alpha.golden(), Alpha.sqrt2m1(), Alpha.from_rational(355, 1130)):
-        convs, _ = continued_fraction_convergents(alpha, 20)
+        convs = continued_fraction_convergents(alpha, 20)
         qs = [q for _, q in convs]
         assert all(b > a for a, b in zip(qs, qs[1:]))
         for p, q in convs:
@@ -221,5 +219,5 @@ def test_convergents_dirichlet_property():
 
 
 def test_convergents_respect_count():
-    convs, truncated = continued_fraction_convergents(Alpha.golden(), 3)
-    assert len(convs) == 3 and not truncated
+    convs = continued_fraction_convergents(Alpha.golden(), 3)
+    assert len(convs) == 3

@@ -464,7 +464,8 @@ def test_window_accumulator_reuse_matches_single_shot():
 
 
 def test_variance_record_build():
-    rec = VarianceRecord.build(100, Fraction(1, 4), Alpha.golden(), 625.0)
+    rec = VarianceRecord(100, Fraction(1, 4), Alpha.golden(), 625.0)
     assert rec.ratio == 25.0
-    assert VarianceRecord.build(100, 0, "random:1/0", 0.0).ratio is None
+    assert VarianceRecord(100, Fraction(0), Alpha.golden(), 0.0).ratio is None
+    assert VarianceRecord(0, Fraction(1, 4), Alpha.golden(), 0.0).ratio is None
     assert rec.s == Fraction(1, 4)
