@@ -216,10 +216,19 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def _alpha_cell(args):
-    """Worker: variance of one dilated point set over a list of widths."""
+    """Worker: variance of one dilated point set over a list of widths.  An
+    exception is raised again naming the cell, where its type takes a message."""
     terms, a, s_pairs = args
-    acc = WindowAccumulator(dilate_mod1(terms, Alpha(a)))
-    return [acc.variance(Fraction(num, den)) for num, den in s_pairs]
+    alpha = Alpha(a)
+    try:
+        acc = WindowAccumulator(dilate_mod1(terms, alpha))
+        return [acc.variance(Fraction(num, den)) for num, den in s_pairs]
+    except Exception as exc:
+        try:
+            named = type(exc)(f"N = {len(terms)}, alpha {alpha.hex}: {exc}")
+        except Exception:
+            raise exc from None
+        raise named.with_traceback(exc.__traceback__) from None
 
 
 def _row_values(rec: VarianceRecord) -> tuple:
@@ -323,8 +332,13 @@ def parse(data: bytes, fmt: str = "csv") -> ScanResult:
             rows.append(_record(f"csv line {lineno}", *parts))
         return ScanResult(rows=tuple(rows), metadata={})
     if fmt == "json":
-        doc = json.loads(text)
-        rows = tuple(_record(f"json row {k}", *(row[c] for c in _COLUMNS))
+        with _input_error("json"):
+            doc = json.loads(text)
+        if not (isinstance(doc, dict) and isinstance(doc.get("rows"), list)
+                and all(isinstance(row, dict) for row in doc["rows"])):
+            raise ConfigError("json: expected an object whose rows are a list of objects")
+        # fields go through str as CSV fields do, so that null or a list fails to convert
+        rows = tuple(_record(f"json row {k}", *(str(row.get(c)) for c in _COLUMNS))
                      for k, row in enumerate(doc["rows"], 1))
         return ScanResult(rows=rows, metadata=doc.get("metadata", {}))
     raise ConfigError(f"format: expected csv or json, got {fmt!r}")

@@ -58,23 +58,23 @@ class VarianceRecord:
         return self.v / (self.n * float(self.s)) if self.n > 0 and self.s > 0 else None
 
 
-_LIMB_BITS = 16
+_LIMB_BITS = 32
 _LIMB_MAX = (1 << _LIMB_BITS) - 1
 _INT64_MAX = (1 << 63) - 1
 
 
 def _limbs(points: PointSet) -> np.ndarray:
-    """(8, N) int64 array of the points' 16-bit limbs, least significant first."""
-    return np.stack([((word >> np.uint64(shift)) & np.uint64(_LIMB_MAX)).astype(np.int64)
-                     for word in (points.lo, points.hi) for shift in range(0, 64, _LIMB_BITS)])
+    """(4, N) int64 array of the points' 32-bit limbs, least significant first."""
+    return np.stack([(word >> np.uint64(shift)) & _LOW32 for word in (points.lo, points.hi)
+                     for shift in (0, _LIMB_BITS)]).astype(np.int64)
 
 
 def _limb_dot(weights: np.ndarray, limbs: np.ndarray) -> int:
     """sum_k weights[k] * (point k) exactly, from int64 dot products over limbs.
 
     A dot product over L entries stays below 2^63 when max|weight| *
-    (2^16 - 1) * L does, so the sum is taken in chunks of that length; a
-    weight too large for even one entry raises OverflowError.
+    (2^32 - 1) * L does, so the sum is taken in chunks of that length; a
+    weight too large for even one entry (above 2^31) raises OverflowError.
     """
     per_entry = int(np.abs(weights).max(initial=0)) * _LIMB_MAX
     if per_entry > _INT64_MAX:
@@ -100,43 +100,34 @@ class WindowAccumulator:
     Take the doubled sequence d_0..d_{2N-1} = t_0..t_{N-1}, t_0 + 1, ..,
     t_{N-1} + 1 of the sorted points.  The partners of point k at clockwise
     distance < S are the entries lower[k] <= j < upper[k], those with d_j in
-    (t_k + 1 - S, t_k + 1].  upper depends only on the points and is built
-    once; lower takes a searchsorted over the high words per window length, and
-    one over 128-bit keys for the targets whose high word a point shares.
+    (t_k + 1 - S, t_k + 1].  upper depends only on the points, so __init__
+    builds once all that comes from it: upper's share of the tent weights as
+    one int64 array and its scalar sums, beside the points' 32-bit limbs, 40
+    bytes per point in all.  A width then costs one searchsorted of the high
+    words, one bincount and cumsum of lower, one limb dot and O(1) scalars.
+    The 128-bit keys (16 bytes per point) are built when a target first shares
+    its high word with a point: at once for rational alphas, rarely otherwise.
     """
 
     def __init__(self, points: PointSet):
         n = self.n = points.n
         self.points = points
-        self._keys = _keys128(points.hi, points.lo)
+        self._keys = None
         self._limbs = _limbs(points)
-        # runs of equal points: the last index of a point's run bounds its window
-        # from above, and a run of r points holds r(r - 1) coincident ordered pairs
+        # runs of equal points: upper = N + the end of the point's run, and a run
+        # of r points holds r(r - 1) coincident ordered pairs
         hi, lo = points.hi, points.lo
         new_run = np.ones(n, dtype=bool)
         new_run[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
         starts = np.flatnonzero(new_run)
         runs = np.diff(starts, append=n)
-        self._upper = n + np.repeat(starts + runs, runs)
+        run_end = np.repeat(starts + runs, runs)
         self.coincident_pairs = int(np.dot(runs, runs - 1))
-
-    def _lower(self, width: int) -> np.ndarray:
-        """Per point, the number of doubled entries <= t_k + 1 - width."""
-        n = self.n
-        if width == GRID_ONE:  # no 64-bit high word; the window is (t_k, t_k + 1]
-            return self._upper - n
-        hi, lo = self.points.hi, self.points.lo
-        w_hi, w_lo = np.uint64(width >> 64), np.uint64(width & ((1 << 64) - 1))
-        carry = lo < w_lo
-        t_hi, t_lo = hi - w_hi - carry, lo - w_lo
-        wraps = (hi < w_hi) | ((hi == w_hi) & carry)  # t_k - width < 0
-        lower = np.searchsorted(hi, t_hi, side="right")
-        # where a point shares the target's high word, the low words decide
-        # (lower - 1 = -1 reads the largest high word, which is then > t_hi)
-        tied = np.flatnonzero(hi[lower - 1] == t_hi)
-        lower[tied] = np.searchsorted(self._keys, _keys128(t_hi[tied], t_lo[tied]), side="right")
-        lower[~wraps] += n
-        return lower
+        # upper's share of point k's weight (see tent_pair_sum), less N:
+        # #{i: upper[i] <= k} (= 0) + #{i: upper[i] <= N + k} + upper[k] - N
+        cover = np.cumsum(np.bincount(run_end, minlength=n + 1)[:n])
+        self._upper_weight = cover + run_end
+        self._upper_sums = int(run_end.sum()), int(cover.sum())
 
     def tent_pair_sum(self, width: int) -> int:
         """sum over ordered pairs m != n of the periodized tent at their gap.
@@ -152,14 +143,42 @@ class WindowAccumulator:
         n = self.n
         if n < 2 or width == 0:
             return 0
-        lower, upper = self._lower(width), self._upper
-        edges = (np.bincount(lower, minlength=2 * n + 1)
-                 - np.bincount(upper, minlength=2 * n + 1))
-        cover = np.cumsum(edges[:2 * n])
-        count = upper - lower
-        total = (_limb_dot(cover[:n] + cover[n:] - count, self._limbs)
-                 + (width - GRID_ONE) * int(count.sum())
-                 + GRID_ONE * int(cover[n:].sum())
+        if width == GRID_ONE:  # every window is the whole circle, and V = 0
+            return n * (n - 1) * GRID_ONE
+        # found[k] points are <= t_k - width mod 1; the first `wraps` points
+        # (t_k < width, a prefix) have lower = found, the rest N + found
+        hi, lo = self.points.hi, self.points.lo
+        w_hi, w_lo = np.uint64(width >> 64), np.uint64(width & _WORD)
+        t_hi = hi - w_hi
+        if w_lo:
+            t_hi -= lo < w_lo
+        first, last = np.searchsorted(hi, w_hi), np.searchsorted(hi, w_hi, side="right")
+        wraps = int(first + np.searchsorted(lo[first:last], w_lo))
+        found = np.searchsorted(hi, t_hi, side="right")
+        # where a point shares the target's high word, the low words decide
+        # (found - 1 = -1 reads the largest high word, which is then > t_hi)
+        tied = np.flatnonzero(hi[found - 1] == t_hi)
+        if len(tied):
+            if self._keys is None:
+                self._keys = _keys128(hi, lo)
+            found[tied] = np.searchsorted(self._keys, _keys128(t_hi[tied], lo[tied] - w_lo),
+                                          side="right")
+        # Point k's weight is cover[k] + cover[N + k] - count[k], where cover[j]
+        # counts the windows holding entry j and count = upper - lower; lower's
+        # share, #{i: lower[i] <= k} + #{i: lower[i] <= N + k} + lower[k], is
+        # #{i: found[i] <= k} + wraps + found[k] + N [k >= wraps]
+        bins = np.bincount(found, minlength=n + 1)
+        bins[0] += wraps
+        weights = np.cumsum(bins[:n])
+        weights += found
+        weights -= self._upper_weight
+        weights[:wraps] -= n
+        end_sum, end_cover_sum = self._upper_sums
+        count_sum = end_sum - int(found.sum()) + n * wraps
+        cover_sum = n * n - int(found[wraps:].sum()) - end_cover_sum  # over entries >= N
+        total = (_limb_dot(weights, self._limbs)
+                 + (width - GRID_ONE) * count_sum
+                 + GRID_ONE * cover_sum
                  - n * width)  # each point saw itself at distance zero
         return 2 * total - self.coincident_pairs * width
 

@@ -195,6 +195,61 @@ def test_parse_csv_edge_cases():
             parse(f"{CSV_HEADER}\n{good}\n{bad}\n".encode())
 
 
+_GOOD_JSON_ROW = {"N": 3, "S_num": 1, "S_den": 2, "alpha_hex": "0" * 32, "V": 1.0,
+                  "ratio": 0.6666666666666666}
+
+
+@pytest.mark.parametrize("data, match", [
+    (b"{not json", "json: "),
+    (b"[1, 2]", "json: expected an object"),
+    (b'{"rows": {"N": 3}}', "json: expected an object"),
+    (b'{"rows": [5]}', "json: expected an object"),
+    (json.dumps({"rows": [_GOOD_JSON_ROW, {k: v for k, v in _GOOD_JSON_ROW.items()
+                                           if k != "S_num"}]}).encode(), "json row 2: "),
+    (json.dumps({"rows": [_GOOD_JSON_ROW, dict(_GOOD_JSON_ROW, N=None)]}).encode(),
+     "json row 2: "),
+    (json.dumps({"rows": [_GOOD_JSON_ROW, dict(_GOOD_JSON_ROW, N=3.5)]}).encode(),
+     "json row 2: "),
+    (json.dumps({"rows": [_GOOD_JSON_ROW, dict(_GOOD_JSON_ROW, V=[1.0])]}).encode(),
+     "json row 2: "),
+], ids=["not-json", "top-level-list", "rows-not-list", "row-not-object", "missing-column",
+        "null-field", "float-N", "list-V"])
+def test_parse_json_errors_are_config_errors(data, match):
+    assert parse(json.dumps({"rows": [_GOOD_JSON_ROW]}).encode(), "json").rows[0].n == 3
+    with pytest.raises(ConfigError, match=match):
+        parse(data, "json")
+
+
+def _fail_for_one_alpha(monkeypatch, bad: Alpha, exc_type):
+    real = cli.dilate_mod1
+
+    def dilate(terms, alpha):
+        if alpha == bad:
+            raise exc_type("dilation failed")
+        return real(terms, alpha)
+
+    monkeypatch.setattr(cli, "dilate_mod1", dilate)  # a forked pool inherits it
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_scan_failure_names_the_cell(monkeypatch, threads):
+    bad = Alpha.parse("sqrt2m1")
+    _fail_for_one_alpha(monkeypatch, bad, RuntimeError)
+    cfg = parse_config("alphas = golden, sqrt2m1\nn_grid = 20, 40\ns_grid = 1/8\n")
+    with pytest.raises(RuntimeError, match=f"N = 20, alpha {bad.hex}: dilation failed"):
+        run_scan(cfg, threads=threads)
+
+
+@pytest.mark.parametrize("threads", ("1", "2"))
+def test_main_scan_failure_keeps_its_exit_code(tmp_path, capsys, monkeypatch, threads):
+    bad = Alpha.golden()
+    _fail_for_one_alpha(monkeypatch, bad, OverflowError)
+    conf = tmp_path / "scan.conf"
+    conf.write_text("alphas = rat:1/2, golden\nn_grid = 10\ns_grid = 1/4\n")
+    assert main(["scan", "--config", str(conf), "--threads", threads]) == 2
+    assert f"N = 10, alpha {bad.hex}: dilation failed" in capsys.readouterr().err
+
+
 def test_preset_config_and_verdict():
     cfg = preset_config("thm1-quadratic")
     assert cfg.seed == cli.PRESET_SEED

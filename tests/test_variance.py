@@ -215,12 +215,88 @@ def test_tent_pair_sum_matches_reference_loop(name):
 def test_limb_dot_chunks_or_refuses_large_weights():
     points = PointSet.from_ints((GRID_ONE - 3, GRID_ONE - 2, GRID_ONE - 1))
     limbs = _limbs(points)
-    # 2^46 * (2^16 - 1) * 3 > 2^63: one unchunked int64 dot would wrap
-    weights = np.array([1 << 46, (1 << 46) - 1, 1 << 46], dtype=np.int64)
-    want = sum(int(w) * p for w, p in zip(weights, points.points))
-    assert _limb_dot(weights, limbs) == want
+    # 2^30 * (2^32 - 1) * 3 > 2^63: one unchunked int64 dot would wrap, and at
+    # |weight| = 2^31 a chunk holds one entry
+    for top in (1 << 30, 1 << 31, -(1 << 30), -(1 << 31)):
+        weights = np.array([top, top - np.sign(top), top], dtype=np.int64)
+        want = sum(int(w) * p for w, p in zip(weights, points.points))
+        assert _limb_dot(weights, limbs) == want
     with pytest.raises(OverflowError):
-        _limb_dot(np.array([1, 1 << 48, 1], dtype=np.int64), limbs)
+        _limb_dot(np.array([1, (1 << 31) + 1, 1], dtype=np.int64), limbs)
+
+
+_LATTICE_WIDTHS = [GRID_ONE >> v for v in range(1, 13)] + [1 << 64]
+
+
+def test_search_keys_are_built_at_the_first_tie():
+    sample = list(sample_uniform(1000, 31).points.points)
+    step = GRID_ONE >> 7
+    # q = p + 2^-7 puts q's target at width 2^-7 on p itself; q + 1's target
+    # shares p's high word and lies above p by its low word
+    p = next(x for x in sample if x < GRID_ONE - 2 * step)
+    points = PointSet.from_ints(sorted(sample + [p + step, p + step + 1]))
+    acc = WindowAccumulator(points)
+    first = acc.tent_pair_sum(GRID_ONE >> 5)
+    assert acc._keys is None
+    assert first == reference_tent_pair_sum(points, GRID_ONE >> 5)
+    assert acc.tent_pair_sum(step) == reference_tent_pair_sum(points, step)
+    assert acc._keys is not None
+    assert acc.tent_pair_sum(GRID_ONE >> 5) == first
+    for width in _LATTICE_WIDTHS:
+        assert acc.variance(Fraction(width, GRID_ONE), exact=True) == variance_sweep(
+            points, Fraction(width, GRID_ONE), exact=True)
+
+
+@pytest.mark.parametrize("alpha", ["rat:1/2", "rat:3/1024", "0"])
+def test_tent_pair_sum_on_clustered_sets(alpha):
+    points = _squares_dilated(Alpha(0) if alpha == "0" else Alpha.parse(alpha), 2000)
+    acc = WindowAccumulator(points)
+    for width in _LATTICE_WIDTHS:
+        assert acc.tent_pair_sum(width) == reference_tent_pair_sum(points, width)
+
+
+def test_tent_pair_sum_with_chunked_limb_dot(monkeypatch):
+    # N distinct points spread over 2^32 consecutive high words, an arc far
+    # shorter than S: point k's weight is about N - 2k and its second limb
+    # about k 2^32 / N, so that limb's sum is about -N^2 2^32 / 6, past -2^63;
+    # an unchunked int64 dot would wrap
+    n = 200_000
+    hi = (1 << 62) + np.arange(n, dtype=np.uint64) * np.uint64((1 << 32) // n)
+    points = PointSet(hi, np.zeros(n, dtype=np.uint64))
+    chunks = []
+    real = numvar.variance._limb_dot
+
+    def counting_dot(weights, limbs):
+        per_entry = int(np.abs(weights).max()) * numvar.variance._LIMB_MAX
+        chunks.append(-(-len(weights) // ((1 << 63) // per_entry)))
+        return real(weights, limbs)
+
+    monkeypatch.setattr(numvar.variance, "_limb_dot", counting_dot)
+    s = Fraction(1, 32)
+    assert variance_pairwise(points, s, exact=True) == variance_sweep(points, s, exact=True)
+    assert chunks[0] > 1
+
+
+def test_widths_in_any_order_give_the_same_values():
+    for points in (_POINT_SETS["random0-N10000"], _POINT_SETS["rat3_1024-N10000"]):
+        acc = WindowAccumulator(points)
+        widths = [Fraction(w, GRID_ONE) for w in sorted(_LATTICE_WIDTHS)]
+        up = [acc.variance(s, exact=True) for s in widths]
+        down = [acc.variance(s, exact=True) for s in reversed(widths)]
+        assert up == down[::-1] == [variance_sweep(points, s, exact=True) for s in widths]
+
+
+def test_accumulator_memory_per_point():
+    points = _POINT_SETS["random0-N10000"]
+    acc = WindowAccumulator(points)
+    for width in _LATTICE_WIDTHS[4:12]:  # 2^-5 .. 2^-12, the scan's widths
+        acc.tent_pair_sum(width)
+    assert acc._keys is None
+    owned = sum(v.nbytes for v in vars(acc).values() if isinstance(v, np.ndarray))
+    assert owned <= 48 * points.n
+    tied = WindowAccumulator(_POINT_SETS["rat3_1024-N10000"])
+    tied.tent_pair_sum(GRID_ONE >> 5)
+    assert tied._keys is not None
 
 
 _SWEEP_WIDTHS = (Fraction(1, 32), Fraction(15, 64), Fraction(1, 2), Fraction(1, 1 << 64),
