@@ -121,9 +121,8 @@ def _value_ranges(parts, span: int, cap: int) -> list:
     return ranges
 
 
-def _range_histogram(parts, lo: int, hi: int):
-    """The parts' gaps r - c in [lo, hi) as (distinct gaps in the key dtype,
-    run lengths as int64), ascending.
+def _range_keys(parts, lo: int, hi: int) -> np.ndarray:
+    """The parts' gaps r - c in [lo, hi) as sorted keys.
 
     Each block of rows writes the columns every row of it partners into one
     rectangle of the key buffer; the ragged ends of the rows' runs (the
@@ -155,6 +154,28 @@ def _range_histogram(parts, lo: int, hi: int):
                 np.compress(keep, (rows - ck[c0:c1]).ravel(), out=keys[pos:end])
                 pos = end
     keys.sort()
+    return keys
+
+
+def _gap_ranges(terms, n1: int, n2: int, mem_budget: int = DEFAULT_MEM_BUDGET):
+    """(parts, value ranges) of the gaps u = |x_n - x_m| > 0 over pairs
+    m < n with N1 <= n <= N2: _range_keys(parts, lo, hi) over the ranges in
+    order gives the sorted keys of every gap, one range at a time.
+
+    Builds each of the window's pairs once (see _window_parts), as keys of
+    w = 4 bytes (uint32) or 8.  The value ranges are sized for the histogram
+    (_runs), which holds at most 2 w + 17 bytes per gap: the key, a mask
+    byte, the run start and length, and the distinct key.  A range holds at
+    least N2 pairs, as the per-row run bounds take 16 bytes a row anyway.
+    Exact for |terms| < 2^62 (OverflowError otherwise).
+    """
+    parts, span = _window_parts(terms, n1, n2)
+    cap = max(n2, mem_budget // (2 * parts[0][0][1].itemsize + 17))
+    return parts, _value_ranges(parts, span, cap)
+
+
+def _runs(keys: np.ndarray):
+    """(distinct keys, int64 run lengths) of sorted keys."""
     if not keys.size:
         return keys, np.zeros(0, dtype=np.int64)
     edge = np.empty(keys.size, dtype=bool)
@@ -168,37 +189,54 @@ def _range_histogram(parts, lo: int, hi: int):
     return keys[starts], reps
 
 
-def _gap_histogram(terms, n1: int, n2: int, mem_budget: int = DEFAULT_MEM_BUDGET):
-    """Yield, per gap value range in ascending order, the sorted distinct
-    gaps u = |x_n - x_m| > 0 over pairs m < n with N1 <= n <= N2 and their
-    multiplicities: (gaps in the narrowest exact dtype, int64 counts).
-
-    Builds each of the window's pairs once (see _window_parts).  The value
-    ranges keep each pass's scratch within mem_budget, at 2 w + 17 bytes per
-    gap for w-byte keys: the key, a mask byte, the run start and length, and
-    the distinct key.  A range holds at least N2 pairs, as the per-row run
-    bounds take 16 bytes a row anyway.  Exact for |terms| < 2^62
-    (OverflowError otherwise).
-    """
-    parts, span = _window_parts(terms, n1, n2)
-    cap = max(n2, mem_budget // (2 * parts[0][0][1].itemsize + 17))
-    for lo, hi in _value_ranges(parts, span, cap):
-        yield _range_histogram(parts, lo, hi)
-
-
-def _gap_arrays(terms, n1: int, n2: int):
-    """_gap_histogram's value ranges joined into two int64 arrays."""
-    empty = np.zeros(0, dtype=np.int64)
-    parts = list(_gap_histogram(terms, n1, n2))
-    return (np.concatenate([empty, *(g for g, _ in parts)]),
-            np.concatenate([empty, *(r for _, r in parts)]))
-
-
 def _square_sum(reps) -> int:
     """sum of r^2 over int64 counts, exactly: one int64 dot unless it could overflow."""
     if reps.size and int(reps.max()) * int(reps.sum()) >= 1 << 63:
         return sum(r * r for r in reps.tolist())
     return int(np.dot(reps, reps))
+
+
+# keys per chunk of _run_square_sum; at up to 17 bytes of scratch a key, a
+# chunk's 1.1 MB stays in a 2 MB L2 cache
+_RUN_CHUNK = 1 << 16
+
+
+def _run_square_sum(keys: np.ndarray) -> int:
+    """sum of squared run lengths of sorted keys, in chunks of about
+    _RUN_CHUNK keys, so that its scratch stays chunk-sized.
+
+    Each chunk ends where a run starts; a run that starts a chunk and is
+    longer than one is counted whole, from its length alone.
+    """
+    total, i, size = 0, 0, keys.size
+    while i < size:
+        j = min(i + _RUN_CHUNK, size)
+        if j < size:
+            # back up to the start of the run holding keys[j]
+            j = i + int(keys[i:j].searchsorted(keys[j]))
+            if j == i:  # that run starts the chunk: take it whole
+                j = i + int(keys[i:].searchsorted(keys[i], side="right"))
+                total += (j - i) ** 2
+                i = j
+                continue
+        chunk = keys[i:j]
+        ends = np.flatnonzero(chunk[1:] != chunk[:-1])  # the last index of every run but the last
+        if ends.size:
+            first, last = int(ends[0]) + 1, chunk.size - 1 - int(ends[-1])
+            total += first * first + last * last + _square_sum(np.diff(ends))
+        else:
+            total += chunk.size * chunk.size
+        i = j
+    return total
+
+
+def _gap_arrays(terms, n1: int, n2: int):
+    """The sorted distinct gaps u and their counts Rep(u), as two int64 arrays."""
+    empty = np.zeros(0, dtype=np.int64)
+    parts, ranges = _gap_ranges(terms, n1, n2)
+    hists = [_runs(_range_keys(parts, lo, hi)) for lo, hi in ranges]
+    return (np.concatenate([empty, *(g for g, _ in hists)]),
+            np.concatenate([empty, *(r for _, r in hists)]))
 
 
 def rep_table(terms, n1: int, n2: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RepTable:
@@ -243,22 +281,30 @@ def additive_energy(terms, count: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
         raise OverflowError("terms too large for the int64 sums")
     sums = np.add.outer(x, x).ravel()
     sums.sort()
-    runs = np.diff(np.concatenate(([0], np.flatnonzero(sums[1:] != sums[:-1]) + 1, [sums.size])))
-    if int(runs.max()) * sums.size >= 1 << 63:  # sum of r^2 <= max r * count^2
+    edge = np.empty(sums.size + 1, dtype=bool)  # where a run starts, and the end
+    edge[0] = edge[-1] = True
+    np.not_equal(sums[1:], sums[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    runs = bounds[1:] - bounds[:-1]
+    if int(runs.max(initial=0)) * sums.size >= 1 << 63:  # sum of r^2 <= max r * count^2
         return sum(r * r for r in runs.tolist())
-    return int(np.sum(runs * runs))
+    return int(np.dot(runs, runs))
 
 
 def energy_direct(terms, n1: int, n2: int, *, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
     """E(N1, N2) = sum Rep(u)^2 without materializing the count map.
 
-    Takes the gap histogram one gap value range at a time, each sized so that
-    its keys and run-length temporaries fit in mem_budget bytes.  Exact for
-    |terms| < 2^62; intended for windows far beyond rep_table's reach.
+    Takes the sorted gap keys one value range at a time (the ranges
+    rep_table's histogram would use within mem_budget) and sums the squared
+    runs of each range chunk by chunk, so that it holds the range's keys and
+    chunk-sized scratch, never the distinct gaps or a run per gap.  Exact
+    for |terms| < 2^62; intended for windows far beyond rep_table's reach.
     """
     if not 1 <= n1 <= n2 <= len(terms):
         raise ValueError(f"window ({n1}, {n2}) outside 1..{len(terms)}")
-    return sum(_square_sum(reps) for _, reps in _gap_histogram(terms, n1, n2, mem_budget))
+    parts, ranges = _gap_ranges(terms, n1, n2, mem_budget)
+    # each range's keys are dropped before the next range's are built
+    return sum(_run_square_sum(_range_keys(parts, lo, hi)) for lo, hi in ranges)
 
 
 def _divisors(u: int) -> list:

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from numvar.arithmetic import (_ROW_BLOCK, BudgetExceeded, RepTable, _gap_histogram,
-                               additive_energy, congruence_solution_count, difference_set,
+from numvar import arithmetic
+from numvar.arithmetic import (_ROW_BLOCK, BudgetExceeded, RepTable, _gap_ranges,
+                               _range_keys, _run_square_sum, _runs, additive_energy,
+                               congruence_solution_count, difference_set,
                                divisibility_bound_check, divisor_lists,
                                energy_direct, energy_window, gcd_average,
                                gcd_sum, normalize_polynomial, rep_quadratic_divisor,
@@ -83,7 +86,8 @@ def test_gap_counters_match_reference_loop(terms, coeffs):
         assert energy_direct(terms, n1, n2) == energy
         # a small budget splits the gaps into several value ranges
         assert energy_direct(terms, n1, n2, mem_budget=256) == energy
-        parts = list(_gap_histogram(terms, n1, n2, mem_budget=256))
+        pairs, ranges = _gap_ranges(terms, n1, n2, mem_budget=256)
+        parts = [_runs(_range_keys(pairs, lo, hi)) for lo, hi in ranges]
         assert [u for gaps, _ in parts for u in gaps.tolist()] == sorted(ref)
         assert [r for _, reps in parts for r in reps.tolist()] == [ref[u] for u in sorted(ref)]
         if n1 in (1, 3) and n2 == n and n > 2:
@@ -227,6 +231,69 @@ def test_energy_direct_matches_window():
             rep_table(terms, 1, 2)
 
 
+def _squared_runs(keys):
+    return sum(c * c for c in Counter(keys.tolist()).values())
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+def test_run_square_sum_chunk_edges(monkeypatch, dtype):
+    keys = {
+        # a run longer than a chunk, at the start and after it
+        "long-run": [4, 4, 4, 4, 4, 4, 4, 9, 9, 9, 9, 9, 9, 12, 15, 15, 15, 15, 15],
+        # every chunk of 2 or 3 ends exactly where a run starts
+        "aligned": [1, 1, 2, 2, 3, 3, 5, 5, 7, 7, 7, 8, 8, 8],
+        "all-equal": [6] * 11,
+        "distinct": list(range(0, 40, 3)),
+        "single": [2],
+        "empty": [],
+    }
+    if dtype is np.int64:  # keys of a span of 2^32 and more
+        keys["wide"] = [1, 1, 1 << 32, 1 << 32, 1 << 32, (1 << 62) - 1]
+    for chunk in (1, 2, 3, 4, arithmetic._RUN_CHUNK):
+        monkeypatch.setattr(arithmetic, "_RUN_CHUNK", chunk)
+        for name, values in keys.items():
+            k = np.array(values, dtype=dtype)
+            assert _run_square_sum(k) == _squared_runs(k), (name, chunk)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("terms,coeffs", _differential_inputs())
+def test_energy_direct_in_small_chunks(monkeypatch, chunk, terms, coeffs):
+    # runs cross chunk ends at every size, and repeated terms' zero gaps stay out
+    monkeypatch.setattr(arithmetic, "_RUN_CHUNK", chunk)
+    n = len(terms)
+    for n1, n2 in ((1, n), (n // 2, n), (1, 1)):
+        energy = sum(r * r for r in reference_rep_counts(terms, n1, n2).values())
+        assert energy_direct(terms, n1, n2) == energy
+        assert energy_direct(terms, n1, n2, mem_budget=256) == energy
+    repeated = [5, 5, 5, 1, 5, 1]  # gap 4 eight times; the 7 pairs of equal terms have none
+    assert energy_direct(repeated, 1, 6) == 64
+
+
+def _traced_peak(call):
+    """(call(), tracemalloc's peak of traced bytes during the call)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_energy_direct_holds_little_beyond_its_keys():
+    # the keys of 1..3000 squares are uint32, 4 bytes for each of the C(3000, 2)
+    # gaps; the reduction adds chunk-sized scratch, no distinct gaps or run arrays
+    n = 3000
+    terms = generate_terms(SequenceSpec.poly((0, 0, 1)), n)
+    expect = energy_window(rep_table(terms, 1, n, pair_budget=n * n))
+    energy, peak = _traced_peak(lambda: energy_direct(terms, 1, n))
+    assert energy == expect and peak < 1.5 * 4 * n * (n - 1) // 2
+    # a budget of 2 * 10^6 gaps a range (25 bytes each to the histogram) splits
+    # the 4.5 * 10^6 gaps into three ranges, and one range's keys are held at a time
+    cap = 2 * 10 ** 6
+    energy, peak = _traced_peak(lambda: energy_direct(terms, 1, n, mem_budget=25 * cap))
+    assert energy == expect and peak < 1.5 * 4 * cap
+
+
 def test_rep_quadratic_divisor_examples():
     p = (1, 0)  # x^2, coefficients (a, b) of a x^2 + b x
     assert rep_quadratic_divisor(p, 15, 10) == 2
@@ -316,7 +383,6 @@ def test_gcd_sum_auto_matches_brute_force_on_either_route():
 
 
 def test_gcd_sum_blocks_agree_with_one_block(monkeypatch):
-    import numvar.arithmetic as arithmetic
     table = rep_table(SQUARES, 1, 40)
     whole = [gcd_sum(table, v, strategy=s) for v in ("half", "one_over_max", "squared")
              for s in ("auto", "dense")]
