@@ -15,10 +15,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .points import SequenceSpec, generate_terms
+from .points import SequenceSpec, generate_terms, term_array
 
 DEFAULT_PAIR_BUDGET = 10 ** 9
 DEFAULT_MEM_BUDGET = 512 << 20  # bytes of scratch for the numpy paths
+PAIR_LIMIT = (1 << 62) - 1  # |x| bound that keeps sums and differences of two terms in int64
 
 GCD_VARIANTS = ("half", "one_over_max", "squared")
 _BLOCK_CELLS = 4 << 20  # cells of one numpy block in the gcd double sums
@@ -81,9 +82,7 @@ def _window_parts(terms, n1: int, n2: int):
     searches and the same offsets as keys: uint32 when the span is below
     2^32, int64 otherwise.
     """
-    x = np.asarray(terms[:n2], dtype=np.int64)
-    if max(-int(x.min()), int(x.max())) >= 1 << 62:
-        raise OverflowError("terms too large for the int64 gap path")
+    x = term_array(terms[:n2], PAIR_LIMIT)
     base, span = int(x.min()), int(x.max()) - int(x.min())
     dtype = np.uint32 if span < 1 << 32 else np.int64
 
@@ -157,20 +156,20 @@ def _range_keys(parts, lo: int, hi: int) -> np.ndarray:
     return keys
 
 
-def _gap_ranges(terms, n1: int, n2: int, mem_budget: int = DEFAULT_MEM_BUDGET):
+def _gap_ranges(terms, n1: int, n2: int):
     """(parts, value ranges) of the gaps u = |x_n - x_m| > 0 over pairs
     m < n with N1 <= n <= N2: _range_keys(parts, lo, hi) over the ranges in
     order gives the sorted keys of every gap, one range at a time.
 
     Builds each of the window's pairs once (see _window_parts), as keys of
-    w = 4 bytes (uint32) or 8.  The value ranges are sized for the histogram
-    (_runs), which holds at most 2 w + 17 bytes per gap: the key, a mask
-    byte, the run start and length, and the distinct key.  A range holds at
-    least N2 pairs, as the per-row run bounds take 16 bytes a row anyway.
-    Exact for |terms| < 2^62 (OverflowError otherwise).
+    w = 4 bytes (uint32) or 8.  The value ranges fit DEFAULT_MEM_BUDGET for
+    the histogram (_runs), which holds at most 2 w + 17 bytes per gap: the
+    key, a mask byte, the run start and length, and the distinct key.  A
+    range holds at least N2 pairs, as the per-row run bounds take 16 bytes a
+    row anyway.  Exact for |terms| <= PAIR_LIMIT (OverflowError otherwise).
     """
     parts, span = _window_parts(terms, n1, n2)
-    cap = max(n2, mem_budget // (2 * parts[0][0][1].itemsize + 17))
+    cap = max(n2, DEFAULT_MEM_BUDGET // (2 * parts[0][0][1].itemsize + 17))
     return parts, _value_ranges(parts, span, cap)
 
 
@@ -243,7 +242,7 @@ def rep_table(terms, n1: int, n2: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
     """Exact difference counts over all pairs (m < n, N1 <= n <= N2).
 
     Zero gaps (duplicate term values) are not stored; u ranges over positive
-    integers only, in ascending order.  Exact for |terms| < 2^62.
+    integers only, in ascending order.  Exact for |terms| <= PAIR_LIMIT.
     """
     if not 1 <= n1 <= n2 <= len(terms):
         raise ValueError(f"window ({n1}, {n2}) outside 1..{len(terms)}")
@@ -269,16 +268,14 @@ def additive_energy(terms, count: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
 
     Sorts the count^2 ordered sums in place (8 * count^2 bytes) and sums the
     squared run lengths.  Forming no difference keeps it independent of the
-    gap histogram.  Terms with |x| >= 2^62 raise OverflowError.
+    gap histogram.  Terms with |x| > PAIR_LIMIT raise OverflowError.
     """
     if not 0 <= count <= len(terms):
         raise ValueError(f"count {count} outside 0..{len(terms)}")
     if count * count > pair_budget:
         raise BudgetExceeded("ordered-sum enumeration too large",
                              count * count, pair_budget)
-    x = np.asarray(terms[:count], dtype=np.int64)
-    if count and int(np.abs(x).max()) >= 1 << 62:
-        raise OverflowError("terms too large for the int64 sums")
+    x = term_array(terms[:count], PAIR_LIMIT)
     sums = np.add.outer(x, x).ravel()
     sums.sort()
     edge = np.empty(sums.size + 1, dtype=bool)  # where a run starts, and the end
@@ -291,18 +288,18 @@ def additive_energy(terms, count: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
     return int(np.dot(runs, runs))
 
 
-def energy_direct(terms, n1: int, n2: int, *, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
+def energy_direct(terms, n1: int, n2: int) -> int:
     """E(N1, N2) = sum Rep(u)^2 without materializing the count map.
 
     Takes the sorted gap keys one value range at a time (the ranges
-    rep_table's histogram would use within mem_budget) and sums the squared
-    runs of each range chunk by chunk, so that it holds the range's keys and
-    chunk-sized scratch, never the distinct gaps or a run per gap.  Exact
-    for |terms| < 2^62; intended for windows far beyond rep_table's reach.
+    rep_table's histogram uses) and sums the squared runs of each range
+    chunk by chunk, so that it holds the range's keys and chunk-sized
+    scratch, never the distinct gaps or a run per gap.  Exact for
+    |terms| <= PAIR_LIMIT; intended for windows far beyond rep_table's reach.
     """
     if not 1 <= n1 <= n2 <= len(terms):
         raise ValueError(f"window ({n1}, {n2}) outside 1..{len(terms)}")
-    parts, ranges = _gap_ranges(terms, n1, n2, mem_budget)
+    parts, ranges = _gap_ranges(terms, n1, n2)
     # each range's keys are dropped before the next range's are built
     return sum(_run_square_sum(_range_keys(parts, lo, hi)) for lo, hi in ranges)
 

@@ -36,7 +36,7 @@ from typing import Optional
 from . import __version__ as CODE_VERSION
 from . import arithmetic, baselines, dyadic
 from .arithmetic import DEFAULT_PAIR_BUDGET, BudgetExceeded
-from .points import Alpha, SequenceSpec, _term_values, dilate_mod1, generate_terms
+from .points import Alpha, SequenceSpec, dilate_mod1, generate_terms
 from .variance import VarianceRecord, WindowAccumulator, as_dyadic
 
 CSV_HEADER = "N,S_num,S_den,alpha_hex,V,ratio"
@@ -218,11 +218,10 @@ def config_hash(config: ExperimentConfig) -> str:
 def _alpha_cell(args):
     """Worker: variance of one dilated point set over a list of widths.  An
     exception is raised again naming the cell, where its type takes a message."""
-    terms, a, s_pairs = args
-    alpha = Alpha(a)
+    terms, alpha, s_grid = args
     try:
         acc = WindowAccumulator(dilate_mod1(terms, alpha))
-        return [acc.variance(Fraction(num, den)) for num, den in s_pairs]
+        return [acc.variance(s) for s in s_grid]
     except Exception as exc:
         try:
             named = type(exc)(f"N = {len(terms)}, alpha {alpha.hex}: {exc}")
@@ -257,7 +256,7 @@ def run_scan(config: ExperimentConfig, *, threads: int = 1) -> ScanResult:
               else Alpha.random_stream(config.alpha_count, config.seed))
     max_n = max(config.n_grid, default=0)
     with _input_error("sequence"):
-        terms = _term_values(config.sequence, max_n)
+        terms = generate_terms(config.sequence, max_n)
     rows = []
     stream = None
     if config.out is not None and config.fmt == "csv":
@@ -270,9 +269,8 @@ def run_scan(config: ExperimentConfig, *, threads: int = 1) -> ScanResult:
         if stream:
             stream.write(CSV_HEADER + "\n")
             stream.flush()
-        s_pairs = [(s.numerator, s.denominator) for s in config.s_grid]
         for n in config.n_grid:
-            tasks = [(terms[:n], a.a, s_pairs) for a in alphas]
+            tasks = [(terms[:n], a, config.s_grid) for a in alphas]
             per_alpha = list(pool.map(_alpha_cell, tasks) if pool else map(_alpha_cell, tasks))
             block = []
             for s_idx, s in enumerate(config.s_grid):
@@ -348,10 +346,10 @@ def parse(data: bytes, fmt: str = "csv") -> ScanResult:
 # presets
 
 
-def preset_config(name: str, seed: Optional[int] = None) -> ExperimentConfig:
+def preset_config(name: str) -> ExperimentConfig:
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}")
-    return parse_config(f"{_PRESETS[name]}seed = {PRESET_SEED if seed is None else seed}\n")
+    return parse_config(f"{_PRESETS[name]}seed = {PRESET_SEED}\n")
 
 
 def preset_verdict(name: str, result: ScanResult) -> dict:
@@ -380,7 +378,7 @@ def _write_bytes(data: bytes, out: Optional[str]) -> None:
             fh.write(data)
 
 
-def _sequence_terms(args) -> list:
+def _sequence_terms(args):
     with _input_error("--sequence"):
         return generate_terms(SequenceSpec.parse(args.sequence), args.count)
 
@@ -434,7 +432,7 @@ def _cmd_decompose(args) -> dict:
     expansion = dyadic.decompose(_dyadic_s(args.s))
     return {
         "S": f"{expansion.s.numerator}/{expansion.s.denominator}",
-        "levels": [{"v": v, "c": c} for v, c in expansion.pairs()],
+        "levels": [{"v": v, "c": c} for v, c in expansion.levels],
         "scalar_sum": str(expansion.scalar_sum()),
         "s_squared": str(expansion.s ** 2),
     }
@@ -469,7 +467,7 @@ def _cmd_repstats(args) -> dict:
         "max_rep": int(table.reps.max(initial=0)),
         "energy_window": arithmetic.energy_window(table),
         "repeated_mass": mass,
-        "repeated_mass_exponent": exponent,
+        "repeated_mass_exponent": None if math.isnan(exponent) else exponent,
     }
 
 
@@ -672,7 +670,7 @@ def main(argv=None) -> int:
         if doc is not None:
             # scan and preset take --out for their rows; a preset's verdict
             # always goes to stdout
-            _write_bytes((json.dumps(doc, indent=2) + "\n").encode(),
+            _write_bytes((json.dumps(doc, indent=2, allow_nan=False) + "\n").encode(),
                          getattr(args, "out", None))
     except BudgetExceeded as exc:
         print(f"budget error: {exc}", file=sys.stderr)

@@ -57,12 +57,6 @@ class DyadicExpansion:
     s: Fraction
     levels: tuple  # the (v, c_v) with d_v = 1, in increasing v
 
-    def pairs(self) -> list:
-        return list(self.levels)
-
-    def kernels(self) -> list:
-        return [PlateauKernel(v, c) for v, c in self.levels]
-
     def scalar_sum(self) -> Fraction:
         """sum_v d_v (2 c_v + 1) 2^(-2v); equals S^2 exactly."""
         return sum((PlateauKernel(v, c).mean() for v, c in self.levels), Fraction(0))
@@ -89,7 +83,7 @@ def verify_decomposition(s, x):
         lhs = max(float(f) - abs(x), 0.0)
     else:
         lhs = max(f - abs(Fraction(x)), Fraction(0))
-    rhs = sum(k.value(x) for k in decompose(f).kernels())
+    rhs = sum(PlateauKernel(v, c).value(x) for v, c in decompose(f).levels)
     return lhs, rhs
 
 

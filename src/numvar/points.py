@@ -132,14 +132,6 @@ class PointSet:
             hi_sorted = hi[order]
         return cls(hi_sorted, lo[order])
 
-    @classmethod
-    def from_ints(cls, points) -> "PointSet":
-        """From sorted grid integers in [0, 2^128)."""
-        grid = np.array(points, dtype=object)
-        if np.any((grid < 0) | (grid >= GRID_ONE)):
-            raise ValueError("points must lie on the grid [0, 2^128)")
-        return cls((grid >> 64).astype(np.uint64), (grid & _WORD).astype(np.uint64))
-
     @cached_property
     def points(self) -> tuple:
         """The points as Python ints, for the exact oracles that walk them."""
@@ -253,23 +245,6 @@ def _horner_fits(coeffs, count: int) -> bool:
     return sum(abs(c) * float(count) ** i for i, c in enumerate(coeffs)) < 2.0 ** 62
 
 
-def _term_values(spec: SequenceSpec, count: int) -> np.ndarray:
-    """First `count` terms as an int64 array; errors as in generate_terms."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if spec.kind == "linear":
-        if count > TERM_LIMIT:
-            raise OverflowError(f"term {TERM_LIMIT + 1} exceeds the signed 64-bit range")
-        return np.arange(1, count + 1, dtype=np.int64)
-    if spec.kind == "poly" and _horner_fits(spec.coeffs, count):
-        n = np.arange(1, count + 1, dtype=np.int64)
-        acc = np.zeros(count, dtype=np.int64)
-        for c in reversed(spec.coeffs):
-            acc = acc * n + c
-        return acc
-    return np.array(_term_loop(spec, count), dtype=np.int64)
-
-
 def _term_loop(spec: SequenceSpec, count: int) -> list:
     """The terms of a polynomial, lacunary or explicit spec, checked one by one."""
     if spec.kind == "poly":
@@ -295,25 +270,38 @@ def _term_loop(spec: SequenceSpec, count: int) -> list:
     return [_check_term(v, i + 1) for i, v in enumerate(spec.values[:count])]
 
 
-def generate_terms(spec: SequenceSpec, count: int) -> list:
-    """First `count` terms x_1..x_count of the sequence, as exact Python ints.
+def generate_terms(spec: SequenceSpec, count: int) -> np.ndarray:
+    """First `count` terms x_1..x_count of the sequence, as an int64 array.
 
     Raises OverflowError naming the first index whose term leaves the signed
     64-bit range, and ValueError if an explicit list is shorter than `count`.
     A polynomial is evaluated in int64 when its size bound certifies it, and
     by an exact Python loop otherwise.
     """
-    return _term_values(spec, count).tolist()
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    if spec.kind == "linear":
+        if count > TERM_LIMIT:
+            raise OverflowError(f"term {TERM_LIMIT + 1} exceeds the signed 64-bit range")
+        return np.arange(1, count + 1, dtype=np.int64)
+    if spec.kind == "poly" and _horner_fits(spec.coeffs, count):
+        n = np.arange(1, count + 1, dtype=np.int64)
+        acc = np.zeros(count, dtype=np.int64)
+        for c in reversed(spec.coeffs):
+            acc = acc * n + c
+        return acc
+    return np.array(_term_loop(spec, count), dtype=np.int64)
 
 
-def _term_array(terms) -> np.ndarray:
-    """Terms as an int64 array; OverflowError for any |x| > TERM_LIMIT."""
-    message = "terms must lie within +-(2^63 - 1), the signed 64-bit range"
+def term_array(terms, limit: int) -> np.ndarray:
+    """Terms a caller passes in, as an int64 array; OverflowError for any
+    |x| > limit (limit <= TERM_LIMIT)."""
+    message = f"terms must lie within +-{limit}"
     try:
         x = np.asarray(terms, dtype=np.int64)
     except OverflowError:
         raise OverflowError(message) from None
-    if np.any(x == -TERM_LIMIT - 1):
+    if x.size and (int(x.min()) < -limit or int(x.max()) > limit):
         raise OverflowError(message)
     return x
 
@@ -339,7 +327,7 @@ def dilate_words(terms, alpha: Alpha):
     subtracts A's low word from the product's high word.  Terms outside the
     signed 64-bit range raise OverflowError.
     """
-    x = _term_array(terms)
+    x = term_array(terms, TERM_LIMIT)
     xw = x.view(np.uint64)
     a_hi, a_lo = alpha.a >> 64, alpha.a & _WORD
     hi = _mulhi(xw, a_lo)

@@ -49,15 +49,15 @@ def test_criterion_01_dual_route_equivalence():
 
 def test_criterion_02_plateau_figure_reconstruction():
     """decompose(15/64) gives the four known levels; tent rebuilt to 1e-12."""
-    pairs = decompose(Fraction(15, 64)).pairs()
-    assert pairs == [(3, 0), (4, 2), (5, 6), (6, 14)]
+    levels = decompose(Fraction(15, 64)).levels
+    assert levels == ((3, 0), (4, 2), (5, 6), (6, 14))
     rng = np.random.default_rng(2)
     worst = 0.0
     for x in rng.uniform(-1.0, 1.0, size=1000):
         lhs, rhs = verify_decomposition(Fraction(15, 64), float(x))
         worst = max(worst, abs(lhs - rhs))
         assert abs(lhs - rhs) <= 1e-12
-    print(f"criterion 2: levels {pairs}, worst pointwise gap {worst:.2e} <= 1e-12")
+    print(f"criterion 2: levels {list(levels)}, worst pointwise gap {worst:.2e} <= 1e-12")
 
 
 def test_criterion_03_badly_approximable_flat_variance():

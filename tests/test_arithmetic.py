@@ -76,7 +76,7 @@ def _differential_inputs():
 
 
 @pytest.mark.parametrize("terms,coeffs", _differential_inputs())
-def test_gap_counters_match_reference_loop(terms, coeffs):
+def test_gap_counters_match_reference_loop(monkeypatch, terms, coeffs):
     n = len(terms)
     inside_block = min(n, _ROW_BLOCK + 7)
     for n1, n2 in ((1, n), (3, n), (n // 2, n), (inside_block, n), (1, 1), (2, 2)):
@@ -85,8 +85,10 @@ def test_gap_counters_match_reference_loop(terms, coeffs):
         assert rep_table(terms, n1, n2).counts == ref
         assert energy_direct(terms, n1, n2) == energy
         # a small budget splits the gaps into several value ranges
-        assert energy_direct(terms, n1, n2, mem_budget=256) == energy
-        pairs, ranges = _gap_ranges(terms, n1, n2, mem_budget=256)
+        with monkeypatch.context() as small:
+            small.setattr(arithmetic, "DEFAULT_MEM_BUDGET", 256)
+            assert energy_direct(terms, n1, n2) == energy
+            pairs, ranges = _gap_ranges(terms, n1, n2)
         parts = [_runs(_range_keys(pairs, lo, hi)) for lo, hi in ranges]
         assert [u for gaps, _ in parts for u in gaps.tolist()] == sorted(ref)
         assert [r for _, reps in parts for r in reps.tolist()] == [ref[u] for u in sorted(ref)]
@@ -131,7 +133,7 @@ def test_rep_table_arrays_and_counts_view():
     assert sparse_u2_mass(huge)[0] == 2 * (3 << 31) ** 2
 
 
-def test_narrow_late_window_builds_only_its_pairs():
+def test_narrow_late_window_builds_only_its_pairs(monkeypatch):
     # the window (N - 1, N) holds 2 N - 3 pairs; a difference of prefix
     # histograms would build about N^2 = 4 * 10^10 gaps here
     n = 2 * 10 ** 5
@@ -142,7 +144,8 @@ def test_narrow_late_window_builds_only_its_pairs():
     table = rep_table(terms, n - 1, n, pair_budget=2 * n)
     assert table.pair_count == 2 * n - 3
     assert table.gaps.tolist() == u.tolist() and table.reps.tolist() == r.tolist()
-    assert energy_direct(terms, n - 1, n, mem_budget=4096) == int(np.dot(r, r))
+    monkeypatch.setattr(arithmetic, "DEFAULT_MEM_BUDGET", 4096)
+    assert energy_direct(terms, n - 1, n) == int(np.dot(r, r))
 
 
 def test_rep_table_validation_and_budget():
@@ -214,7 +217,7 @@ def test_energy_window_examples():
     assert energy_window(rep_table(LINEAR, 1, 4)) == 14
 
 
-def test_energy_direct_matches_window():
+def test_energy_direct_matches_window(monkeypatch):
     rng = np.random.default_rng(4)
     for _ in range(20):
         n2 = int(rng.integers(2, 150))
@@ -222,7 +225,9 @@ def test_energy_direct_matches_window():
         expect = sum(r * r for r in reference_rep_counts(SQUARES, n1, n2).values())
         assert energy_direct(SQUARES, n1, n2) == expect
         # tiny budget forces the multi-bucket path
-        assert energy_direct(SQUARES, n1, n2, mem_budget=256) == expect
+        with monkeypatch.context() as small:
+            small.setattr(arithmetic, "DEFAULT_MEM_BUDGET", 256)
+            assert energy_direct(SQUARES, n1, n2) == expect
     assert energy_direct(SQUARES, 1, 1) == 0
     for terms in ([0, 1 << 62], [-(1 << 62), 0], [5, -(1 << 62) - 3]):
         with pytest.raises(OverflowError):
@@ -265,7 +270,9 @@ def test_energy_direct_in_small_chunks(monkeypatch, chunk, terms, coeffs):
     for n1, n2 in ((1, n), (n // 2, n), (1, 1)):
         energy = sum(r * r for r in reference_rep_counts(terms, n1, n2).values())
         assert energy_direct(terms, n1, n2) == energy
-        assert energy_direct(terms, n1, n2, mem_budget=256) == energy
+        with monkeypatch.context() as small:
+            small.setattr(arithmetic, "DEFAULT_MEM_BUDGET", 256)
+            assert energy_direct(terms, n1, n2) == energy
     repeated = [5, 5, 5, 1, 5, 1]  # gap 4 eight times; the 7 pairs of equal terms have none
     assert energy_direct(repeated, 1, 6) == 64
 
@@ -279,7 +286,7 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_energy_direct_holds_little_beyond_its_keys():
+def test_energy_direct_holds_little_beyond_its_keys(monkeypatch):
     # the keys of 1..3000 squares are uint32, 4 bytes for each of the C(3000, 2)
     # gaps; the reduction adds chunk-sized scratch, no distinct gaps or run arrays
     n = 3000
@@ -290,7 +297,8 @@ def test_energy_direct_holds_little_beyond_its_keys():
     # a budget of 2 * 10^6 gaps a range (25 bytes each to the histogram) splits
     # the 4.5 * 10^6 gaps into three ranges, and one range's keys are held at a time
     cap = 2 * 10 ** 6
-    energy, peak = _traced_peak(lambda: energy_direct(terms, 1, n, mem_budget=25 * cap))
+    monkeypatch.setattr(arithmetic, "DEFAULT_MEM_BUDGET", 25 * cap)
+    energy, peak = _traced_peak(lambda: energy_direct(terms, 1, n))
     assert energy == expect and peak < 1.5 * 4 * cap
 
 

@@ -254,7 +254,6 @@ def test_preset_config_and_verdict():
     cfg = preset_config("thm1-quadratic")
     assert cfg.seed == cli.PRESET_SEED
     assert cfg.n_grid == (10 ** 5,) and len(cfg.s_grid) == 8
-    assert preset_config("thm1-quadratic", seed=9).seed == 9
     with pytest.raises(ConfigError):
         preset_config("thm2-cubic")
 
@@ -269,6 +268,20 @@ def test_preset_config_and_verdict():
     assert good["pass"] and good["medians"] == {"1/64": pytest.approx(1.0)}
     bad = preset_verdict("thm1-quadratic", ScanResult(rows_at(1.3), {}))
     assert not bad["pass"]
+
+
+def test_preset_seed_is_overridden_by_the_command_line(monkeypatch, capsys):
+    seeds = []
+
+    def fake_scan(config, **kwargs):
+        seeds.append(config.seed)
+        return ScanResult(rows=(VarianceRecord(1000, Fraction(1, 64), Alpha.golden(), 15.0),),
+                          metadata={})
+
+    monkeypatch.setattr(cli, "run_scan", fake_scan)
+    main(["preset", "thm1-quadratic"])
+    main(["preset", "thm1-quadratic", "--seed", "9"])
+    assert seeds == [cli.PRESET_SEED, 9]
 
 
 def test_preset_config_equals_hand_built_config():
@@ -502,6 +515,26 @@ def test_main_internal_value_error_is_not_a_config_error(monkeypatch):
 def test_main_preset_format_needs_out(monkeypatch):
     monkeypatch.setattr(cli, "run_scan", lambda *a, **k: pytest.fail("scan ran"))
     assert main(["preset", "thm1-quadratic", "--format", "json"]) == 2
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [["--sequence", "lacunary:2", "--count", "30"],
+                                  ["--sequence", "linear", "--count", "1"]])
+def test_main_repstats_undefined_exponent_is_null(capsys, argv):
+    # no gap repeats (or N = 1), so log(mass) / log(N) is undefined
+    assert main(["repstats", *argv]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert doc["repeated_mass"] == 0 and doc["repeated_mass_exponent"] is None
+
+
+def test_main_writes_no_nonfinite_json(monkeypatch, capsys):
+    monkeypatch.setattr(cli.arithmetic, "sparse_u2_mass", lambda table: (1, math.inf))
+    with pytest.raises(ValueError):
+        main(["repstats", "--sequence", "linear", "--count", "5"])
+    assert capsys.readouterr().out == ""
 
 
 def test_main_repstats_narrow_window(capsys):

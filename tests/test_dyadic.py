@@ -24,14 +24,14 @@ def reference_y_window_sum(counts, pair_count, kernel, alpha):
 
 def test_decompose_example():
     exp = decompose(Fraction(15, 64))
-    assert exp.pairs() == [(3, 0), (4, 2), (5, 6), (6, 14)]
+    assert exp.levels == ((3, 0), (4, 2), (5, 6), (6, 14))
     assert exp.scalar_sum() == Fraction(225, 4096)
     assert exp.s == Fraction(15, 64)
 
 
 def test_decompose_half_and_scalar_identity():
     exp = decompose(Fraction(1, 2))
-    assert exp.pairs() == [(1, 0)]
+    assert exp.levels == ((1, 0),)
     assert exp.scalar_sum() == Fraction(1, 4)
     rng = np.random.default_rng(3)
     for _ in range(200):

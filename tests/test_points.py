@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from numvar.points import (GRID_ONE, Alpha, PointSet, SequenceSpec, _term_values,
+from numvar.arithmetic import additive_energy, energy_direct, rep_table
+from numvar.points import (GRID_ONE, Alpha, PointSet, SequenceSpec,
                            continued_fraction_convergents, dilate_mod1,
                            generate_terms)
+from pointsets import from_ints
 
 
 def test_alpha_from_rational_quarter():
@@ -62,15 +64,15 @@ def test_alpha_random_stream_reproducible():
 
 def test_pointset_validation():
     with pytest.raises(ValueError):
-        PointSet.from_ints((2, 1))
+        from_ints((2, 1))
     with pytest.raises(ValueError):
-        PointSet.from_ints((GRID_ONE,))
+        from_ints((GRID_ONE,))
     ps = PointSet.from_words(np.array([1 << 63, 1 << 62], dtype=np.uint64),
                              np.zeros(2, dtype=np.uint64))
     assert ps.points == (GRID_ONE // 4, GRID_ONE // 2)
     assert ps.n == 2
-    assert ps == PointSet.from_ints((GRID_ONE // 4, GRID_ONE // 2))
-    assert ps != PointSet.from_ints((GRID_ONE // 4, GRID_ONE // 2 + 1))
+    assert ps == from_ints((GRID_ONE // 4, GRID_ONE // 2))
+    assert ps != from_ints((GRID_ONE // 4, GRID_ONE // 2 + 1))
     # words in any order; equal high words are ordered by the low word
     for his in ((5, 1, 5), (5, 1, 7)):
         words = PointSet.from_words(np.array(his, dtype=np.uint64),
@@ -105,16 +107,22 @@ def test_sequence_parse_explicit_file(tmp_path):
     f.write_text("1\n4\n# comment\n9\n16  # trailing\n")
     spec = SequenceSpec.parse(f"explicit:@{f}")
     assert spec.values == (1, 4, 9, 16)
-    assert generate_terms(spec, 3) == [1, 4, 9]
+    assert generate_terms(spec, 3).tolist() == [1, 4, 9]
     with pytest.raises(ValueError):
         generate_terms(spec, 5)
 
 
 def test_generate_terms_examples():
-    assert generate_terms(SequenceSpec.poly([0, 0, 1]), 4) == [1, 4, 9, 16]
-    assert generate_terms(SequenceSpec.linear(), 3) == [1, 2, 3]
-    assert generate_terms(SequenceSpec.lacunary(2), 5) == [2, 4, 8, 16, 32]
-    assert generate_terms(SequenceSpec.linear(), 0) == []
+    cases = [(SequenceSpec.poly([0, 0, 1]), 4, [1, 4, 9, 16]),
+             (SequenceSpec.poly([0, 0, 1 << 40]), 3, [1 << 40, 4 << 40, 9 << 40]),  # exact loop
+             (SequenceSpec.linear(), 3, [1, 2, 3]),
+             (SequenceSpec.lacunary(2), 5, [2, 4, 8, 16, 32]),
+             (SequenceSpec.explicit([7, -3, 7]), 2, [7, -3]),
+             (SequenceSpec.linear(), 0, [])]
+    for spec, count, want in cases:
+        got = generate_terms(spec, count)
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64
+        assert got.tolist() == want
 
 
 def test_generate_terms_int64_path_matches_python_loop():
@@ -135,9 +143,7 @@ def test_generate_terms_int64_path_matches_python_loop():
     for coeffs, count in cases:
         spec = SequenceSpec.poly(coeffs)
         got = generate_terms(spec, count)
-        assert got == loop(coeffs, count)
-        assert all(type(x) is int for x in got)
-        assert np.array_equal(_term_values(spec, count), np.array(got, dtype=np.int64))
+        assert got.dtype == np.int64 and got.tolist() == loop(coeffs, count)
 
 
 def test_generate_terms_overflow_names_index():
@@ -169,6 +175,43 @@ def test_dilate_matches_bignum_products():
     for bad in (1 << 63, -(1 << 63)):
         with pytest.raises(OverflowError):
             dilate_mod1([1, bad], Alpha.golden())
+
+
+_PAIR_TOP = (1 << 62) - 1  # x + y and x - y of two terms stay in int64
+_TERM_TOP = (1 << 63) - 1
+
+
+def _rep_arrays(terms):
+    table = rep_table(terms, 1, len(terms))
+    return table.gaps.tolist(), table.reps.tolist()
+
+
+# each function that takes caller terms: (call, largest magnitude it accepts)
+_TERM_PATHS = {
+    "dilate_mod1": (lambda t: dilate_mod1(t, Alpha.golden()).points, _TERM_TOP),
+    "rep_table": (_rep_arrays, _PAIR_TOP),
+    "energy_direct": (lambda t: energy_direct(t, 1, len(t)), _PAIR_TOP),
+    "additive_energy": (lambda t: additive_energy(t, len(t)), _PAIR_TOP),
+}
+
+
+@pytest.mark.parametrize("name", list(_TERM_PATHS))
+def test_caller_terms_as_list_or_array_within_the_bound(name):
+    call, top = _TERM_PATHS[name]
+    for terms in ([3, -7, 3, 12, 0], [top, 0, -top, 5, top], [-top, 1, 2, -top + 1]):
+        assert call(terms) == call(np.array(terms, dtype=np.int64))
+    for bad in sorted({top + 1, -top - 1, -(1 << 63)}):
+        with pytest.raises(OverflowError):
+            call([1, bad, 0])
+        if -(1 << 63) <= bad <= _TERM_TOP:  # representable as an int64 array too
+            with pytest.raises(OverflowError):
+                call(np.array([1, bad, 0], dtype=np.int64))
+
+
+def test_additive_energy_refuses_minus_2_63():
+    # np.abs(-2^63) is -2^63 in int64, so a bound taken through np.abs misses it
+    with pytest.raises(OverflowError):
+        additive_energy([-(1 << 63), 0, 5], 3)
 
 
 def test_dilate_sorted_and_permutation_invariant():

@@ -9,6 +9,7 @@ import pytest
 from numvar.baselines import sample_uniform
 from numvar.points import GRID_ONE, Alpha, PointSet, dilate_mod1
 import numvar.variance
+from pointsets import from_ints
 from numvar.variance import (VarianceRecord, WindowAccumulator, _add128, _grid_width,
                              _keys128, _limb_dot, _limbs, _sub128, _weighted_sum128,
                              as_dyadic, variance_pairwise, variance_sweep)
@@ -22,7 +23,7 @@ def from_values(values) -> PointSet:
         if not 0 <= f < 1:
             raise ValueError("point values must lie in [0, 1)")
         grid.append((f.numerator * GRID_ONE) // f.denominator)
-    return PointSet.from_ints(sorted(grid))
+    return from_ints(sorted(grid))
 
 
 def counting_function(points: PointSet, s, y) -> int:
@@ -192,12 +193,12 @@ _ALPHAS = dict(zip(("random0", "random1"), Alpha.random_stream(2, 2024)),
                rat3_1024=Alpha.parse("rat:3/1024"))
 _POINT_SETS = {f"{name}-N{n}": _squares_dilated(alpha, n)
                for name, alpha in _ALPHAS.items() for n in (0, 1, 2, 10 ** 4)}
-_POINT_SETS["piled-at-0-and-max"] = PointSet.from_ints(
+_POINT_SETS["piled-at-0-and-max"] = from_ints(
     (0,) * 40 + (1, GRID_ONE // 2) + (GRID_ONE - 1,) * 40)
-_POINT_SETS["piled-at-max"] = PointSet.from_ints((GRID_ONE - 1,) * 7)
+_POINT_SETS["piled-at-max"] = from_ints((GRID_ONE - 1,) * 7)
 # at S = 2^-64 the arc end of 1 (2^63 + 1) and the arc start of 2^64 + 2
 # (2^63 + 2) share a high word, so the sweep's merge must read the low words
-_POINT_SETS["shared-high-word"] = PointSet.from_ints(
+_POINT_SETS["shared-high-word"] = from_ints(
     (1, (1 << 64) + 2, (1 << 64) + 3, GRID_ONE - 1))
 
 
@@ -213,7 +214,7 @@ def test_tent_pair_sum_matches_reference_loop(name):
 
 
 def test_limb_dot_chunks_or_refuses_large_weights():
-    points = PointSet.from_ints((GRID_ONE - 3, GRID_ONE - 2, GRID_ONE - 1))
+    points = from_ints((GRID_ONE - 3, GRID_ONE - 2, GRID_ONE - 1))
     limbs = _limbs(points)
     # 2^30 * (2^32 - 1) * 3 > 2^63: one unchunked int64 dot would wrap, and at
     # |weight| = 2^31 a chunk holds one entry
@@ -234,7 +235,7 @@ def test_search_keys_are_built_at_the_first_tie():
     # q = p + 2^-7 puts q's target at width 2^-7 on p itself; q + 1's target
     # shares p's high word and lies above p by its low word
     p = next(x for x in sample if x < GRID_ONE - 2 * step)
-    points = PointSet.from_ints(sorted(sample + [p + step, p + step + 1]))
+    points = from_ints(sorted(sample + [p + step, p + step + 1]))
     acc = WindowAccumulator(points)
     first = acc.tent_pair_sum(GRID_ONE >> 5)
     assert acc._keys is None
@@ -413,7 +414,7 @@ def test_counting_examples():
     pts = from_values([0.1, 0.2, 0.9])
     assert counting_function(pts, 0.4, 0) == 2
     assert counting_function(from_values([0.5]), 1, 0.37) == 1
-    assert counting_function(PointSet.from_ints(()), Fraction(1, 2), 0) == 0
+    assert counting_function(from_ints(()), Fraction(1, 2), 0) == 0
 
 
 def test_counting_boundary_convention():
@@ -425,7 +426,7 @@ def test_counting_boundary_convention():
     # y = 0 wraps: [3/4, 1) u [0, 1/4) contains 3/4 only
     assert counting_function(pts, s, 0) == 1
     # the arc [1/2, 1) ends exactly at 1, so the last grid point is inside
-    edge = PointSet.from_ints((GRID_ONE // 2 - 1, GRID_ONE // 2, GRID_ONE - 1))
+    edge = from_ints((GRID_ONE // 2 - 1, GRID_ONE // 2, GRID_ONE - 1))
     assert counting_function(edge, s, Fraction(3, 4)) == 2
 
 
@@ -433,7 +434,7 @@ def test_counting_against_brute_force():
     rng = np.random.default_rng(7)
     for _ in range(25):
         n = int(rng.integers(0, 12))
-        pts = PointSet.from_ints(tuple(sorted(int(rng.integers(0, 1 << 63)) << 65
+        pts = from_ints(tuple(sorted(int(rng.integers(0, 1 << 63)) << 65
                                               for _ in range(n))))
         v = int(rng.integers(1, 17))
         s = Fraction(int(rng.integers(1, 1 << v)), 1 << v)
@@ -447,7 +448,7 @@ def test_variance_pairwise_examples():
     assert variance_pairwise(single, Fraction(1, 4), exact=True) == Fraction(3, 16)
     spaced = from_values([0, Fraction(1, 2)])
     assert variance_pairwise(spaced, Fraction(1, 2), exact=True) == 0
-    coincident = PointSet.from_ints((0, 0))
+    coincident = from_ints((0, 0))
     assert variance_pairwise(coincident, Fraction(1, 2), exact=True) == 1
 
 
@@ -458,7 +459,7 @@ def test_variance_sweep_examples():
     assert variance_sweep(spaced, Fraction(1, 2), exact=True) == 0
     # 100 points at 0 and 100 at 1/2: S_N = 100 on measure 1/2, so the
     # integral is 5000 and V = 5000 - (200/4)^2 = 2500
-    piled = PointSet.from_ints((0,) * 100 + (GRID_ONE // 2,) * 100)
+    piled = from_ints((0,) * 100 + (GRID_ONE // 2,) * 100)
     assert variance_sweep(piled, Fraction(1, 4), exact=True) == 2500
     assert variance_pairwise(piled, Fraction(1, 4), exact=True) == 2500
 
@@ -476,7 +477,7 @@ def test_variance_shift_invariance():
     s = Fraction(3, 32)
     base = variance_pairwise(pts, s, exact=True)
     for shift in (123456789, GRID_ONE // 3, GRID_ONE - 1):
-        moved = PointSet.from_ints(tuple(sorted((p + shift) % GRID_ONE for p in pts.points)))
+        moved = from_ints(tuple(sorted((p + shift) % GRID_ONE for p in pts.points)))
         assert variance_pairwise(moved, s, exact=True) == base
 
 
