@@ -294,16 +294,23 @@ def generate_terms(spec: SequenceSpec, count: int) -> np.ndarray:
 
 
 def term_array(terms, limit: int) -> np.ndarray:
-    """Terms a caller passes in, as an int64 array; OverflowError for any
-    |x| > limit (limit <= TERM_LIMIT)."""
-    message = f"terms must lie within +-{limit}"
-    try:
-        x = np.asarray(terms, dtype=np.int64)
-    except OverflowError:
-        raise OverflowError(message) from None
+    """Terms a caller passes in, as an int64 array.
+
+    Integer arrays of any width and lists of Python ints are accepted; floats,
+    bools and other non-integers raise TypeError.  Any |x| > limit (limit <=
+    TERM_LIMIT) raises OverflowError, checked on the values as given, before
+    the conversion could wrap them.
+    """
+    x = np.asarray(terms)
+    if x.dtype.kind not in "iu":
+        # numpy reads a list holding ints past the int64/uint64 range as float
+        # or object; such ints are range-checked below as Python ints
+        kind, x = x.dtype, np.asarray(terms, dtype=object)
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in x.flat):
+            raise TypeError(f"terms must be integers, got {kind}")
     if x.size and (int(x.min()) < -limit or int(x.max()) > limit):
-        raise OverflowError(message)
-    return x
+        raise OverflowError(f"terms must lie within +-{limit}")
+    return x.astype(np.int64, copy=False)
 
 
 def _mulhi(x: np.ndarray, a: int) -> np.ndarray:

@@ -208,6 +208,25 @@ def test_caller_terms_as_list_or_array_within_the_bound(name):
                 call(np.array([1, bad, 0], dtype=np.int64))
 
 
+@pytest.mark.parametrize("name", list(_TERM_PATHS))
+def test_caller_terms_are_integers_checked_before_conversion(name):
+    call, top = _TERM_PATHS[name]
+    # an unsigned word past the bound would wrap to a negative int64
+    with pytest.raises(OverflowError):
+        call(np.array([1, (1 << 63) + 1, 0], dtype=np.uint64))
+    assert call(np.array([1, top, 0], dtype=np.uint64)) == call([1, top, 0])
+    assert call(np.array([3, 1, 2], dtype=np.uint8)) == call([3, 1, 2])
+    # [1.5, 2.7, 4.2] would truncate to the terms 1, 2, 4
+    for bad in ([1.5, 2.7, 4.2], np.array([1.0, 2.0, 4.0]), np.array([True, False, True]),
+                ["1", "2", "4"]):
+        with pytest.raises(TypeError):
+            call(bad)
+    # Python ints past the int64/uint64 range, which numpy reads as object or float
+    for bad in ([1, 1 << 64, 0], [-1, 1 << 63, 0]):
+        with pytest.raises(OverflowError):
+            call(bad)
+
+
 def test_additive_energy_refuses_minus_2_63():
     # np.abs(-2^63) is -2^63 in int64, so a bound taken through np.abs misses it
     with pytest.raises(OverflowError):

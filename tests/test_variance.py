@@ -191,15 +191,33 @@ def _squares_dilated(alpha: Alpha, n: int) -> PointSet:
 
 _ALPHAS = dict(zip(("random0", "random1"), Alpha.random_stream(2, 2024)),
                rat3_1024=Alpha.parse("rat:3/1024"))
-_POINT_SETS = {f"{name}-N{n}": _squares_dilated(alpha, n)
-               for name, alpha in _ALPHAS.items() for n in (0, 1, 2, 10 ** 4)}
+# at N = 2^k + 1 the bucket table doubles against N = 2^k
+_POINT_SETS = {f"{name}-N{n}": _squares_dilated(alpha, n) for name, alpha in _ALPHAS.items()
+               for n in (0, 1, 2, 1 << 10, (1 << 10) + 1, 10 ** 4)}
 _POINT_SETS["piled-at-0-and-max"] = from_ints(
     (0,) * 40 + (1, GRID_ONE // 2) + (GRID_ONE - 1,) * 40)
+# every point in the last bucket, so a rank runs past N - 1
 _POINT_SETS["piled-at-max"] = from_ints((GRID_ONE - 1,) * 7)
+_POINT_SETS["two-at-max"] = from_ints((GRID_ONE - 1,) * 2)
+# every target below 0 wraps into buckets past the last point, which start at N
+_POINT_SETS["piled-at-0"] = from_ints((0,) * 5 + (1,))
 # at S = 2^-64 the arc end of 1 (2^63 + 1) and the arc start of 2^64 + 2
 # (2^63 + 2) share a high word, so the sweep's merge must read the low words
 _POINT_SETS["shared-high-word"] = from_ints(
     (1, (1 << 64) + 2, (1 << 64) + 3, GRID_ONE - 1))
+
+
+def _assert_width(acc: WindowAccumulator, width: int):
+    """tent_pair_sum against the reference loop, and the bucket rank of the
+    width's targets (the high words of t_k - width) against a binary search."""
+    points = acc.points
+    if points.n >= 2:  # fewer points need no ranks
+        t_hi = _sub128(points.hi, points.lo, width % GRID_ONE)[0]
+        assert np.array_equal(acc._rank(t_hi), np.searchsorted(points.hi, t_hi, side="right"))
+    assert acc.tent_pair_sum(width) == reference_tent_pair_sum(points, width)
+
+
+_OFF_LATTICE_WIDTHS = (1, 3 * (1 << 64) + 5, GRID_ONE - 1)  # off the 2^-64 lattice
 
 
 @pytest.mark.parametrize("name", list(_POINT_SETS))
@@ -207,10 +225,14 @@ def test_tent_pair_sum_matches_reference_loop(name):
     points = _POINT_SETS[name]
     acc = WindowAccumulator(points)
     for s in (Fraction(1, 1 << 64), Fraction(1, 1 << 12), Fraction(1, 2), 1):
-        width = int(s * GRID_ONE)
-        assert acc.tent_pair_sum(width) == reference_tent_pair_sum(points, width)
-    for width in (1, 3 * (1 << 64) + 5, GRID_ONE - 1):  # off the 2^-64 lattice
-        assert acc.tent_pair_sum(width) == reference_tent_pair_sum(points, width)
+        _assert_width(acc, int(s * GRID_ONE))
+    for width in _OFF_LATTICE_WIDTHS:
+        _assert_width(acc, width)
+    if points.n >= 2:
+        hi = points.hi
+        edges = np.array([0, 1, 1 << 63, (1 << 64) - 2, (1 << 64) - 1], dtype=np.uint64)
+        for targets in (hi, hi - np.uint64(1), hi + np.uint64(1), edges):
+            assert np.array_equal(acc._rank(targets), np.searchsorted(hi, targets, side="right"))
 
 
 def test_limb_dot_chunks_or_refuses_large_weights():
@@ -252,8 +274,8 @@ def test_search_keys_are_built_at_the_first_tie():
 def test_tent_pair_sum_on_clustered_sets(alpha):
     points = _squares_dilated(Alpha(0) if alpha == "0" else Alpha.parse(alpha), 2000)
     acc = WindowAccumulator(points)
-    for width in _LATTICE_WIDTHS:
-        assert acc.tent_pair_sum(width) == reference_tent_pair_sum(points, width)
+    for width in _LATTICE_WIDTHS + list(_OFF_LATTICE_WIDTHS):
+        _assert_width(acc, width)
 
 
 def test_tent_pair_sum_with_chunked_limb_dot(monkeypatch):
@@ -288,13 +310,15 @@ def test_widths_in_any_order_give_the_same_values():
 
 
 def test_accumulator_memory_per_point():
-    points = _POINT_SETS["random0-N10000"]
-    acc = WindowAccumulator(points)
-    for width in _LATTICE_WIDTHS[4:12]:  # 2^-5 .. 2^-12, the scan's widths
-        acc.tent_pair_sum(width)
-    assert acc._keys is None
-    owned = sum(v.nbytes for v in vars(acc).values() if isinstance(v, np.ndarray))
-    assert owned <= 48 * points.n
+    # the bucket table doubles from N = 2^14 to 2^14 + 1, to nearly 8 bytes per point
+    for n in (10 ** 4, 1 << 14, (1 << 14) + 1):
+        points = _squares_dilated(_ALPHAS["random0"], n)
+        acc = WindowAccumulator(points)
+        for width in _LATTICE_WIDTHS[4:12]:  # 2^-5 .. 2^-12, the scan's widths
+            acc.tent_pair_sum(width)
+        assert acc._keys is None
+        owned = sum(v.nbytes for v in vars(acc).values() if isinstance(v, np.ndarray))
+        assert owned <= 48 * points.n
     tied = WindowAccumulator(_POINT_SETS["rat3_1024-N10000"])
     tied.tent_pair_sum(GRID_ONE >> 5)
     assert tied._keys is not None
