@@ -302,12 +302,17 @@ def term_array(terms, limit: int) -> np.ndarray:
     the conversion could wrap them.
     """
     x = np.asarray(terms)
-    if x.dtype.kind not in "iu":
-        # numpy reads a list holding ints past the int64/uint64 range as float
-        # or object; such ints are range-checked below as Python ints
-        kind, x = x.dtype, np.asarray(terms, dtype=object)
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in x.flat):
-            raise TypeError(f"terms must be integers, got {kind}")
+    if x.dtype.kind not in "iu" or not isinstance(terms, np.ndarray):
+        # numpy promotes a bool among ints to int64 and reads a list holding
+        # ints past the int64/uint64 range as float or object, so anything but
+        # an integer array is checked item by item; big ints are range-checked
+        # below as Python ints
+        items = np.asarray(terms, dtype=object)
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in items.flat):
+            raise TypeError(f"terms must be integers, got {x.dtype}")
+        if x.dtype.kind not in "iu":
+            x = items
     if x.size and (int(x.min()) < -limit or int(x.max()) > limit):
         raise OverflowError(f"terms must lie within +-{limit}")
     return x.astype(np.int64, copy=False)

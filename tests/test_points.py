@@ -216,9 +216,10 @@ def test_caller_terms_are_integers_checked_before_conversion(name):
         call(np.array([1, (1 << 63) + 1, 0], dtype=np.uint64))
     assert call(np.array([1, top, 0], dtype=np.uint64)) == call([1, top, 0])
     assert call(np.array([3, 1, 2], dtype=np.uint8)) == call([3, 1, 2])
-    # [1.5, 2.7, 4.2] would truncate to the terms 1, 2, 4
+    # [1.5, 2.7, 4.2] would truncate to the terms 1, 2, 4, and numpy promotes
+    # [True, 2, 4] to the int64 terms 1, 2, 4
     for bad in ([1.5, 2.7, 4.2], np.array([1.0, 2.0, 4.0]), np.array([True, False, True]),
-                ["1", "2", "4"]):
+                ["1", "2", "4"], [True, 2, 4], [3, np.True_, 4]):
         with pytest.raises(TypeError):
             call(bad)
     # Python ints past the int64/uint64 range, which numpy reads as object or float

@@ -1,14 +1,15 @@
 """A/B benchmark of two revisions: alternating pairs of perfbench runs.
 
     python3 tools/ab.py PARENT CHANGE --name NAME --what "what the change does" \
-        --seeds 4 5 6 7 --seconds 20
+        --seeds 4 5 6 7
 
 Each revision is exported with `git archive` into its own temporary directory,
 so both sides run from committed files in fresh copies that write no bytecode
 cache (PYTHONDONTWRITEBYTECODE=1).  For every seed, each workload runs once on
 each side, one run at a time, with the side that goes first swapping from one
-pair to the next.  The runs use the command, workloads and end-to-end metrics
-that the change's BENCHMARK.json declares, and `--trace 0`.  The result is
+pair to the next.  The runs use the command, every workload, the run length
+(run_seconds) and the end-to-end metrics that the change's BENCHMARK.json
+declares, and `--trace 0`.  The result is
 written to BENCH_<NAME>.json at the repository root: per workload and metric,
 each side's median and quartiles (statistics.quantiles, n=4), every run,
 the pairs the change won (ties count for neither side) and the change's median
@@ -78,10 +79,6 @@ def main(argv=None) -> int:
     parser.add_argument("--what", required=True, help="what the change does")
     parser.add_argument("--seeds", type=int, nargs="+", required=True,
                         help="one pair of runs per seed and workload")
-    parser.add_argument("--seconds", type=float,
-                        help="run length (default: BENCHMARK.json's run_seconds)")
-    parser.add_argument("--workload", action="append",
-                        help="a workload to run (default: every one in BENCHMARK.json)")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="numvar-ab-") as tmp:
@@ -89,8 +86,8 @@ def main(argv=None) -> int:
         revs = {side: export(getattr(args, side), copies[side]) for side in copies}
         with open(os.path.join(copies["change"], "BENCHMARK.json")) as fh:
             bench = json.load(fh)
-        seconds = args.seconds or bench["run_seconds"]
-        workloads = args.workload or [w["name"] for w in bench["workloads"]]
+        seconds = bench["run_seconds"]
+        workloads = [w["name"] for w in bench["workloads"]]
         runs = {w: {"parent": [], "change": []} for w in workloads}
         environment = None
         for i, seed in enumerate(args.seeds):
