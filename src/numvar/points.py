@@ -305,12 +305,12 @@ def term_array(terms, limit: int) -> np.ndarray:
     if x.dtype.kind not in "iu" or not isinstance(terms, np.ndarray):
         # numpy promotes a bool among ints to int64 and reads a list holding
         # ints past the int64/uint64 range as float or object, so anything but
-        # an integer array is checked item by item; big ints are range-checked
-        # below as Python ints
+        # an integer array has its items' types checked; big ints are
+        # range-checked below as Python ints
         items = np.asarray(terms, dtype=object)
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in items.flat):
-            raise TypeError(f"terms must be integers, got {x.dtype}")
+        for kind in set(map(type, items.flat)):
+            if not issubclass(kind, (int, np.integer)) or issubclass(kind, bool):
+                raise TypeError(f"terms must be integers, got {kind.__name__}")
         if x.dtype.kind not in "iu":
             x = items
     if x.size and (int(x.min()) < -limit or int(x.max()) > limit):
