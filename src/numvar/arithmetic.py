@@ -30,8 +30,6 @@ class BudgetExceeded(RuntimeError):
 
     def __init__(self, message: str, estimated, budget):
         super().__init__(f"{message} (estimated {estimated}, budget {budget})")
-        self.estimated = estimated
-        self.budget = budget
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,10 +33,8 @@ def _derived_seeds(seed, count: int) -> list:
 
 @dataclass(frozen=True)
 class RandomSample:
-    """An i.i.d. uniform point set together with the seed that produced it."""
+    """An i.i.d. uniform point set."""
 
-    seed: int
-    n: int
     points: PointSet
 
 
@@ -45,8 +43,7 @@ def sample_uniform(count: int, seed) -> RandomSample:
     if count < 0:
         raise ValueError("count must be nonnegative")
     words = philox_words(seed, (count, 2))
-    return RandomSample(seed=int(seed), n=count,
-                        points=PointSet.from_words(words[:, 0], words[:, 1]))
+    return RandomSample(PointSet.from_words(words[:, 0], words[:, 1]))
 
 
 def bridge_path(m: int, seed) -> np.ndarray:
@@ -138,7 +135,7 @@ def kronecker_experiment(alpha: Alpha, s_grid, n_max: int = 10 ** 5) -> list:
     for p, q in continued_fraction_convergents(alpha, 200):
         if q > n_max:
             break
-        engine = WindowAccumulator(dilate_mod1(range(1, q + 1), alpha))
+        engine = WindowAccumulator(dilate_mod1(np.arange(1, q + 1), alpha))
         max_v = max((engine.variance(f) for f in grid), default=0.0)
         rows.append(KroneckerRow(p=p, q=q, max_v=max_v))
     return rows

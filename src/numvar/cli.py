@@ -211,6 +211,8 @@ def config_hash(config: ExperimentConfig) -> str:
         "s_grid": [f"{s.numerator}/{s.denominator}" for s in config.s_grid],
         "seed": config.seed,
     }
+    if config.sequence.kind == "explicit":  # its label names only the length
+        payload["values"] = list(config.sequence.values)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -263,9 +265,10 @@ def run_scan(config: ExperimentConfig, *, threads: int = 1) -> ScanResult:
         stream = open(config.out, "w", encoding="utf-8", newline="")
     pool = None
     try:
-        if threads > 1:
+        workers = min(threads, len(alphas))  # a block holds one task per alpha
+        if workers > 1:
             # one pool for the whole scan; each task carries its terms as int64
-            pool = ProcessPoolExecutor(max_workers=threads)
+            pool = ProcessPoolExecutor(max_workers=workers)
         if stream:
             stream.write(CSV_HEADER + "\n")
             stream.flush()

@@ -35,8 +35,7 @@ def philox_words(seed, shape) -> np.ndarray:
     the same bytes on any platform.  A row of two words is one point of the
     2^-128 grid, high word first.
     """
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return gen.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+    return np.random.Philox(np.random.SeedSequence(seed)).random_raw(shape)
 
 
 @dataclass(frozen=True)
@@ -141,13 +140,16 @@ class PointSet:
     def n(self) -> int:
         return len(self.hi)
 
+    def below(self, x: int) -> int:
+        """The number of points < x, for 0 <= x < 2^128."""
+        x_hi, x_lo = np.uint64(x >> 64), np.uint64(x & _WORD)
+        first, last = np.searchsorted(self.hi, x_hi), np.searchsorted(self.hi, x_hi, side="right")
+        return int(first + np.searchsorted(self.lo[first:last], x_lo))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
         return np.array_equal(self.hi, other.hi) and np.array_equal(self.lo, other.lo)
-
-    def __hash__(self) -> int:
-        return hash((self.hi.tobytes(), self.lo.tobytes()))
 
 
 @dataclass(frozen=True)

@@ -179,8 +179,7 @@ class WindowAccumulator:
         t_hi = hi - w_hi
         if w_lo:
             t_hi -= lo < w_lo
-        first, last = np.searchsorted(hi, w_hi), np.searchsorted(hi, w_hi, side="right")
-        wraps = int(first + np.searchsorted(lo[first:last], w_lo))
+        wraps = self.points.below(width)
         found = self._rank(t_hi)
         # where a point shares the target's high word, the low words decide
         # (found - 1 = -1 reads the largest high word, which is then > t_hi)
@@ -225,13 +224,6 @@ def variance_pairwise(points: PointSet, s: SBin, *, exact: bool = False):
     return WindowAccumulator(points).variance(s, exact=exact)
 
 
-def _add128(hi, lo, c: int):
-    """(hi, lo) + c mod 2^128 for 0 <= c < 2^128, as uint64 words."""
-    c_lo = np.uint64(c & _WORD)
-    s_lo = lo + c_lo
-    return hi + np.uint64(c >> 64) + (s_lo < c_lo), s_lo
-
-
 def _sub128(hi, lo, c: int):
     """(hi, lo) - c mod 2^128 for 0 <= c < 2^128, as uint64 words."""
     c_lo = np.uint64(c & _WORD)
@@ -259,37 +251,34 @@ def _weighted_sum128(weights: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> int
 def variance_sweep(points: PointSet, s: SBin, *, exact: bool = False):
     """V(N, S) by integrating the counting step function over arc endpoints.
 
-    Point p covers the arc [p - S/2, p + S/2) mod 1.  The arc starts and the
-    arc ends are rotations of the sorted points; undone, they are two sorted
-    runs, and one stable merge by (high, low) word orders all 2N events.  The
-    count after each event is a cumulative sum of the +1/-1 deltas.  With
-    base the count on the arc just below 1 and levels L_0 = base, L_1, ..,
-    L_2N at the event positions q_j, summation by parts gives
+    Point p covers the arc [p - S/2, p + S/2) mod 1.  The arc starts, p - S/2
+    mod 1, and the arc ends, p + S/2 = p - (1 - S/2) mod 1, come from two
+    _sub128 calls.  Each is the sorted points moved round the circle, so the
+    2N events form four sorted runs, which one stable argsort by high word
+    merges; a lexsort on (high, low) words takes over when equal high words
+    come out with their low words out of order.  The count after each event
+    is a cumulative sum of the +1/-1 deltas.  With base the count on the arc
+    just below 1 (the arcs that wrap past 0, counted by PointSet.below) and
+    levels L_0 = base, L_1, .., L_2N at the event positions q_j, summation by
+    parts gives
 
         integral S_N^2 = base^2 * 2^128 + sum_j q_j (L_{j-1}^2 - L_j^2)
 
     on the 2^-128 grid, one exact weighted sum of the positions.  Events at a
     shared position may come in any order: the segment between them is empty.
-    The sweep shares no code with WindowAccumulator.
+    The sweep shares only PointSet (with its below) and _grid_width with
+    WindowAccumulator.
     """
     width = _grid_width(s)
     n = points.n
     if n == 0 or width == 0:
         return Fraction(0) if exact else 0.0
     half = width >> 1
+    base = points.below(half) + n - points.below(GRID_ONE - half)  # p < S/2, p >= 1 - S/2
     hi, lo = points.hi, points.lo
-    keys = _keys128(hi, lo)
-
-    def below(x: int) -> int:  # points < x, for 0 <= x < 2^128
-        return int(np.searchsorted(keys, x.to_bytes(16, "big"), side="left"))
-
-    wrap_start = below(half)  # p - S/2 < 0
-    wrap_end = n - below(GRID_ONE - half)  # p + S/2 >= 1
-    base = wrap_start + wrap_end
-    starts = [np.roll(w, -wrap_start) for w in _sub128(hi, lo, half)]
-    ends = [np.roll(w, wrap_end) for w in _add128(hi, lo, half)]
-    q_hi, q_lo = np.concatenate((starts[0], ends[0])), np.concatenate((starts[1], ends[1]))
-    order = np.argsort(q_hi, kind="stable")  # merges the two sorted runs
+    # the events, starts before ends: each pair of word arrays is freed once joined
+    q_hi, q_lo = map(np.concatenate, zip(_sub128(hi, lo, half), _sub128(hi, lo, GRID_ONE - half)))
+    order = np.argsort(q_hi, kind="stable")  # merges the four sorted runs
     if np.any((q_hi[order[1:]] == q_hi[order[:-1]]) & (q_lo[order[1:]] < q_lo[order[:-1]])):
         order = np.lexsort((q_lo, q_hi))  # equal high words, low words out of order
     levels = base + np.concatenate(([0], np.cumsum(np.where(order < n, 1, -1))))

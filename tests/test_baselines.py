@@ -19,7 +19,7 @@ def test_sample_uniform_basics():
     a = sample_uniform(50, 999)
     b = sample_uniform(50, 999)
     assert a.points.points == b.points.points
-    assert a.n == 50 and a.seed == 999
+    assert a.points.n == 50
     c = sample_uniform(50, 1000)
     assert c.points.points != a.points.points
     assert sample_uniform(0, 1).points.points == ()

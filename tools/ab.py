@@ -8,12 +8,13 @@ so both sides run from committed files in fresh copies that write no bytecode
 cache (PYTHONDONTWRITEBYTECODE=1).  For every seed, each workload runs once on
 each side, one run at a time, with the side that goes first swapping from one
 pair to the next.  The runs use the command, every workload, the run length
-(run_seconds) and the end-to-end metrics that the change's BENCHMARK.json
-declares, and `--trace 0`.  The result is
+(run_seconds) and the end-to-end metrics with their bounds that the change's
+BENCHMARK.json declares, and `--trace 0`.  The result is
 written to BENCH_<NAME>.json at the repository root: per workload and metric,
 each side's median and quartiles (statistics.quantiles, n=4), every run,
-the pairs the change won (ties count for neither side) and the change's median
-relative to the parent's.
+the pairs the change won (ties count for neither side), the change's median
+relative to the parent's, and a verdict against the metric's bound (see
+verdict).
 """
 
 from __future__ import annotations
@@ -56,8 +57,31 @@ def run_once(copy: str, command: list, workload: str, seed: int, seconds: float)
     return {"env": run_env, "result": json.loads(lines[-1])}
 
 
-def summarize(parent: list, change: list, better: str) -> dict:
-    """Medians, quartiles and pair wins of one metric over paired runs."""
+def verdict(parent: dict, change: dict, wins: int, pairs: int, better: str,
+            bound: float) -> str:
+    """One metric's verdict from both sides' spreads and the change's pair wins.
+
+    worse: the change's median is worse than the parent's by more than the
+    bound (a share of the parent's median).  gain: the change wins at least 9
+    of 10 pairs and its median is better by more than the parent's
+    interquartile range.  unresolved: the parent's interquartile range exceeds
+    the bound as a share of its median, and the change does not win every
+    pair.  same: anything else.
+    """
+    sign = 1 if better == "higher" else -1
+    gained = sign * (change["median"] - parent["median"])
+    iqr = parent["q3"] - parent["q1"]
+    if -gained > bound * abs(parent["median"]):
+        return "worse"
+    if 10 * wins >= 9 * pairs and gained > iqr:
+        return "gain"
+    if iqr > bound * abs(parent["median"]) and wins < pairs:
+        return "unresolved"
+    return "same"
+
+
+def summarize(parent: list, change: list, better: str, bound: float) -> dict:
+    """Medians, quartiles, pair wins and the verdict of one metric over paired runs."""
     def spread(runs):
         q1, median, q3 = statistics.quantiles(runs, n=4) if len(runs) > 1 else runs * 3
         return {"median": median, "q1": q1, "q3": q3}
@@ -65,8 +89,9 @@ def summarize(parent: list, change: list, better: str) -> dict:
     sign = 1 if better == "higher" else -1
     wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
     p, c = spread(parent), spread(change)
-    return {"better": better, "parent": p, "change": c,
+    return {"better": better, "bound": bound, "parent": p, "change": c,
             "change_wins": f"{wins}/{len(parent)}",
+            "verdict": verdict(p, c, wins, len(parent), better, bound),
             "median_change": c["median"] / p["median"] - 1 if p["median"] else None,
             "parent_runs": parent, "change_runs": change}
 
@@ -112,7 +137,8 @@ def main(argv=None) -> int:
                    "a time; one pair per seed and workload, the parent first in the 1st, "
                    "3rd, ... pair; median and quartiles (statistics.quantiles, n=4) over "
                    "the pairs; change_wins counts pairs where the change is better; "
-                   "median_change is change median / parent median - 1; written by "
+                   "median_change is change median / parent median - 1; verdict is "
+                   "tools/ab.py's verdict() against the metric's bound; written by "
                    "tools/ab.py"),
         "environment": dict(environment, PYTHONDONTWRITEBYTECODE="1"),
         "workloads": {},
@@ -127,7 +153,7 @@ def main(argv=None) -> int:
             "attempted_checks": {s: sum(r["attempted"] for r in sides[s]) for s in sides},
             "metrics": {m["name"]: summarize([r["metrics"][m["name"]]["value"] for r in sides["parent"]],
                                              [r["metrics"][m["name"]]["value"] for r in sides["change"]],
-                                             m["better"])
+                                             m["better"], m["bound"])
                         for m in bench["end_to_end"]},
         }
     path = os.path.join(ROOT, f"BENCH_{args.name}.json")
