@@ -201,7 +201,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    """sha256 over the canonical JSON of the science fields (not output paths)."""
+    """sha256 over the canonical JSON of the science fields (not output paths),
+    an explicit sequence's values included: its label names only their count."""
     payload = {
         "sequence": config.sequence.label(),
         "alpha_mode": config.alpha_mode,
@@ -211,7 +212,7 @@ def config_hash(config: ExperimentConfig) -> str:
         "s_grid": [f"{s.numerator}/{s.denominator}" for s in config.s_grid],
         "seed": config.seed,
     }
-    if config.sequence.kind == "explicit":  # its label names only the length
+    if config.sequence.kind == "explicit":
         payload["values"] = list(config.sequence.values)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()

@@ -96,6 +96,26 @@ def test_config_hash_ignores_presentation():
     assert config_hash(a) != config_hash(reseeded)
 
 
+def test_config_hash_covers_explicit_values_only(tmp_path):
+    def explicit(name, values):
+        path = tmp_path / name
+        path.write_text("".join(f"{v}\n" for v in values))
+        return parse_config(f"sequence = explicit:@{path}\nalphas = golden\n"
+                            "n_grid = 3\ns_grid = 1/4\n")
+
+    a, b = explicit("a.txt", (1, 2, 3)), explicit("b.txt", (5, 7, 11))
+    assert a.sequence.label() == b.sequence.label()
+    assert config_hash(a) != config_hash(b)
+    assert config_hash(explicit("c.txt", (1, 2, 3))) == config_hash(a)  # not the path
+    # every other sequence keeps the hash it had before the values were added
+    assert config_hash(parse_config(BASE_CONFIG)) == (
+        "ee0580e07924c2fa7af6c0de183b3dc51be224007754e300f50d7ad500c0938f")
+    assert config_hash(parse_config(
+        "sequence = linear\nalpha_mode = explicit\nalphas = golden, rat:3/1024\n"
+        "n_grid = 10, 100\ns_grid = 1/4, 1/64\n")) == (
+        "f7ebc30ad7380c1a3ed3dfdc8fdff4c7d31b765ede0559397cb5ceaa1d68ff45")
+
+
 def test_run_scan_examples_and_determinism():
     cfg = parse_config(BASE_CONFIG)
     result = run_scan(cfg)
@@ -155,6 +175,28 @@ def test_run_scan_incremental_csv(tmp_path):
 def test_run_scan_threads_match_serial():
     cfg = parse_config("alphas = golden, sqrt2m1\nn_grid = 30, 60\ns_grid = 1/8,1/16\n")
     assert emit(run_scan(cfg, threads=2)) == emit(run_scan(cfg))
+
+
+def test_run_scan_starts_one_worker_per_alpha_at_most(monkeypatch):
+    made = []
+
+    class InProcessPool:  # records its size and maps in this process
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    two = parse_config("alphas = golden, sqrt2m1\nn_grid = 30, 60\ns_grid = 1/8,1/16\n")
+    assert emit(run_scan(two, threads=64)) == emit(run_scan(two))
+    assert made == [2]
+    one = dataclasses.replace(two, alphas=(Alpha.golden(),))
+    assert emit(run_scan(one, threads=64)) == emit(run_scan(one))
+    assert made == [2]  # one alpha: no pool
 
 
 def test_emit_parse_roundtrip():

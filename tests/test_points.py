@@ -1,3 +1,4 @@
+import bisect
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from numvar.arithmetic import additive_energy, energy_direct, rep_table
 from numvar.points import (GRID_ONE, Alpha, PointSet, SequenceSpec,
                            continued_fraction_convergents, dilate_mod1,
-                           generate_terms)
+                           generate_terms, philox_words)
 from pointsets import from_ints
 
 
@@ -80,6 +81,38 @@ def test_pointset_validation():
         assert words.points == tuple(sorted((h << 64) | lo for h, lo in zip(his, (2, 9, 1))))
     with pytest.raises(ValueError):
         PointSet(np.array([2, 1], dtype=np.uint64), np.array([0, 0], dtype=np.uint64))
+
+
+def _check_below(points, xs):
+    for x in xs:
+        assert points.below(x) == bisect.bisect_left(points.points, x), x
+
+
+def test_pointset_below_counts_points_under_a_value():
+    _check_below(from_ints([]), (0, 1, 1 << 64, GRID_ONE - 1))
+    h = 5 << 64  # a high word with points on both sides of x and in it
+    values = [3, (1 << 64) - 1, h - 1, h, h + 7, h + 7, h + (1 << 63), h + (1 << 64) - 1,
+              h + (1 << 64), GRID_ONE - 2]
+    points = from_ints(values)
+    _check_below(points, [0, 1, 4, h + 6, h + 8, h + (1 << 62), h + (1 << 64) - 2,
+                          GRID_ONE - 1, *values])
+    assert points.below(h + 7) == 4 and points.below(GRID_ONE - 1) == len(values)
+    one_word = from_ints([h + lo for lo in (0, 0, 9, 1 << 40, (1 << 64) - 1)])
+    _check_below(one_word, [0, h - 1, h, h + 1, h + 9, h + 10, h + (1 << 64) - 1,
+                            h + (1 << 64), GRID_ONE - 1])
+    for bad in (-1, GRID_ONE):
+        with pytest.raises(OverflowError):
+            points.below(bad)
+
+
+@pytest.mark.parametrize("seed", (0, 1, 5, (1 << 63) + 7, [3, 4], 24036583))
+def test_philox_words_equal_the_generators_full_range_integers(seed):
+    for shape in (1, 7, (5, 2), (0, 2), 1 << 14, (3,)):
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        want = gen.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+        got = philox_words(seed, shape)
+        assert got.dtype == np.uint64 and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def test_sequence_spec_validation():

@@ -348,13 +348,39 @@ def test_sweep_matches_reference_on_crafted_points(name):
         assert variance_sweep(points, s, exact=True) == reference_sweep(points, s, exact=True)
 
 
+_NEAR_0 = (0, 1, 5, 1 << 62, (1 << 63) - 1, 1 << 63, (1 << 63) + 3, (1 << 64) - 1)
+_NEAR_1 = tuple(GRID_ONE - (1 << 64) + x for x in _NEAR_0)
+
+
+@pytest.mark.parametrize("points", [_NEAR_0 + _NEAR_1, _NEAR_0[:3] * 2 + _NEAR_1[4:] * 3,
+                                    _NEAR_0 + (1 << 127, (1 << 127) + 1) + _NEAR_1],
+                         ids=["both-ends", "piled-both-ends", "both-ends-and-middle"])
+def test_sweep_merges_wrapped_and_unwrapped_events_in_one_high_word(monkeypatch, points):
+    """Points within 2^-64 of 0 and of 1.  Where S/2 has a low word of 2^63,
+    an arc start that wraps below 0 shares its high word with one that does
+    not (and so do the arc ends past 1), and its run comes first although its
+    low words are larger, so the stable argsort leaves them out of order."""
+    pts = from_ints(sorted(points))
+    lexsorts = []
+    real_lexsort = np.lexsort
+    monkeypatch.setattr(numvar.variance.np, "lexsort",
+                        lambda keys: lexsorts.append(1) or real_lexsort(keys))
+    for k in (1, 3, (1 << 62) + 1, (1 << 63) + 1, (1 << 64) - 1):  # S = k/2^64, k odd
+        s = Fraction(k, 1 << 64)
+        before = len(lexsorts)
+        assert variance_sweep(pts, s, exact=True) == variance_pairwise(pts, s, exact=True)
+        assert len(lexsorts) == before + 1, k  # the fall-back was taken
+    for s in (Fraction(1, 4), Fraction(1, 2), 1):
+        assert variance_sweep(pts, s, exact=True) == variance_pairwise(pts, s, exact=True)
+
+
 def test_sweep_is_independent_of_the_pairwise_engine(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("variance_sweep reached the pairwise engine")
 
     pts = sample_uniform(500, 77).points
     want = reference_sweep(pts, Fraction(3, 64), exact=True)
-    for name in ("WindowAccumulator", "_limb_dot", "_limbs"):
+    for name in ("WindowAccumulator", "_limb_dot", "_limbs", "_keys128"):
         monkeypatch.setattr(numvar.variance, name, refuse)
     assert variance_sweep(pts, Fraction(3, 64), exact=True) == want
 
