@@ -218,16 +218,23 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _alpha_cell(args):
-    """Worker: variance of one dilated point set over a list of widths.  An
-    exception is raised again naming the cell, where its type takes a message."""
-    terms, alpha, s_grid = args
+_pool_terms = None  # a pool worker's terms, set once by its initializer
+
+
+def _take_terms(terms) -> None:
+    global _pool_terms
+    _pool_terms = terms
+
+
+def _alpha_cell(n, alpha, s_grid, terms=None):
+    """Variance of the first n terms (by default a pool worker's) dilated by alpha,
+    over a list of widths.  An exception is raised again naming the cell."""
     try:
-        acc = WindowAccumulator(dilate_mod1(terms, alpha))
+        acc = WindowAccumulator(dilate_mod1((_pool_terms if terms is None else terms)[:n], alpha))
         return [acc.variance(s) for s in s_grid]
     except Exception as exc:
         try:
-            named = type(exc)(f"N = {len(terms)}, alpha {alpha.hex}: {exc}")
+            named = type(exc)(f"N = {n}, alpha {alpha.hex}: {exc}")
         except Exception:
             raise exc from None
         raise named.with_traceback(exc.__traceback__) from None
@@ -251,42 +258,43 @@ def _format_row(rec: VarianceRecord) -> str:
 def run_scan(config: ExperimentConfig, *, threads: int = 1) -> ScanResult:
     """Execute the (N, S, alpha) grid; rows N outer, S middle, alpha inner.
 
-    If the config names a CSV output path, completed blocks are flushed as
-    the scan progresses, so an interrupted run leaves a valid row prefix.
+    Each N block is split over w = min(threads, alphas) processes: this one
+    takes alphas 0, w, 2w, .., a pool of w - 1 workers the rest.  CSV rows to
+    config.out are flushed block by block, so an interrupted run leaves a
+    valid row prefix.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     t0 = time.monotonic()
     alphas = (list(config.alphas) if config.alpha_mode == "explicit"
               else Alpha.random_stream(config.alpha_count, config.seed))
-    max_n = max(config.n_grid, default=0)
     with _input_error("sequence"):
-        terms = generate_terms(config.sequence, max_n)
+        terms = generate_terms(config.sequence, max(config.n_grid, default=0))
     rows = []
-    stream = None
-    if config.out is not None and config.fmt == "csv":
-        stream = open(config.out, "w", encoding="utf-8", newline="")
+    stream = (open(config.out, "w", encoding="utf-8", newline="")
+              if config.out is not None and config.fmt == "csv" else None)
     pool = None
     try:
-        workers = min(threads, len(alphas))  # a block holds one task per alpha
-        if workers > 1:
-            # one pool for the whole scan; each task carries its terms as int64
-            pool = ProcessPoolExecutor(max_workers=workers)
+        workers = max(min(threads, len(alphas)), 1)  # a block holds one cell per alpha
+        if workers > 1:  # one pool for the whole scan, given the terms once
+            pool = ProcessPoolExecutor(workers - 1, initializer=_take_terms, initargs=(terms,))
         if stream:
             stream.write(CSV_HEADER + "\n")
             stream.flush()
         for n in config.n_grid:
-            tasks = [(terms[:n], a, config.s_grid) for a in alphas]
-            per_alpha = list(pool.map(_alpha_cell, tasks) if pool else map(_alpha_cell, tasks))
-            block = []
-            for s_idx, s in enumerate(config.s_grid):
-                for a_idx, alpha in enumerate(alphas):
-                    block.append(VarianceRecord(n, s, alpha, per_alpha[a_idx][s_idx]))
+            cells = [pool.submit(_alpha_cell, n, a, config.s_grid) if k % workers else None
+                     for k, a in enumerate(alphas)]
+            cells = [c.result() if c else _alpha_cell(n, a, config.s_grid, terms)
+                     for c, a in zip(cells, alphas)]
+            block = [VarianceRecord(n, s, alpha, values[k]) for k, s in enumerate(config.s_grid)
+                     for alpha, values in zip(alphas, cells)]
             rows.extend(block)
             if stream:
                 stream.write("".join(_format_row(r) + "\n" for r in block))
                 stream.flush()
     finally:
         if pool:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
         if stream:
             stream.close()
     metadata = {

@@ -63,27 +63,26 @@ _LIMB_MAX = (1 << _LIMB_BITS) - 1
 _INT64_MAX = (1 << 63) - 1
 
 
-def _limbs(points: PointSet) -> np.ndarray:
-    """(4, N) int64 array of the points' 32-bit limbs, least significant first."""
-    return np.stack([(word >> np.uint64(shift)) & _LOW32 for word in (points.lo, points.hi)
-                     for shift in (0, _LIMB_BITS)]).astype(np.int64)
+def _limb_dot(weights: np.ndarray, points: PointSet) -> int:
+    """sum_k weights[k] * (point k) exactly, from int64 dot products over the
+    points' 32-bit limbs, which are uint32 views of the words.
 
-
-def _limb_dot(weights: np.ndarray, limbs: np.ndarray) -> int:
-    """sum_k weights[k] * (point k) exactly, from int64 dot products over limbs.
-
-    A dot product over L entries stays below 2^63 when max|weight| *
-    (2^32 - 1) * L does, so the sum is taken in chunks of that length; a
-    weight too large for even one entry (above 2^31) raises OverflowError.
+    A dot product over L entries stays below 2^63 when max|weight| * (2^32 -
+    1) * L does, so the sum is taken in chunks of that length (a buffered
+    einsum, with no N-sized cast); a weight above 2^31 raises OverflowError.
     """
-    per_entry = int(np.abs(weights).max(initial=0)) * _LIMB_MAX
+    low = int(not np.little_endian)  # where a word's low half lies
+    limbs = [np.ascontiguousarray(word).view(np.uint32)[low ^ k::2]
+             for word in (points.lo, points.hi) for k in (0, 1)]
+    per_entry = max(int(weights.max(initial=0)), -int(weights.min(initial=0))) * _LIMB_MAX
     if per_entry > _INT64_MAX:
         raise OverflowError("tent weight too large for the int64 limb products")
     step = _INT64_MAX // max(per_entry, 1)
     total = 0
     for start in range(0, len(weights), step):
-        sums = limbs[:, start:start + step] @ weights[start:start + step]
-        total += sum(int(s) << (_LIMB_BITS * j) for j, s in enumerate(sums))
+        part = slice(start, start + step)
+        total += sum(int(np.einsum("i,i", weights[part], limb[part], dtype=np.int64))
+                     << (_LIMB_BITS * j) for j, limb in enumerate(limbs))
     return total
 
 
@@ -102,21 +101,20 @@ class WindowAccumulator:
     distance < S are the entries lower[k] <= j < upper[k], those with d_j in
     (t_k + 1 - S, t_k + 1].  upper depends only on the points, so __init__
     builds once all that comes from it: upper's share of the tent weights as
-    one int64 array and its scalar sums, beside the points' 32-bit limbs, 40
-    bytes per point.  It also sorts the points into fewer than 2N buckets by
-    the top bits of their high words and keeps where each bucket starts
-    (int32, at most 8 bytes per point).  A width then ranks its targets among
-    the high words through that table (see _rank), and costs one bincount
-    and cumsum of lower, one limb dot and O(1) scalars.  The 128-bit keys (16
-    bytes per point) are built when a target first shares its high word with
-    a point: at once for rational alphas, rarely otherwise.
+    one int64 array and its scalar sums, 8 bytes per point.  It also sorts the
+    points into fewer than 2N buckets by the top bits of their high words and
+    keeps where each bucket starts (int32, at most 8 bytes per point).  A
+    width then ranks its targets among the high words through that table (see
+    _rank), and costs one bincount and cumsum of lower, one dot over uint32
+    views of the points' limbs and O(1) scalars.  The 128-bit keys (16 bytes
+    per point) are built when a target first shares its high word with a
+    point: at once for rational alphas, rarely otherwise.
     """
 
     def __init__(self, points: PointSet):
         n = self.n = points.n
         self.points = points
         self._keys = None
-        self._limbs = _limbs(points)
         # runs of equal points: upper = N + the end of the point's run, and a run
         # of r points holds r(r - 1) coincident ordered pairs
         hi, lo = points.hi, points.lo
@@ -124,13 +122,16 @@ class WindowAccumulator:
         new_run[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
         starts = np.flatnonzero(new_run)
         runs = np.diff(starts, append=n)
-        run_end = np.repeat(starts + runs, runs)
+        self._upper_weight = np.repeat(starts + runs, runs)
         self.coincident_pairs = int(np.dot(runs, runs - 1))
+        del new_run, starts, runs
         # upper's share of point k's weight (see tent_pair_sum), less N:
         # #{i: upper[i] <= k} (= 0) + #{i: upper[i] <= N + k} + upper[k] - N
-        cover = np.cumsum(np.bincount(run_end, minlength=n + 1)[:n])
-        self._upper_weight = cover + run_end
-        self._upper_sums = int(run_end.sum()), int(cover.sum())
+        cover = np.bincount(self._upper_weight, minlength=n + 1)[:n]
+        np.cumsum(cover, out=cover)
+        self._upper_sums = int(self._upper_weight.sum()), int(cover.sum())
+        self._upper_weight += cover
+        del cover
         # bucket v holds the points whose high words start with the bits of v;
         # first[v] points lie in the buckets below it
         bits = max((n - 1).bit_length(), 1)
@@ -193,16 +194,16 @@ class WindowAccumulator:
         # counts the windows holding entry j and count = upper - lower; lower's
         # share, #{i: lower[i] <= k} + #{i: lower[i] <= N + k} + lower[k], is
         # #{i: found[i] <= k} + wraps + found[k] + N [k >= wraps]
-        bins = np.bincount(found, minlength=n + 1)
-        bins[0] += wraps
-        weights = np.cumsum(bins[:n])
+        weights = np.bincount(found, minlength=n + 1)[:n]
+        weights[0] += wraps
+        np.cumsum(weights, out=weights)
         weights += found
         weights -= self._upper_weight
         weights[:wraps] -= n
         end_sum, end_cover_sum = self._upper_sums
         count_sum = end_sum - int(found.sum()) + n * wraps
         cover_sum = n * n - int(found[wraps:].sum()) - end_cover_sum  # over entries >= N
-        total = (_limb_dot(weights, self._limbs)
+        total = (_limb_dot(weights, self.points)
                  + (width - GRID_ONE) * count_sum
                  + GRID_ONE * cover_sum
                  - n * width)  # each point saw itself at distance zero

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -177,26 +178,61 @@ def test_run_scan_threads_match_serial():
     assert emit(run_scan(cfg, threads=2)) == emit(run_scan(cfg))
 
 
-def test_run_scan_starts_one_worker_per_alpha_at_most(monkeypatch):
-    made = []
+def test_run_scan_splits_uneven_blocks_between_this_process_and_workers():
+    # threads = 3 over 5 alphas: this process takes alphas 0 and 3, two
+    # workers take 1, 2 and 4
+    cfg = parse_config("alphas = golden, sqrt2m1, rat:1/3, rat:3/1024, "
+                       "hex:0123456789abcdef0123456789abcdef\n"
+                       "n_grid = 30, 61\ns_grid = 1/8,1/16\n")
+    assert emit(run_scan(cfg, threads=3)) == emit(run_scan(cfg))
 
-    class InProcessPool:  # records its size and maps in this process
-        def __init__(self, max_workers):
+
+@pytest.mark.parametrize("threads", (0, -3))
+def test_run_scan_rejects_threads_below_one(threads):
+    cfg = parse_config("alphas = golden\nn_grid = 10\ns_grid = 1/4\n")
+    with pytest.raises(ValueError, match="threads"):
+        run_scan(cfg, threads=threads)
+    assert run_scan(dataclasses.replace(cfg, alphas=()), threads=2).rows == ()
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """The scan's process pool replaced by one that runs its initializer and
+    tasks in this process; gives the pool sizes and the tasks' arguments."""
+    made, tasks = [], []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
             made.append(max_workers)
+            initializer(*initargs)
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def submit(self, fn, *args):
+            tasks.append(args)
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
 
-        def shutdown(self):
+        def shutdown(self, cancel_futures=False):
             pass
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli, "_pool_terms", None)  # the initializer's terms are dropped after
+    return made, tasks
+
+
+def test_run_scan_starts_one_worker_per_alpha_at_most(in_process_pool):
+    made, tasks = in_process_pool
     two = parse_config("alphas = golden, sqrt2m1\nn_grid = 30, 60\ns_grid = 1/8,1/16\n")
     assert emit(run_scan(two, threads=64)) == emit(run_scan(two))
-    assert made == [2]
+    assert made == [1]  # this process computes a share of every block
+    # a task carries no terms: the pool's initializer passed them once
+    assert tasks == [(n, Alpha.parse("sqrt2m1"), two.s_grid) for n in (30, 60)]
     one = dataclasses.replace(two, alphas=(Alpha.golden(),))
     assert emit(run_scan(one, threads=64)) == emit(run_scan(one))
-    assert made == [2]  # one alpha: no pool
+    assert made == [1]  # one alpha: no pool
 
 
 def test_emit_parse_roundtrip():
@@ -280,6 +316,16 @@ def test_scan_failure_names_the_cell(monkeypatch, threads):
     cfg = parse_config("alphas = golden, sqrt2m1\nn_grid = 20, 40\ns_grid = 1/8\n")
     with pytest.raises(RuntimeError, match=f"N = 20, alpha {bad.hex}: dilation failed"):
         run_scan(cfg, threads=threads)
+
+
+@pytest.mark.parametrize("bad", ("golden", "sqrt2m1"), ids=("this-process", "worker"))
+def test_scan_failure_names_the_cell_where_it_runs(monkeypatch, in_process_pool, bad):
+    bad = Alpha.parse(bad)
+    _fail_for_one_alpha(monkeypatch, bad, RuntimeError)
+    cfg = parse_config("alphas = golden, sqrt2m1\nn_grid = 20, 40\ns_grid = 1/8\n")
+    with pytest.raises(RuntimeError, match=f"N = 20, alpha {bad.hex}: dilation failed"):
+        run_scan(cfg, threads=2)
+    assert in_process_pool[0] == [1]
 
 
 @pytest.mark.parametrize("threads", ("1", "2"))

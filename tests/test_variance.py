@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -11,7 +12,7 @@ from numvar.points import GRID_ONE, Alpha, PointSet, dilate_mod1
 import numvar.variance
 from pointsets import from_ints
 from numvar.variance import (VarianceRecord, WindowAccumulator, _grid_width,
-                             _keys128, _limb_dot, _limbs, _sub128, _weighted_sum128,
+                             _keys128, _limb_dot, _sub128, _weighted_sum128,
                              as_dyadic, variance_pairwise, variance_sweep)
 
 
@@ -237,15 +238,14 @@ def test_tent_pair_sum_matches_reference_loop(name):
 
 def test_limb_dot_chunks_or_refuses_large_weights():
     points = from_ints((GRID_ONE - 3, GRID_ONE - 2, GRID_ONE - 1))
-    limbs = _limbs(points)
     # 2^30 * (2^32 - 1) * 3 > 2^63: one unchunked int64 dot would wrap, and at
     # |weight| = 2^31 a chunk holds one entry
     for top in (1 << 30, 1 << 31, -(1 << 30), -(1 << 31)):
         weights = np.array([top, top - np.sign(top), top], dtype=np.int64)
         want = sum(int(w) * p for w, p in zip(weights, points.points))
-        assert _limb_dot(weights, limbs) == want
+        assert _limb_dot(weights, points) == want
     with pytest.raises(OverflowError):
-        _limb_dot(np.array([1, (1 << 31) + 1, 1], dtype=np.int64), limbs)
+        _limb_dot(np.array([1, (1 << 31) + 1, 1], dtype=np.int64), points)
 
 
 _LATTICE_WIDTHS = [GRID_ONE >> v for v in range(1, 13)] + [1 << 64]
@@ -289,10 +289,10 @@ def test_tent_pair_sum_with_chunked_limb_dot(monkeypatch):
     chunks = []
     real = numvar.variance._limb_dot
 
-    def counting_dot(weights, limbs):
+    def counting_dot(weights, points):
         per_entry = int(np.abs(weights).max()) * numvar.variance._LIMB_MAX
         chunks.append(-(-len(weights) // ((1 << 63) // per_entry)))
-        return real(weights, limbs)
+        return real(weights, points)
 
     monkeypatch.setattr(numvar.variance, "_limb_dot", counting_dot)
     s = Fraction(1, 32)
@@ -318,10 +318,27 @@ def test_accumulator_memory_per_point():
             acc.tent_pair_sum(width)
         assert acc._keys is None
         owned = sum(v.nbytes for v in vars(acc).values() if isinstance(v, np.ndarray))
-        assert owned <= 48 * points.n
+        assert owned <= 16 * points.n  # upper's weights 8, the bucket table at most 8
     tied = WindowAccumulator(_POINT_SETS["rat3_1024-N10000"])
     tied.tent_pair_sum(GRID_ONE >> 5)
     assert tied._keys is not None
+
+
+def test_scan_cell_peak_memory_per_point():
+    # one scan cell: the dilation, the build and the scan's 8 widths; the 16
+    # bytes of point words and 16 of accumulator state leave the width kernel
+    # and the dilation's sort room for their own temporaries
+    n = 1 << 16
+    terms = np.arange(1, n + 1, dtype=np.int64) ** 2
+    tracemalloc.start()
+    try:
+        acc = WindowAccumulator(dilate_mod1(terms, _ALPHAS["random1"]))
+        for width in _LATTICE_WIDTHS[4:12]:
+            acc.tent_pair_sum(width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 72 * n
 
 
 _SWEEP_WIDTHS = (Fraction(1, 32), Fraction(15, 64), Fraction(1, 2), Fraction(1, 1 << 64),
@@ -380,7 +397,7 @@ def test_sweep_is_independent_of_the_pairwise_engine(monkeypatch):
 
     pts = sample_uniform(500, 77).points
     want = reference_sweep(pts, Fraction(3, 64), exact=True)
-    for name in ("WindowAccumulator", "_limb_dot", "_limbs", "_keys128"):
+    for name in ("WindowAccumulator", "_limb_dot", "_keys128"):
         monkeypatch.setattr(numvar.variance, name, refuse)
     assert variance_sweep(pts, Fraction(3, 64), exact=True) == want
 
