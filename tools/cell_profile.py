@@ -38,6 +38,8 @@ def main(argv=None) -> int:
     parser.add_argument("n", type=int, help="the number of squares")
     parser.add_argument("--seed", type=int, default=5, help="seed of Alpha.random_stream")
     args = parser.parse_args(argv)
+    if args.n < 1:
+        parser.error("N must be at least 1")
     alpha = Alpha.random_stream(1, args.seed)[0]
     print(f"N = {args.n}, alpha {alpha.hex}")
     print(f"{'stage':<8} {'wall_s':>8} {'user_s':>8} {'sys_s':>8} {'minflt':>9} {'peak_mb':>8}")
