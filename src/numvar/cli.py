@@ -467,6 +467,10 @@ def _cmd_energy(args) -> dict:
 
 def _cmd_repstats(args) -> dict:
     terms = _sequence_terms(args)
+    pairs = args.count * (args.count - 1) // 2  # repeated_mass reads every pair of 1..--count
+    if pairs > args.pair_budget:
+        raise BudgetExceeded(f"repeated_mass reads every pair of 1..--count {args.count}",
+                             pairs, args.pair_budget)
     table = _window_table(args, terms)
     full = table if table.window == (1, args.count) else arithmetic.rep_table(
         terms, 1, args.count, pair_budget=args.pair_budget)

@@ -86,13 +86,6 @@ def _limb_dot(weights: np.ndarray, points: PointSet) -> int:
     return total
 
 
-def _keys128(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """128-bit values as 16-byte big-endian strings, whose order is numeric."""
-    words = np.empty((len(hi), 2), dtype=">u8")
-    words[:, 0], words[:, 1] = hi, lo
-    return words.view("S16").ravel()
-
-
 class WindowAccumulator:
     """Reusable exact engine for pairwise tent sums over one sorted point set.
 
@@ -100,38 +93,34 @@ class WindowAccumulator:
     t_{N-1} + 1 of the sorted points.  The partners of point k at clockwise
     distance < S are the entries lower[k] <= j < upper[k], those with d_j in
     (t_k + 1 - S, t_k + 1].  upper depends only on the points, so __init__
-    builds once all that comes from it: upper's share of the tent weights as
-    one int64 array and its scalar sums, 8 bytes per point.  It also sorts the
-    points into fewer than 2N buckets by the top bits of their high words and
-    keeps where each bucket starts (int32, at most 8 bytes per point).  A
-    width then ranks its targets among the high words through that table (see
-    _rank), and costs one bincount and cumsum of lower, one dot over uint32
-    views of the points' limbs and O(1) scalars.  The 128-bit keys (16 bytes
-    per point) are built when a target first shares its high word with a
-    point: at once for rational alphas, rarely otherwise.
+    builds once all that comes from it, read off the runs of equal points:
+    upper's share of the tent weights as one int64 array (8 bytes per point)
+    and the sum of the run starts.  It also sorts the points into fewer than
+    2N buckets by the top bits of their high words and keeps where each bucket
+    starts (int32, at most 8 bytes per point).  A width then ranks its targets
+    among the high words through that table (see _rank), bisects the low
+    words of the points that share a target's high word, and costs one
+    bincount and cumsum of lower, one dot over uint32 views of the points'
+    limbs and O(1) scalars.  The state is fixed at build: these two arrays,
+    a few scalars and the point words.
     """
 
     def __init__(self, points: PointSet):
         n = self.n = points.n
         self.points = points
-        self._keys = None
-        # runs of equal points: upper = N + the end of the point's run, and a run
-        # of r points holds r(r - 1) coincident ordered pairs
+        # runs of equal points: point k's run is [start, end), upper[k] = N + end,
+        # and a run of r points holds r(r - 1) coincident ordered pairs
         hi, lo = points.hi, points.lo
         new_run = np.ones(n, dtype=bool)
         new_run[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
         starts = np.flatnonzero(new_run)
         runs = np.diff(starts, append=n)
-        self._upper_weight = np.repeat(starts + runs, runs)
-        self.coincident_pairs = int(np.dot(runs, runs - 1))
-        del new_run, starts, runs
         # upper's share of point k's weight (see tent_pair_sum), less N:
-        # #{i: upper[i] <= k} (= 0) + #{i: upper[i] <= N + k} + upper[k] - N
-        cover = np.bincount(self._upper_weight, minlength=n + 1)[:n]
-        np.cumsum(cover, out=cover)
-        self._upper_sums = int(self._upper_weight.sum()), int(cover.sum())
-        self._upper_weight += cover
-        del cover
+        # #{i: upper[i] <= k} (= 0) + #{i: upper[i] <= N + k} (= start) + upper[k] - N
+        self._upper_weight = np.repeat(2 * starts + runs, runs)
+        self.coincident_pairs = int(np.dot(runs, runs - 1))
+        self._start_sum = int(np.dot(starts, runs))  # the starts summed over the points
+        del new_run, starts, runs
         # bucket v holds the points whose high words start with the bits of v;
         # first[v] points lie in the buckets below it
         bits = max((n - 1).bit_length(), 1)
@@ -182,14 +171,21 @@ class WindowAccumulator:
             t_hi -= lo < w_lo
         wraps = self.points.below(width)
         found = self._rank(t_hi)
-        # where a point shares the target's high word, the low words decide
-        # (found - 1 = -1 reads the largest high word, which is then > t_hi)
+        # where points share the target's high word, they are [start, found) and
+        # their low words, sorted, decide: halve the tied runs together, 2^14 at
+        # a time, so that each temporary (128 KB) reuses freed heap, not fresh
+        # pages (found - 1 = -1 reads the largest high word, then > t_hi)
         tied = np.flatnonzero(hi[found - 1] == t_hi)
-        if len(tied):
-            if self._keys is None:
-                self._keys = _keys128(hi, lo)
-            found[tied] = np.searchsorted(self._keys, _keys128(t_hi[tied], lo[tied] - w_lo),
-                                          side="right")
+        for first in range(0, len(tied), 1 << 14):
+            part = tied[first:first + (1 << 14)]
+            t_lo = lo[part] - w_lo
+            start = np.searchsorted(hi, t_hi[part])
+            size = found[part] - start
+            while size.max() > 1:
+                half = size >> 1
+                np.add(start, half, out=start, where=lo[start + half] <= t_lo)
+                size -= half
+            found[part] = start + (lo[start] <= t_lo)
         # Point k's weight is cover[k] + cover[N + k] - count[k], where cover[j]
         # counts the windows holding entry j and count = upper - lower; lower's
         # share, #{i: lower[i] <= k} + #{i: lower[i] <= N + k} + lower[k], is
@@ -200,9 +196,9 @@ class WindowAccumulator:
         weights += found
         weights -= self._upper_weight
         weights[:wraps] -= n
-        end_sum, end_cover_sum = self._upper_sums
-        count_sum = end_sum - int(found.sum()) + n * wraps
-        cover_sum = n * n - int(found[wraps:].sum()) - end_cover_sum  # over entries >= N
+        # upper[k] - N summed is the starts' sum + coincident_pairs + N
+        count_sum = self._start_sum + self.coincident_pairs + n - int(found.sum()) + n * wraps
+        cover_sum = n * n - int(found[wraps:].sum()) - self._start_sum  # over entries >= N
         total = (_limb_dot(weights, self.points)
                  + (width - GRID_ONE) * count_sum
                  + GRID_ONE * cover_sum

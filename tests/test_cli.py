@@ -634,6 +634,17 @@ def test_main_repstats_narrow_window(capsys):
     assert doc["repeated_mass"] == 284
 
 
+def test_main_repstats_budget_names_the_pairs_repeated_mass_reads(monkeypatch, capsys):
+    # the window holds 49 999 pairs, but repeated_mass reads every pair of
+    # 1..--count: that is refused before any table is built
+    monkeypatch.setattr(cli.arithmetic, "rep_table", lambda *a, **k: pytest.fail("table built"))
+    assert main(["repstats", "--sequence", "poly:0,0,1", "--count", "50000", "--n1", "50000",
+                 "--pair-budget", "100000"]) == 3
+    err = capsys.readouterr().err
+    assert "repeated_mass reads every pair of 1..--count 50000" in err
+    assert "estimated 1249975000, budget 100000" in err
+
+
 def test_module_runs_as_script():
     src = os.path.dirname(os.path.dirname(numvar.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -11,9 +11,9 @@ from numvar.baselines import sample_uniform
 from numvar.points import GRID_ONE, Alpha, PointSet, dilate_mod1
 import numvar.variance
 from pointsets import from_ints
-from numvar.variance import (VarianceRecord, WindowAccumulator, _grid_width,
-                             _keys128, _limb_dot, _sub128, _weighted_sum128,
-                             as_dyadic, variance_pairwise, variance_sweep)
+from numvar.variance import (VarianceRecord, WindowAccumulator, _grid_width, _limb_dot,
+                             _sub128, _weighted_sum128, as_dyadic, variance_pairwise,
+                             variance_sweep)
 
 
 def from_values(values) -> PointSet:
@@ -27,11 +27,20 @@ def from_values(values) -> PointSet:
     return from_ints(sorted(grid))
 
 
+def _keys128(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """128-bit values as 16-byte big-endian strings, whose order is numeric."""
+    words = np.empty((len(hi), 2), dtype=">u8")
+    words[:, 0], words[:, 1] = hi, lo
+    return words.view("S16").ravel()
+
+
 def counting_function(points: PointSet, s, y) -> int:
     """S_N(y): points in the circular half-open arc [y - S/2, y + S/2).
 
     y may be a float or Fraction; the boundary is resolved exactly by a
-    search over the 128-bit keys.  The Monte Carlo oracle for the sweep.
+    search over the 128-bit keys, built here so that the oracle shares no
+    search with the sweep's PointSet.below.  The Monte Carlo oracle for the
+    sweep.
     """
     width = _grid_width(s)
     if width == 0 or points.n == 0:
@@ -251,7 +260,7 @@ def test_limb_dot_chunks_or_refuses_large_weights():
 _LATTICE_WIDTHS = [GRID_ONE >> v for v in range(1, 13)] + [1 << 64]
 
 
-def test_search_keys_are_built_at_the_first_tie():
+def test_targets_that_tie_a_high_word_are_settled_by_low_words():
     sample = list(sample_uniform(1000, 31).points.points)
     step = GRID_ONE >> 7
     # q = p + 2^-7 puts q's target at width 2^-7 on p itself; q + 1's target
@@ -260,14 +269,64 @@ def test_search_keys_are_built_at_the_first_tie():
     points = from_ints(sorted(sample + [p + step, p + step + 1]))
     acc = WindowAccumulator(points)
     first = acc.tent_pair_sum(GRID_ONE >> 5)
-    assert acc._keys is None
     assert first == reference_tent_pair_sum(points, GRID_ONE >> 5)
     assert acc.tent_pair_sum(step) == reference_tent_pair_sum(points, step)
-    assert acc._keys is not None
     assert acc.tent_pair_sum(GRID_ONE >> 5) == first
     for width in _LATTICE_WIDTHS:
         assert acc.variance(Fraction(width, GRID_ONE), exact=True) == variance_sweep(
             points, Fraction(width, GRID_ONE), exact=True)
+
+
+_RUN_LENGTHS = (1, 2, 3, 4, 7, 8, 9, 255, 256, 257)
+
+
+def _tied_runs() -> PointSet:
+    """Runs of points that share a high word, each with a copy one high word up.
+
+    At S = 2^-64 the targets of a copy are the run's own points, so every one
+    ties the run's high word and equals a point.  Low words are all 0 (a run of
+    equal points), random and sorted, or random with 2^64 - 1.  The first run
+    sits at high word 0, so it starts at index 0 and its copy's targets settle
+    there, and its own targets wrap (the wrap prefix) onto the last run, whose
+    copy at high word 2^64 - 1 ends at N.
+    """
+    rng = np.random.default_rng(18)
+    runs = []
+    for length in _RUN_LENGTHS:
+        runs.append([0] * length)
+        runs.append(sorted(int(x) for x in rng.integers(0, 1 << 64, length, dtype=np.uint64)))
+        runs.append(sorted(int(x) for x in rng.integers(0, 1 << 64, length - 1,
+                                                        dtype=np.uint64)) + [(1 << 64) - 1])
+    rng.shuffle(runs)
+    highs = [0] + [3 * k for k in range(1, len(runs) - 1)] + [(1 << 64) - 2]
+    values = [((h + up) << 64) | low for h, run in zip(highs, runs) for up in (0, 1)
+              for low in run]
+    return from_ints(sorted(values))
+
+
+def test_tie_search_at_run_length_edges():
+    points = _tied_runs()
+    assert np.count_nonzero(np.isin(points.hi - np.uint64(1), points.hi)) >= points.n // 2
+    acc = WindowAccumulator(points)
+    for width in (1 << 64, (1 << 64) - 1, (1 << 64) + 1, 3 << 64, GRID_ONE >> 12):
+        _assert_width(acc, width)
+    for k in (1, 2, 3):  # S = k / 2^64
+        s = Fraction(k, 1 << 64)
+        assert acc.variance(s, exact=True) == variance_sweep(points, s, exact=True)
+
+
+def test_tie_search_over_many_blocks_of_targets():
+    # the high words of rat:5/65536 with random low words: more than 2^14 targets
+    # tie at S = 1/256, so the tie search takes them in blocks
+    hi = _squares_dilated(Alpha.parse("rat:5/65536"), 40_000).hi
+    points = PointSet.from_words(hi, np.random.default_rng(7).integers(
+        0, 1 << 64, len(hi), dtype=np.uint64))
+    t_hi = points.hi - np.uint64(1 << 56)
+    tied = points.hi[np.searchsorted(points.hi, t_hi, side="right") - 1] == t_hi
+    assert np.count_nonzero(tied) > 2 << 14
+    acc = WindowAccumulator(points)
+    for s in (Fraction(1, 256), Fraction(3, 1024), Fraction(1, 1 << 16)):
+        assert acc.variance(s, exact=True) == variance_sweep(points, s, exact=True)
 
 
 @pytest.mark.parametrize("alpha", ["rat:1/2", "rat:3/1024", "0"])
@@ -310,18 +369,19 @@ def test_widths_in_any_order_give_the_same_values():
 
 
 def test_accumulator_memory_per_point():
-    # the bucket table doubles from N = 2^14 to 2^14 + 1, to nearly 8 bytes per point
-    for n in (10 ** 4, 1 << 14, (1 << 14) + 1):
-        points = _squares_dilated(_ALPHAS["random0"], n)
+    # the bucket table doubles from N = 2^14 to 2^14 + 1, to nearly 8 bytes per
+    # point; a rational alpha ties targets to high words at every width
+    sets = [_squares_dilated(_ALPHAS["random0"], n) for n in (10 ** 4, 1 << 14, (1 << 14) + 1)]
+    for points in sets + [_POINT_SETS["rat3_1024-N10000"]]:
         acc = WindowAccumulator(points)
+
+        def owned():
+            return sum(v.nbytes for v in vars(acc).values() if isinstance(v, np.ndarray))
+
+        built = owned()
         for width in _LATTICE_WIDTHS[4:12]:  # 2^-5 .. 2^-12, the scan's widths
             acc.tent_pair_sum(width)
-        assert acc._keys is None
-        owned = sum(v.nbytes for v in vars(acc).values() if isinstance(v, np.ndarray))
-        assert owned <= 16 * points.n  # upper's weights 8, the bucket table at most 8
-    tied = WindowAccumulator(_POINT_SETS["rat3_1024-N10000"])
-    tied.tent_pair_sum(GRID_ONE >> 5)
-    assert tied._keys is not None
+        assert owned() == built <= 16 * points.n  # upper's weights 8, the bucket table at most 8
 
 
 def test_scan_cell_peak_memory_per_point():
@@ -397,7 +457,7 @@ def test_sweep_is_independent_of_the_pairwise_engine(monkeypatch):
 
     pts = sample_uniform(500, 77).points
     want = reference_sweep(pts, Fraction(3, 64), exact=True)
-    for name in ("WindowAccumulator", "_limb_dot", "_keys128"):
+    for name in ("WindowAccumulator", "_limb_dot"):
         monkeypatch.setattr(numvar.variance, name, refuse)
     assert variance_sweep(pts, Fraction(3, 64), exact=True) == want
 
@@ -417,10 +477,6 @@ def test_sweep_word_helpers_match_python_ints():
         got_hi, got_lo = _sub128(hi, lo, c)
         got = [(int(h) << 64) | int(l) for h, l in zip(got_hi, got_lo)]
         assert got == [(v - c) % GRID_ONE for v in _WORD_EDGES]
-    keys = _keys128(hi, lo)
-    assert keys.tobytes() == b"".join(v.to_bytes(16, "big") for v in _WORD_EDGES)
-    shuffled = np.random.default_rng(5).permutation(len(_WORD_EDGES))
-    assert list(np.argsort(keys[shuffled], kind="stable")) == list(np.argsort(shuffled))
 
 
 def test_sweep_weighted_sum_chunks_or_refuses_large_weights():
