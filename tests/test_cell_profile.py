@@ -16,6 +16,9 @@ def test_cell_profile_prints_each_stage_and_the_widths(capsys):
     lines = capsys.readouterr().out.splitlines()
     stages = [line.split()[0] for line in lines[2:7]]
     assert stages == ["terms", "dilate", "build", "widths", "total"]
-    assert [line.split(":")[0] for line in lines[7:]] == [f"S = 1/{1 << v}" for v in range(5, 13)]
+    assert lines[7].startswith("state: ") and lines[7].endswith(" bytes per point in the "
+                                                                 "accumulator's arrays")
+    assert 8 <= float(lines[7].split()[1]) <= 16
+    assert [line.split(":")[0] for line in lines[8:]] == [f"S = 1/{1 << v}" for v in range(5, 13)]
     with pytest.raises(SystemExit):
         cell_profile.main(["0"])

@@ -287,8 +287,8 @@ def _tied_runs() -> PointSet:
     ties the run's high word and equals a point.  Low words are all 0 (a run of
     equal points), random and sorted, or random with 2^64 - 1.  The first run
     sits at high word 0, so it starts at index 0 and its copy's targets settle
-    there, and its own targets wrap (the wrap prefix) onto the last run, whose
-    copy at high word 2^64 - 1 ends at N.
+    there, and its own targets wrap (the wrap prefix) to high word 2^64 - 1,
+    where the last run's copy ends at N.
     """
     rng = np.random.default_rng(18)
     runs = []

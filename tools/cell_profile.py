@@ -8,7 +8,8 @@ the first N squares (`generate_terms`), their dilation by the first alpha of
 build, and the scan's 8 widths S = 2^-5 .. 2^-12.  For each stage it prints
 the wall seconds, the minor page faults and the user and system seconds that
 `getrusage` reports for this process, and the process's peak RSS so far.
-The last line is the total.
+Then come the total and the accumulator's state after the widths: the bytes
+of its ndarray attributes per point.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import resource
 import sys
 import time
 from fractions import Fraction
+
+import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "src"))
@@ -66,6 +69,8 @@ def main(argv=None) -> int:
     acc = stage("build", lambda: WindowAccumulator(points))
     values = stage("widths", lambda: [acc.variance(s) for s in WIDTHS])
     row("total", begin, mark)
+    state = sum(v.nbytes for v in vars(acc).values() if isinstance(v, np.ndarray))
+    print(f"state: {state / args.n:.1f} bytes per point in the accumulator's arrays")
     for s, v in zip(WIDTHS, values):
         scale = args.n * float(s) * (1 - float(s))
         print(f"S = {s}: V = {v:.6g}, V/(NS(1-S)) = {v / scale:.4f}")
