@@ -24,11 +24,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import statistics
 import sys
 import time
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -218,26 +218,28 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-_pool_terms = None  # a pool worker's terms, set once by its initializer
-
-
-def _take_terms(terms) -> None:
-    global _pool_terms
-    _pool_terms = terms
-
-
-def _alpha_cell(n, alpha, s_grid, terms=None):
-    """Variance of the first n terms (by default a pool worker's) dilated by alpha,
-    over a list of widths.  An exception is raised again naming the cell."""
-    try:
-        acc = WindowAccumulator(dilate_mod1((_pool_terms if terms is None else terms)[:n], alpha))
-        return [acc.variance(s) for s in s_grid]
-    except Exception as exc:
+def _alpha_cells(n, alphas, s_grid, terms) -> list:
+    """Per alpha, the variances of the first n terms dilated by it over a list of
+    widths; a failing cell ends the list with its exception, renamed for the cell."""
+    cells = []
+    for alpha in alphas:
         try:
-            named = type(exc)(f"N = {n}, alpha {alpha.hex}: {exc}")
-        except Exception:
-            raise exc from None
-        raise named.with_traceback(exc.__traceback__) from None
+            acc = WindowAccumulator(dilate_mod1(terms[:n], alpha))
+            cells.append([acc.variance(s) for s in s_grid])
+        except Exception as exc:
+            try:
+                named = type(exc)(f"N = {n}, alpha {alpha.hex}: {exc}")
+            except Exception:
+                named = exc
+            return cells + [named.with_traceback(exc.__traceback__)]
+    return cells
+
+
+def _scan_worker(conn, n_grid, alphas, s_grid, terms) -> None:
+    """A scan worker process: sends its cells of each N block as soon as they are done."""
+    with conn:
+        for n in n_grid:
+            conn.send(_alpha_cells(n, alphas, s_grid, terms))
 
 
 def _row_values(rec: VarianceRecord) -> tuple:
@@ -259,9 +261,10 @@ def run_scan(config: ExperimentConfig, *, threads: int = 1) -> ScanResult:
     """Execute the (N, S, alpha) grid; rows N outer, S middle, alpha inner.
 
     Each N block is split over w = min(threads, alphas) processes: this one
-    takes alphas 0, w, 2w, .., a pool of w - 1 workers the rest.  CSV rows to
-    config.out are flushed block by block, so an interrupted run leaves a
-    valid row prefix.
+    takes alphas 0, w, 2w, .., and worker r of w - 1, started once per scan,
+    takes alphas r, r + w, ...  The failure raised is the first failing cell
+    in row order.  CSV rows to config.out are flushed block by block, so an
+    interrupted run leaves a valid row prefix.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -270,31 +273,49 @@ def run_scan(config: ExperimentConfig, *, threads: int = 1) -> ScanResult:
               else Alpha.random_stream(config.alpha_count, config.seed))
     with _input_error("sequence"):
         terms = generate_terms(config.sequence, max(config.n_grid, default=0))
-    rows = []
+    w = max(min(threads, len(alphas)), 1)  # a block holds one cell per alpha
+    ctx = multiprocessing.get_context()
+    rows, workers = [], []  # a worker is (process, receiving end of its pipe)
     stream = (open(config.out, "w", encoding="utf-8", newline="")
               if config.out is not None and config.fmt == "csv" else None)
-    pool = None
     try:
-        workers = max(min(threads, len(alphas)), 1)  # a block holds one cell per alpha
-        if workers > 1:  # one pool for the whole scan, given the terms once
-            pool = ProcessPoolExecutor(workers - 1, initializer=_take_terms, initargs=(terms,))
+        for r in range(1, w):  # started before the header is written: nothing buffered forks
+            conn, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_scan_worker, daemon=True,
+                               args=(send, config.n_grid, alphas[r::w], config.s_grid, terms))
+            proc.start()
+            workers.append((proc, conn))
+            send.close()
         if stream:
             stream.write(CSV_HEADER + "\n")
             stream.flush()
         for n in config.n_grid:
-            cells = [pool.submit(_alpha_cell, n, a, config.s_grid) if k % workers else None
-                     for k, a in enumerate(alphas)]
-            cells = [c.result() if c else _alpha_cell(n, a, config.s_grid, terms)
-                     for c, a in zip(cells, alphas)]
+            shares = [_alpha_cells(n, alphas[::w], config.s_grid, terms)]
+            for r, (proc, conn) in enumerate(workers, 1):
+                try:
+                    shares.append(conn.recv())
+                except EOFError:  # the worker died: it fails at its first alpha
+                    proc.join()
+                    shares.append([RuntimeError(f"scan worker for alpha {alphas[r].hex} exited "
+                                                f"with code {proc.exitcode} before N = {n}")])
+            cells = []
+            for k in range(len(alphas)):  # in row order, so the first failure is raised
+                cells.append(shares[k % w][k // w])
+                if isinstance(cells[-1], Exception):
+                    raise cells[-1]
             block = [VarianceRecord(n, s, alpha, values[k]) for k, s in enumerate(config.s_grid)
                      for alpha, values in zip(alphas, cells)]
             rows.extend(block)
             if stream:
                 stream.write("".join(_format_row(r) + "\n" for r in block))
                 stream.flush()
+        for proc, _ in workers:  # all sent: each exits by itself
+            proc.join()
     finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
+        for proc, conn in workers:
+            proc.terminate()  # no signal once joined
+            proc.join()
+            conn.close()
         if stream:
             stream.close()
     metadata = {

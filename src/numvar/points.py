@@ -324,13 +324,23 @@ def _mulhi(x: np.ndarray, a: int) -> np.ndarray:
     """High words of the 128-bit products x * a (uint64 x, 0 <= a < 2^64).
 
     Schoolbook multiplication on 32-bit limbs (Knuth, TAOCP Vol. 2, 4.3.1):
-    every partial product and carry sum fits in 64 bits.
+    every partial product and carry sum fits in 64 bits.  With p_ij = x_i a_j,
+    out = x1 a1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), where mid =
+    (p00 >> 32) + (p01 & LOW32) + (p10 & LOW32) < 3 * 2^32.  Four N-sized
+    arrays hold it all, updated in place.
     """
-    a0, a1 = np.uint64(a & _LOW32), np.uint64(a >> 32)
-    x0, x1 = x & _LOW32, x >> np.uint64(32)
-    p00, p01, p10 = x0 * a0, x0 * a1, x1 * a0
-    mid = (p00 >> np.uint64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
-    return x1 * a1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+    a0, a1, shift = np.uint64(a & _LOW32), np.uint64(a >> 32), np.uint64(32)
+    x0, x1 = x & _LOW32, x >> shift
+    mid, out = x0 * a0, x0 * a1  # p00, p01
+    mid >>= shift
+    mid += np.bitwise_and(out, _LOW32, out=x0)
+    out >>= shift
+    np.multiply(x1, a0, out=x0)  # p10
+    out += np.multiply(x1, a1, out=x1)
+    mid += np.bitwise_and(x0, _LOW32, out=x1)
+    out += np.right_shift(x0, shift, out=x0)
+    out += np.right_shift(mid, shift, out=mid)
+    return out
 
 
 def dilate_words(terms, alpha: Alpha):

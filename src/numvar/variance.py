@@ -136,14 +136,18 @@ class WindowAccumulator:
         A bucket is sorted, so the first two points of the target's bucket
         settle its rank unless both are <= t and the next point is too; only
         those targets, about 1 % on a random alpha, are searched.  A rank that
-        runs past N - 1 reads hi[N - 1] <= t, so it is searched too.
+        runs past N - 1 has read hi[N - 1] <= t, so it is N, with no search.
         """
         hi = self.points.hi
         found = self._first[(t_hi >> self._shift).view(np.intp)].astype(np.intp)
         for _ in range(2):
             found += hi.take(found, mode="clip") <= t_hi
         deep = np.flatnonzero(hi.take(found, mode="clip") <= t_hi)
-        found[deep] = np.searchsorted(hi, t_hi[deep], side="right")
+        past = found[deep] >= self.n
+        found[deep[past]] = self.n
+        deep = deep[~past]
+        if deep.size:
+            found[deep] = np.searchsorted(hi, t_hi[deep], side="right")
         return found
 
     def tent_pair_sum(self, width: int) -> int:

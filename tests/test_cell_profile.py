@@ -14,11 +14,11 @@ _SPEC.loader.exec_module(cell_profile)
 def test_cell_profile_prints_each_stage_and_the_widths(capsys):
     assert cell_profile.main(["2000"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    stages = [line.split()[0] for line in lines[2:7]]
-    assert stages == ["terms", "dilate", "build", "widths", "total"]
-    assert lines[7].startswith("state: ") and lines[7].endswith(" bytes per point in the "
+    stages = [line.split()[0] for line in lines[2:8]]
+    assert stages == ["terms", "words", "sort", "build", "widths", "total"]
+    assert lines[8].startswith("state: ") and lines[8].endswith(" bytes per point in the "
                                                                  "accumulator's arrays")
-    assert 8 <= float(lines[7].split()[1]) <= 16
-    assert [line.split(":")[0] for line in lines[8:]] == [f"S = 1/{1 << v}" for v in range(5, 13)]
+    assert 8 <= float(lines[8].split()[1]) <= 16
+    assert [line.split(":")[0] for line in lines[9:]] == [f"S = 1/{1 << v}" for v in range(5, 13)]
     with pytest.raises(SystemExit):
         cell_profile.main(["0"])

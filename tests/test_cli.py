@@ -1,10 +1,10 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -196,43 +196,30 @@ def test_run_scan_rejects_threads_below_one(threads):
 
 
 @pytest.fixture
-def in_process_pool(monkeypatch):
-    """The scan's process pool replaced by one that runs its initializer and
-    tasks in this process; gives the pool sizes and the tasks' arguments."""
-    made, tasks = [], []
+def started(monkeypatch):
+    """The worker processes run_scan starts, counted by wrapping the context's
+    Process; no process may outlive the test's scans."""
+    ctx = multiprocessing.get_context()
+    starts = []
 
-    class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
-            made.append(max_workers)
-            initializer(*initargs)
+    class Counted(ctx.Process):
+        def start(self):
+            starts.append(self)
+            super().start()
 
-        def submit(self, fn, *args):
-            tasks.append(args)
-            future = Future()
-            try:
-                future.set_result(fn(*args))
-            except Exception as exc:
-                future.set_exception(exc)
-            return future
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(cli, "_pool_terms", None)  # the initializer's terms are dropped after
-    return made, tasks
+    monkeypatch.setattr(ctx, "Process", Counted)
+    yield starts
+    assert multiprocessing.active_children() == []
 
 
-def test_run_scan_starts_one_worker_per_alpha_at_most(in_process_pool):
-    made, tasks = in_process_pool
+def test_run_scan_starts_one_worker_per_alpha_at_most(started):
     two = parse_config("alphas = golden, sqrt2m1\nn_grid = 30, 60\ns_grid = 1/8,1/16\n")
     assert emit(run_scan(two, threads=64)) == emit(run_scan(two))
-    assert made == [1]  # this process computes a share of every block
-    # a task carries no terms: the pool's initializer passed them once
-    assert tasks == [(n, Alpha.parse("sqrt2m1"), two.s_grid) for n in (30, 60)]
+    assert len(started) == 1  # this process computes a share of every block
+    assert started[0].exitcode == 0
     one = dataclasses.replace(two, alphas=(Alpha.golden(),))
     assert emit(run_scan(one, threads=64)) == emit(run_scan(one))
-    assert made == [1]  # one alpha: no pool
+    assert len(started) == 1  # one alpha: no worker
 
 
 def test_emit_parse_roundtrip():
@@ -298,15 +285,24 @@ def test_parse_json_errors_are_config_errors(data, match):
         parse(data, "json")
 
 
-def _fail_for_one_alpha(monkeypatch, bad: Alpha, exc_type):
+def _fail_for_alphas(monkeypatch, bad, fail, n=None):
+    """dilate_mod1 calls fail() for the alphas in `bad`, at N = n if given; a
+    forked worker inherits the patch."""
     real = cli.dilate_mod1
 
     def dilate(terms, alpha):
-        if alpha == bad:
-            raise exc_type("dilation failed")
+        if alpha in bad and n in (None, len(terms)):
+            fail()
         return real(terms, alpha)
 
-    monkeypatch.setattr(cli, "dilate_mod1", dilate)  # a forked pool inherits it
+    monkeypatch.setattr(cli, "dilate_mod1", dilate)
+
+
+def _fail_for_one_alpha(monkeypatch, bad: Alpha, exc_type):
+    def fail():
+        raise exc_type("dilation failed")
+
+    _fail_for_alphas(monkeypatch, (bad,), fail)
 
 
 @pytest.mark.parametrize("threads", (1, 2))
@@ -319,13 +315,65 @@ def test_scan_failure_names_the_cell(monkeypatch, threads):
 
 
 @pytest.mark.parametrize("bad", ("golden", "sqrt2m1"), ids=("this-process", "worker"))
-def test_scan_failure_names_the_cell_where_it_runs(monkeypatch, in_process_pool, bad):
+def test_scan_failure_names_the_cell_where_it_runs(monkeypatch, started, bad):
     bad = Alpha.parse(bad)
     _fail_for_one_alpha(monkeypatch, bad, RuntimeError)
     cfg = parse_config("alphas = golden, sqrt2m1\nn_grid = 20, 40\ns_grid = 1/8\n")
     with pytest.raises(RuntimeError, match=f"N = 20, alpha {bad.hex}: dilation failed"):
         run_scan(cfg, threads=2)
-    assert in_process_pool[0] == [1]
+    assert len(started) == 1
+
+
+_FIVE_ALPHAS = ("alphas = golden, sqrt2m1, rat:1/3, rat:3/1024, "
+                "hex:0123456789abcdef0123456789abcdef\nn_grid = 20, 40\ns_grid = 1/8\n")
+
+
+@pytest.mark.parametrize("bad", ((2, 3), (3, 4), (1, 4)))
+def test_scan_reports_the_first_failing_cell_at_any_thread_count(monkeypatch, started, bad):
+    # two cells of the N = 40 block fail; whichever processes run them, the
+    # failure reported is the first in row order, as at threads = 1
+    cfg = parse_config(_FIVE_ALPHAS)
+    first = cfg.alphas[bad[0]]
+
+    def fail():
+        raise ValueError("dilation failed")
+
+    _fail_for_alphas(monkeypatch, [cfg.alphas[k] for k in bad], fail, n=40)
+    messages = []
+    for threads in (1, 2, 3):
+        with pytest.raises(ValueError) as info:
+            run_scan(cfg, threads=threads)
+        messages.append(str(info.value))
+    assert messages == [f"N = 40, alpha {first.hex}: dilation failed"] * 3
+    assert len(started) == 1 + 2
+
+
+def test_scan_worker_that_dies_is_named_by_its_alpha(monkeypatch, started):
+    cfg = parse_config(_FIVE_ALPHAS)
+    parent = os.getpid()
+
+    def die():
+        if os.getpid() != parent:
+            os._exit(3)
+
+    _fail_for_alphas(monkeypatch, [cfg.alphas[3]], die, n=40)
+    with pytest.raises(RuntimeError, match=f"alpha {cfg.alphas[1].hex} exited with code 3 "
+                                           "before N = 40"):
+        run_scan(cfg, threads=2)  # the worker's share: alphas 1 and 3
+
+
+def test_scan_interrupted_in_this_process_stops_its_workers(monkeypatch, started):
+    cfg = parse_config(_FIVE_ALPHAS)
+    parent = os.getpid()
+
+    def interrupt():
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+
+    _fail_for_alphas(monkeypatch, [cfg.alphas[2]], interrupt, n=40)
+    with pytest.raises(KeyboardInterrupt):
+        run_scan(cfg, threads=2)
+    assert [p.exitcode is not None for p in started] == [True]
 
 
 @pytest.mark.parametrize("threads", ("1", "2"))

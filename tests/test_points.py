@@ -1,5 +1,6 @@
 import bisect
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from numvar.arithmetic import additive_energy, energy_direct, rep_table
 from numvar.points import (GRID_ONE, Alpha, PointSet, SequenceSpec,
                            continued_fraction_convergents, dilate_mod1,
-                           generate_terms, philox_words)
+                           dilate_words, generate_terms, philox_words)
 from pointsets import from_ints
 
 
@@ -198,9 +199,11 @@ def test_dilate_examples():
 def test_dilate_matches_bignum_products():
     big = (1 << 63) - 1
     rng = np.random.default_rng(5)
-    terms = [big, -big, -1, 0, 1, -(1 << 40) - 7, *rng.integers(-big, big, 200).tolist()]
+    limb = (1 << 32) - 1  # terms and alpha words at the 32-bit limb edges
+    terms = [big, -big, -1, 0, 1, -(1 << 40) - 7, limb, -limb, limb + 1, -limb - 1, limb + 2,
+             *rng.integers(-big, big, 200).tolist()]
     alphas = (Alpha(0), Alpha(GRID_ONE - 1), Alpha.parse("rat:3/1024"),
-              *Alpha.random_stream(3, 8))
+              Alpha((1 << 64) - 1), Alpha((1 << 64) | limb), *Alpha.random_stream(3, 8))
     for alpha in alphas:
         want = tuple(sorted((alpha.a * x) % GRID_ONE for x in terms))
         assert dilate_mod1(terms, alpha).points == want
@@ -208,6 +211,19 @@ def test_dilate_matches_bignum_products():
     for bad in (1 << 63, -(1 << 63)):
         with pytest.raises(OverflowError):
             dilate_mod1([1, bad], Alpha.golden())
+
+
+def test_dilate_words_holds_at_most_36_bytes_per_point():
+    # the product's high words take four N-sized uint64 arrays, updated in place
+    n = 1 << 16
+    terms = generate_terms(SequenceSpec.poly((0, 0, 1)), n)
+    tracemalloc.start()
+    try:
+        dilate_words(terms, Alpha.random_stream(1, 5)[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * n
 
 
 _PAIR_TOP = (1 << 62) - 1  # x + y and x - y of two terms stay in int64

@@ -245,6 +245,28 @@ def test_tent_pair_sum_matches_reference_loop(name):
             assert np.array_equal(acc._rank(targets), np.searchsorted(hi, targets, side="right"))
 
 
+@pytest.mark.parametrize("points", [_squares_dilated(Alpha(0), 10 ** 4),
+                                    _POINT_SETS["piled-at-max"]],
+                         ids=["alpha0-squares", "piled-at-max"])
+def test_rank_past_the_last_point_is_not_searched(monkeypatch, points):
+    # every target here ranks at N or reads a point above it: no binary search
+    acc = WindowAccumulator(points)
+    targets = [_sub128(points.hi, points.lo, int(s * GRID_ONE))[0]
+               for s in (Fraction(1, 1 << v) for v in range(5, 13))]
+    want = [np.searchsorted(points.hi, t, side="right") for t in targets]
+    searches = []
+    real = np.searchsorted
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    ranks = [acc._rank(t) for t in targets]
+    assert searches == []
+    assert all(np.array_equal(r, w) for r, w in zip(ranks, want))
+
+
 def test_limb_dot_chunks_or_refuses_large_weights():
     points = from_ints((GRID_ONE - 3, GRID_ONE - 2, GRID_ONE - 1))
     # 2^30 * (2^32 - 1) * 3 > 2^63: one unchunked int64 dot would wrap, and at

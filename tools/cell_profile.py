@@ -4,8 +4,9 @@
 
 Runs the stages of one `run_scan` cell in this process, one after another:
 the first N squares (`generate_terms`), their dilation by the first alpha of
-`Alpha.random_stream(1, seed)` (`dilate_mod1`), the `WindowAccumulator`
-build, and the scan's 8 widths S = 2^-5 .. 2^-12.  For each stage it prints
+`Alpha.random_stream(1, seed)` in two stages, the words (`dilate_words`) and
+their sort (`PointSet.from_words`), the `WindowAccumulator` build, and the
+scan's 8 widths S = 2^-5 .. 2^-12.  For each stage it prints
 the wall seconds, the minor page faults and the user and system seconds that
 `getrusage` reports for this process, and the process's peak RSS so far.
 Then come the total and the accumulator's state after the widths: the bytes
@@ -26,7 +27,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "src"))
 
-from numvar.points import Alpha, SequenceSpec, dilate_mod1, generate_terms  # noqa: E402
+from numvar.points import Alpha, PointSet, SequenceSpec, dilate_words, generate_terms  # noqa: E402
 from numvar.variance import WindowAccumulator  # noqa: E402
 
 WIDTHS = [Fraction(1, 1 << v) for v in range(5, 13)]
@@ -65,7 +66,8 @@ def main(argv=None) -> int:
         return result
 
     terms = stage("terms", lambda: generate_terms(SequenceSpec.poly((0, 0, 1)), args.n))
-    points = stage("dilate", lambda: dilate_mod1(terms, alpha))
+    words = stage("words", lambda: dilate_words(terms, alpha))
+    points = stage("sort", lambda: PointSet.from_words(*words))
     acc = stage("build", lambda: WindowAccumulator(points))
     values = stage("widths", lambda: [acc.variance(s) for s in WIDTHS])
     row("total", begin, mark)
