@@ -226,6 +226,7 @@ def _alpha_cells(n, alphas, s_grid, terms) -> list:
         try:
             acc = WindowAccumulator(dilate_mod1(terms[:n], alpha))
             cells.append([acc.variance(s) for s in s_grid])
+            del acc  # freed before the next cell's dilation, not after it
         except Exception as exc:
             try:
                 named = type(exc)(f"N = {n}, alpha {alpha.hex}: {exc}")
@@ -261,10 +262,9 @@ def run_scan(config: ExperimentConfig, *, threads: int = 1) -> ScanResult:
     """Execute the (N, S, alpha) grid; rows N outer, S middle, alpha inner.
 
     Each N block is split over w = min(threads, alphas) processes: this one
-    takes alphas 0, w, 2w, .., and worker r of w - 1, started once per scan,
-    takes alphas r, r + w, ...  The failure raised is the first failing cell
-    in row order.  CSV rows to config.out are flushed block by block, so an
-    interrupted run leaves a valid row prefix.
+    takes alphas 0, w, 2w, .., worker r of w - 1 (started once) r, r + w, ...
+    The first failing cell in row order is raised.  CSV rows to config.out are
+    flushed block by block, so an interrupted run leaves a valid row prefix.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")

@@ -68,6 +68,7 @@ def main(argv=None) -> int:
     terms = stage("terms", lambda: generate_terms(SequenceSpec.poly((0, 0, 1)), args.n))
     words = stage("words", lambda: dilate_words(terms, alpha))
     points = stage("sort", lambda: PointSet.from_words(*words))
+    del words  # a scan cell keeps only the sorted points
     acc = stage("build", lambda: WindowAccumulator(points))
     values = stage("widths", lambda: [acc.variance(s) for s in WIDTHS])
     row("total", begin, mark)
