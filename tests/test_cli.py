@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -220,6 +221,25 @@ def test_run_scan_starts_one_worker_per_alpha_at_most(started):
     one = dataclasses.replace(two, alphas=(Alpha.golden(),))
     assert emit(run_scan(one, threads=64)) == emit(run_scan(one))
     assert len(started) == 1  # one alpha: no worker
+
+
+def test_cells_of_a_block_hold_one_cell_at_a_time():
+    # a process's share of a block frees each cell's points and accumulator
+    # before it dilates the next alpha
+    n = 1 << 15
+    terms = generate_terms(SequenceSpec.poly((0, 0, 1)), n)
+    widths = parse_s_grid("logspace:5..12")
+
+    def peak(alphas):
+        tracemalloc.start()
+        try:
+            cli._alpha_cells(n, alphas, widths, terms)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    alphas = Alpha.random_stream(3, 5)
+    assert peak(alphas) <= 1.15 * peak(alphas[:1])
 
 
 def test_emit_parse_roundtrip():
