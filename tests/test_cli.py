@@ -3,8 +3,10 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -382,18 +384,28 @@ def test_scan_worker_that_dies_is_named_by_its_alpha(monkeypatch, started):
         run_scan(cfg, threads=2)  # the worker's share: alphas 1 and 3
 
 
-def test_scan_interrupted_in_this_process_stops_its_workers(monkeypatch, started):
+@pytest.mark.parametrize("stop, at", [(KeyboardInterrupt, 40), (RuntimeError, 20)],
+                         ids=["interrupt", "failure"])
+def test_scan_stops_workers_still_running(monkeypatch, started, stop, at):
+    # this process stops at alpha 2 while its worker (alphas 1 and 3) sleeps
+    # in the N = 40 block
     cfg = parse_config(_FIVE_ALPHAS)
     parent = os.getpid()
+    real = cli.dilate_mod1
 
-    def interrupt():
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
+    def dilate(terms, alpha):
+        if os.getpid() == parent and alpha == cfg.alphas[2] and len(terms) == at:
+            raise stop("stopped")
+        if os.getpid() != parent and len(terms) == 40:
+            time.sleep(60)
+        return real(terms, alpha)
 
-    _fail_for_alphas(monkeypatch, [cfg.alphas[2]], interrupt, n=40)
-    with pytest.raises(KeyboardInterrupt):
+    monkeypatch.setattr(cli, "dilate_mod1", dilate)
+    t0 = time.monotonic()
+    with pytest.raises(stop):
         run_scan(cfg, threads=2)
-    assert [p.exitcode is not None for p in started] == [True]
+    assert time.monotonic() - t0 < 30
+    assert [p.exitcode for p in started] == [-signal.SIGTERM]
 
 
 @pytest.mark.parametrize("threads", ("1", "2"))
