@@ -199,32 +199,22 @@ _RUN_CHUNK = 1 << 16
 
 
 def _run_square_sum(keys: np.ndarray) -> int:
-    """sum of squared run lengths of sorted keys, in chunks of about
+    """sum of squared run lengths of sorted keys, over fixed chunks of
     _RUN_CHUNK keys, so that its scratch stays chunk-sized.
 
-    Each chunk ends where a run starts; a run that starts a chunk and is
-    longer than one is counted whole, from its length alone.
+    Each chunk compares its keys with their predecessors and adds the squares
+    of the runs that close inside it; the run still open at its end is
+    carried into the next chunk by its start, and squared after the last.
     """
-    total, i, size = 0, 0, keys.size
-    while i < size:
-        j = min(i + _RUN_CHUNK, size)
-        if j < size:
-            # back up to the start of the run holding keys[j]
-            j = i + int(keys[i:j].searchsorted(keys[j]))
-            if j == i:  # that run starts the chunk: take it whole
-                j = i + int(keys[i:].searchsorted(keys[i], side="right"))
-                total += (j - i) ** 2
-                i = j
-                continue
-        chunk = keys[i:j]
-        ends = np.flatnonzero(chunk[1:] != chunk[:-1])  # the last index of every run but the last
-        if ends.size:
-            first, last = int(ends[0]) + 1, chunk.size - 1 - int(ends[-1])
-            total += first * first + last * last + _square_sum(np.diff(ends))
-        else:
-            total += chunk.size * chunk.size
-        i = j
-    return total
+    total, start = 0, 0  # start: where the open run starts
+    for i in range(1, keys.size, _RUN_CHUNK):
+        j = min(i + _RUN_CHUNK, keys.size)
+        starts = np.flatnonzero(keys[i:j] != keys[i - 1:j - 1])  # run starts, less i
+        if starts.size:
+            first = i + int(starts[0]) - start
+            total += first * first + _square_sum(np.diff(starts))
+            start = i + int(starts[-1])
+    return total + (keys.size - start) ** 2
 
 
 def _gap_arrays(terms, n1: int, n2: int):
@@ -265,8 +255,9 @@ def additive_energy(terms, count: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
     """Quadruples with x_{n1} + x_{n2} = x_{n3} + x_{n4}, indices up to `count`.
 
     Sorts the count^2 ordered sums in place (8 * count^2 bytes) and sums the
-    squared run lengths.  Forming no difference keeps it independent of the
-    gap histogram.  Terms with |x| > PAIR_LIMIT raise OverflowError.
+    squared run lengths with energy_direct's chunked walker.  Forming no
+    difference keeps it independent of the gap histogram.  Terms with
+    |x| > PAIR_LIMIT raise OverflowError.
     """
     if not 0 <= count <= len(terms):
         raise ValueError(f"count {count} outside 0..{len(terms)}")
@@ -276,14 +267,7 @@ def additive_energy(terms, count: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
     x = term_array(terms[:count], PAIR_LIMIT)
     sums = np.add.outer(x, x).ravel()
     sums.sort()
-    edge = np.empty(sums.size + 1, dtype=bool)  # where a run starts, and the end
-    edge[0] = edge[-1] = True
-    np.not_equal(sums[1:], sums[:-1], out=edge[1:-1])
-    bounds = np.flatnonzero(edge)
-    runs = bounds[1:] - bounds[:-1]
-    if int(runs.max(initial=0)) * sums.size >= 1 << 63:  # sum of r^2 <= max r * count^2
-        return sum(r * r for r in runs.tolist())
-    return int(np.dot(runs, runs))
+    return _run_square_sum(sums)
 
 
 def energy_direct(terms, n1: int, n2: int) -> int:
@@ -390,8 +374,6 @@ def _gcd_sum_classes(us, rs, variant, threshold):
     n = us.size
     for a in range(1, t_cap + 1):
         b_max = int(threshold // a)
-        if b_max < 1:
-            break
         sel = np.flatnonzero(us % a == 0)
         if not sel.size:
             continue
@@ -533,8 +515,9 @@ def difference_set(coeffs, count: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if count * count > pair_budget:
-        raise BudgetExceeded("difference grid too large", count * count, pair_budget)
+    pairs = _pair_count(1, count)
+    if pairs > pair_budget:
+        raise BudgetExceeded("difference grid too large", pairs, pair_budget)
     gaps, _ = _gap_arrays(generate_terms(SequenceSpec.poly(coeffs), count), 1, count)
     return np.concatenate((-gaps[::-1], gaps))
 

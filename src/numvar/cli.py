@@ -37,7 +37,7 @@ from . import __version__ as CODE_VERSION
 from . import arithmetic, baselines, dyadic
 from .arithmetic import DEFAULT_PAIR_BUDGET, BudgetExceeded
 from .points import Alpha, SequenceSpec, dilate_mod1, generate_terms
-from .variance import VarianceRecord, WindowAccumulator, as_dyadic
+from .variance import S_DEN_BITS, VarianceRecord, WindowAccumulator, as_dyadic
 
 CSV_HEADER = "N,S_num,S_den,alpha_hex,V,ratio"
 _COLUMNS = tuple(CSV_HEADER.split(","))
@@ -101,8 +101,8 @@ def parse_s_grid(text: str) -> tuple:
             raise ConfigError(f"s_grid: expected logspace:v_min..v_max, got {text!r}")
         lo = _parse_int(lo_s, "s_grid")
         hi = _parse_int(hi_s, "s_grid")
-        if not 0 <= lo <= hi <= 64:
-            raise ConfigError(f"s_grid: logspace exponents must satisfy 0 <= v_min <= v_max <= 64")
+        if not 0 <= lo <= hi <= S_DEN_BITS:
+            raise ConfigError(f"s_grid: logspace exponents must satisfy 0 <= v_min <= v_max <= {S_DEN_BITS}")
         return tuple(Fraction(1, 1 << v) for v in range(lo, hi + 1))
     if text == "k/64":
         return tuple(Fraction(k, 64) for k in range(1, 64))

@@ -212,8 +212,6 @@ class WindowAccumulator:
     def variance(self, s: SBin, *, exact: bool = False):
         width = _grid_width(s)
         n = self.n
-        if n == 0 or width == 0:
-            return Fraction(0) if exact else 0.0
         off = self.tent_pair_sum(width)
         v = Fraction(n * width * GRID_ONE - (n * width) ** 2 + off * GRID_ONE,
                      GRID_ONE * GRID_ONE)
