@@ -251,6 +251,11 @@ def test_run_square_sum_chunk_edges(monkeypatch, dtype):
         "distinct": list(range(0, 40, 3)),
         "single": [2],
         "empty": [],
+        # a run over three or more chunks at every chunk size up to 4
+        "spanning": [0, *[3] * 14, 5, 7, 7],
+        # a run longer than a chunk, and a run of one key, ending on the last key
+        "long-tail": [1, *[2] * 13],
+        "last-single": [*[3] * 9, 4],
     }
     if dtype is np.int64:  # keys of a span of 2^32 and more
         keys["wide"] = [1, 1, 1 << 32, 1 << 32, 1 << 32, (1 << 62) - 1]
@@ -302,6 +307,16 @@ def test_energy_direct_holds_little_beyond_its_keys(monkeypatch):
     assert energy == expect and peak < 1.5 * 4 * cap
 
 
+def test_additive_energy_holds_its_sums_alone():
+    # the count^2 int64 sums, sorted in place, and chunk-sized scratch for the
+    # runs; the sums of squares are mostly distinct, so a run per sum would show
+    count = 2000
+    terms = generate_terms(SequenceSpec.poly((0, 0, 1)), count)
+    energy, peak = _traced_peak(lambda: additive_energy(terms, count))
+    assert energy == count * count + 2 * energy_direct(terms, 1, count)
+    assert peak <= 1.15 * 8 * count * count
+
+
 def test_rep_quadratic_divisor_examples():
     p = (1, 0)  # x^2, coefficients (a, b) of a x^2 + b x
     assert rep_quadratic_divisor(p, 15, 10) == 2
@@ -318,6 +333,16 @@ def test_rep_quadratic_divisor_exhaustive():
     table = rep_table(SQUARES, 1, 200)
     for u in range(1, 10 ** 4 + 1):
         assert rep_quadratic_divisor((1, 0), u, 200) == table.counts.get(u, 0)
+    # above a leading 1, a divisor e of u solves a(x + y) + b = u / e only
+    # where a divides u / e - b
+    n = 60
+    for a, b in ((2, 3), (3, -1)):
+        terms = [a * k * k + b * k for k in range(1, n + 1)]
+        table = rep_table(terms, 1, n)
+        top = terms[-1] - terms[0]
+        lists = divisor_lists(top)
+        for u in range(1, top + 1):
+            assert rep_quadratic_divisor((a, b), u, n, divisors=lists[u]) == table.counts.get(u, 0)
 
 
 def test_rep_bounded_by_tau():
@@ -451,6 +476,12 @@ def test_difference_set_examples():
         difference_set((0, 1 << 62), 2)
     with pytest.raises(BudgetExceeded):
         difference_set((0, 1), 100, pair_budget=10)
+    # count 100 enumerates 100 * 99 / 2 = 4950 pairs, within a budget that
+    # count^2 = 10^4 would exceed
+    full = difference_set((0, 0, 1), 100)
+    assert np.array_equal(difference_set((0, 0, 1), 100, pair_budget=4950), full)
+    with pytest.raises(BudgetExceeded, match="estimated 4950, budget 4949"):
+        difference_set((0, 0, 1), 100, pair_budget=4949)
 
 
 def test_divisibility_bound_check():

@@ -327,6 +327,27 @@ def _fail_for_one_alpha(monkeypatch, bad: Alpha, exc_type):
     _fail_for_alphas(monkeypatch, (bad,), fail)
 
 
+class _TwoPartError(Exception):
+    """An exception that cannot be rebuilt from one message."""
+
+    def __init__(self, what, where):
+        super().__init__(what, where)
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_scan_failure_that_cannot_be_renamed_keeps_its_type(monkeypatch, started, threads):
+    # at threads = 2 the failing alpha is the worker's share
+    def fail():
+        raise _TwoPartError("dilation failed", "here")
+
+    _fail_for_alphas(monkeypatch, (Alpha.parse("sqrt2m1"),), fail)
+    cfg = parse_config("alphas = golden, sqrt2m1\nn_grid = 20, 40\ns_grid = 1/8\n")
+    with pytest.raises(_TwoPartError) as info:
+        run_scan(cfg, threads=threads)
+    assert info.value.args == ("dilation failed", "here")
+    assert len(started) == threads - 1
+
+
 @pytest.mark.parametrize("threads", (1, 2))
 def test_scan_failure_names_the_cell(monkeypatch, threads):
     bad = Alpha.parse("sqrt2m1")
@@ -594,6 +615,11 @@ def test_main_divcheck_cost_budget(capsys):
     assert "estimated 392, budget 391" in capsys.readouterr().err
     assert main([*linear, "--pair-budget", "392"]) == 0
     capsys.readouterr()
+    # the difference set is charged its count(count - 1)/2 pairs, not count^2
+    one = ["divcheck", "--poly", "0,1", "--count", "100", "--ell-max", "2"]
+    assert main([*one, "--pair-budget", "4950"]) == 0
+    assert main([*one, "--pair-budget", "4949"]) == 3
+    assert "estimated 4950, budget 4949" in capsys.readouterr().err
     # the default range 2..200 fits the default budget
     assert main(["divcheck", "--poly", "0,1,0,1", "--count", "500"]) == 0
     assert json.loads(capsys.readouterr().out)["all_ok"]

@@ -133,6 +133,7 @@ def test_sequence_parse_and_labels():
     assert SequenceSpec.parse("linear").label() == "linear"
     assert SequenceSpec.parse("poly:0,0,1").coeffs == (0, 0, 1)
     assert SequenceSpec.parse("lacunary:3").base == 3
+    assert SequenceSpec.parse("lacunary:3").label() == "lacunary:3"
     assert SequenceSpec.parse("poly:0,0,1").label() == "poly:0,0,1"
 
 
