@@ -119,7 +119,14 @@ def _value_ranges(parts, span: int, cap: int) -> list:
 
 
 def _range_keys(parts, lo: int, hi: int) -> np.ndarray:
-    """The parts' gaps r - c in [lo, hi) as sorted keys.
+    """The parts' gaps r - c in [lo, hi) as sorted keys."""
+    keys = _unsorted_range_keys(parts, lo, hi)
+    keys.sort()
+    return keys
+
+
+def _unsorted_range_keys(parts, lo: int, hi: int) -> np.ndarray:
+    """The parts' gaps r - c in [lo, hi) as keys, in the order they are built.
 
     Each block of rows writes the columns every row of it partners into one
     rectangle of the key buffer; the ragged ends of the rows' runs (the
@@ -150,7 +157,6 @@ def _range_keys(parts, lo: int, hi: int) -> np.ndarray:
                 end = pos + int(np.count_nonzero(keep))
                 np.compress(keep, (rows - ck[c0:c1]).ravel(), out=keys[pos:end])
                 pos = end
-    keys.sort()
     return keys
 
 
@@ -212,7 +218,10 @@ def _run_square_sum(keys: np.ndarray) -> int:
         starts = np.flatnonzero(keys[i:j] != keys[i - 1:j - 1])  # run starts, less i
         if starts.size:
             first = i + int(starts[0]) - start
-            total += first * first + _square_sum(np.diff(starts))
+            # the runs closed inside the chunk cover at most _RUN_CHUNK = 2^16
+            # keys, so their squares sum to at most 2^32: no int64 overflow
+            runs = np.diff(starts)
+            total += first * first + int(np.dot(runs, runs))
             start = i + int(starts[-1])
     return total + (keys.size - start) ** 2
 
@@ -251,21 +260,31 @@ def energy_window(table: RepTable) -> int:
     return _square_sum(table.reps)
 
 
+def _ordered_sums(x: np.ndarray) -> np.ndarray:
+    """The x.size^2 sums x_i + x_j of int64 terms as keys, unsorted: those of
+    the offsets x - min as uint32 when twice the span is below 2^32 (shifting
+    every term keeps which sums are equal), those of x as int64 otherwise."""
+    if x.size and 2 * (int(x.max()) - int(x.min())) < 1 << 32:
+        x = (x - x.min()).astype(np.uint32)
+    return np.add.outer(x, x).ravel()
+
+
 def additive_energy(terms, count: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
     """Quadruples with x_{n1} + x_{n2} = x_{n3} + x_{n4}, indices up to `count`.
 
-    Sorts the count^2 ordered sums in place (8 * count^2 bytes) and sums the
-    squared run lengths with energy_direct's chunked walker.  Forming no
-    difference keeps it independent of the gap histogram.  Terms with
-    |x| > PAIR_LIMIT raise OverflowError.
+    Sorts the count^2 ordered sums in place and sums the squared run lengths
+    with energy_direct's chunked walker.  When twice the span max - min is
+    below 2^32, the sums are those of the offsets x - min, as uint32 keys
+    (4 * count^2 bytes); otherwise they are int64 (8 * count^2 bytes).
+    Forming no difference keeps it independent of the gap histogram.  Terms
+    with |x| > PAIR_LIMIT raise OverflowError.
     """
     if not 0 <= count <= len(terms):
         raise ValueError(f"count {count} outside 0..{len(terms)}")
     if count * count > pair_budget:
         raise BudgetExceeded("ordered-sum enumeration too large",
                              count * count, pair_budget)
-    x = term_array(terms[:count], PAIR_LIMIT)
-    sums = np.add.outer(x, x).ravel()
+    sums = _ordered_sums(term_array(terms[:count], PAIR_LIMIT))
     sums.sort()
     return _run_square_sum(sums)
 

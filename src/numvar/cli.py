@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -473,6 +474,11 @@ def _cmd_decompose(args) -> dict:
 
 def _cmd_energy(args) -> dict:
     terms = _sequence_terms(args)
+    whole = args.n1 == 1 and args.n2 in (None, args.count)
+    # on the window 1..--count, additive_energy goes first, so that its count^2
+    # budget fails before any table is built; a table over budget still fails first
+    if whole and args.count * (args.count - 1) // 2 <= args.pair_budget:
+        energy = arithmetic.additive_energy(terms, args.count, pair_budget=args.pair_budget)
     table = _window_table(args, terms)
     out = {
         "sequence": args.sequence,
@@ -480,9 +486,8 @@ def _cmd_energy(args) -> dict:
         "pair_count": table.pair_count,
         "energy_window": arithmetic.energy_window(table),
     }
-    if table.window == (1, args.count):
-        out["additive_energy"] = arithmetic.additive_energy(
-            terms, args.count, pair_budget=args.pair_budget)
+    if whole:
+        out["additive_energy"] = energy
     return out
 
 
@@ -699,9 +704,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on main's first call and kept for the process:
+    parsing leaves the parser as it was, so every call parses afresh."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         doc = args.fn(args)
         if doc is not None:

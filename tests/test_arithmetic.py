@@ -196,6 +196,17 @@ def test_additive_energy_matches_hash_reference(name):
         assert additive_energy(terms, count) == reference_additive_energy(terms, count)
 
 
+@pytest.mark.parametrize("span,dtype", [((1 << 31) - 1, np.uint32), (1 << 31, np.int64)])
+def test_additive_energy_narrow_sums_up_to_a_span_of_2_31(span, dtype):
+    # twice the span is 2^32 - 2, whose sums of offsets fit uint32 keys, or
+    # 2^32, whose sums stay int64; the terms are negative and both spans' ends recur
+    for base in (-(1 << 40) - 7, -span):
+        terms = [base + v for v in _with_span(span, 60, seed=span % 97)] * 2
+        assert arithmetic._ordered_sums(np.array(terms, dtype=np.int64)).dtype == dtype
+        for count in (0, 1, 2, 120):
+            assert additive_energy(terms, count) == reference_additive_energy(terms, count)
+
+
 def test_additive_energy_refuses_terms_of_2_62():
     with pytest.raises(OverflowError):
         additive_energy([3, 1 << 62], 2)
@@ -264,6 +275,16 @@ def test_run_square_sum_chunk_edges(monkeypatch, dtype):
         for name, values in keys.items():
             k = np.array(values, dtype=dtype)
             assert _run_square_sum(k) == _squared_runs(k), (name, chunk)
+    # at the default chunk of 2^16 keys: the longest run that closes inside
+    # one chunk (keys 1..2^16 - 1), a run that fills exactly the first chunk
+    # (keys 1..2^16), and all-equal keys of length 2^16 - 1, 2^16 and 2^16 + 1
+    c = 1 << 16
+    assert arithmetic._RUN_CHUNK == c
+    edges = {"closes-inside": [0, *[5] * (c - 1), 7], "fills-one-chunk": [0, *[5] * c, 7],
+             **{f"all-equal-{n}": [3] * n for n in (c - 1, c, c + 1)}}
+    for name, values in edges.items():
+        k = np.array(values, dtype=dtype)
+        assert _run_square_sum(k) == _squared_runs(k), name
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])
@@ -308,13 +329,18 @@ def test_energy_direct_holds_little_beyond_its_keys(monkeypatch):
 
 
 def test_additive_energy_holds_its_sums_alone():
-    # the count^2 int64 sums, sorted in place, and chunk-sized scratch for the
-    # runs; the sums of squares are mostly distinct, so a run per sum would show
+    # the count^2 sums, sorted in place, and chunk-sized scratch for the runs;
+    # the sums of squares are mostly distinct, so a run per sum would show.
+    # The squares 1..2000 span under 2^31, so their sums are uint32 keys
     count = 2000
     terms = generate_terms(SequenceSpec.poly((0, 0, 1)), count)
+    expect = count * count + 2 * energy_direct(terms, 1, count)
     energy, peak = _traced_peak(lambda: additive_energy(terms, count))
-    assert energy == count * count + 2 * energy_direct(terms, 1, count)
-    assert peak <= 1.15 * 8 * count * count
+    assert energy == expect and peak <= 1.1 * 4 * count * count
+    # scaled by 2^20 they span over 2^31, and their sums are int64
+    wide = [t << 20 for t in terms]
+    energy, peak = _traced_peak(lambda: additive_energy(wide, count))
+    assert energy == expect and peak <= 1.15 * 8 * count * count
 
 
 def test_rep_quadratic_divisor_examples():

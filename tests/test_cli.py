@@ -14,7 +14,7 @@ import pytest
 
 import numvar
 import numvar.cli as cli
-from numvar.arithmetic import gcd_sum, rep_table
+from numvar.arithmetic import additive_energy, energy_window, gcd_sum, rep_table
 from numvar.cli import (CSV_HEADER, ConfigError, ExperimentConfig, ScanResult,
                         config_hash, emit, main, parse, parse_config,
                         parse_s_grid, preset_config, preset_verdict, run_scan)
@@ -751,13 +751,84 @@ def test_main_repstats_budget_names_the_pairs_repeated_mass_reads(monkeypatch, c
     assert "estimated 1249975000, budget 100000" in err
 
 
-def test_module_runs_as_script():
+def test_main_energy_checks_the_sum_budget_before_any_table(monkeypatch, capsys):
+    # the window's 199 990 000 pairs fit the budget, but additive_energy's
+    # count^2 ordered sums do not: that is refused before any table is built
+    with monkeypatch.context() as patched:
+        patched.setattr(cli.arithmetic, "rep_table", lambda *a, **k: pytest.fail("table built"))
+        assert main(["energy", "--sequence", "poly:0,0,1", "--count", "20000",
+                     "--pair-budget", "300000000"]) == 3
+    err = capsys.readouterr().err
+    assert "ordered-sum enumeration too large (estimated 400000000, budget 300000000)" in err
+    # a table over its own budget still fails with its own message
+    assert main(["energy", "--sequence", "poly:0,0,1", "--count", "100",
+                 "--pair-budget", "4949"]) == 3
+    err = capsys.readouterr().err
+    assert "pair enumeration too large" in err and "estimated 4950, budget 4949" in err
+
+
+_ENERGY = ["energy", "--sequence", "poly:0,0,1", "--count", "300"]
+_REPSTATS = ["repstats", "--sequence", "poly:0,0,1", "--count", "300", "--n1", "50", "--n2", "200"]
+
+
+def _run_module(*argv):
+    """`python -m numvar.cli argv` in a fresh interpreter, as a finished process."""
     src = os.path.dirname(os.path.dirname(numvar.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "numvar.cli",
-         "decompose", "1/4"],
-        env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "numvar.cli",
+                           *argv], env=env, capture_output=True, text=True, timeout=60)
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """Drops main's parser and counts the builds of the next one."""
+    builds = []
+    build = cli.build_parser
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    yield builds
+    cli._parser.cache_clear()
+
+
+def test_main_builds_its_parser_once(parser_builds, capsys):
+    out = []
+    for argv in (_ENERGY, _REPSTATS, _ENERGY):
+        assert main(argv) == 0
+        out.append(capsys.readouterr().out)
+    assert parser_builds == [1]
+    # the repstats window's flags do not reach the second energy call
+    assert out[0] == out[2]
+    for argv, text in zip((_ENERGY, _REPSTATS), out):
+        proc = _run_module(*argv)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(text) == json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("first,code", [
+    ([*_ENERGY, "--bogus"], 2),  # a flag energy does not take
+    (["energy", "--sequence", "poly:0,0,1", "--count", "0"], 2),  # a value its type refuses
+    (["energy", "--help"], 0),
+    ([*_ENERGY, "--pair-budget", "10"], 3),  # a command that fails
+])
+def test_main_after_an_early_exit_is_a_fresh_call(parser_builds, capsys, first, code):
+    try:
+        got = main(first)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    if first[-1] == "--help":
+        assert capsys.readouterr().out.startswith("usage: numvar energy")
+    assert main(_ENERGY) == 0
+    terms = generate_terms(SequenceSpec.poly((0, 0, 1)), 300)
+    assert json.loads(capsys.readouterr().out) == {
+        "sequence": "poly:0,0,1", "window": [1, 300], "pair_count": 44850,
+        "energy_window": energy_window(rep_table(terms, 1, 300)),
+        "additive_energy": additive_energy(terms, 300)}
+    assert parser_builds == [1]
+
+
+def test_module_runs_as_script():
+    proc = _run_module("decompose", "1/4")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["levels"] == [{"v": 2, "c": 0}]
