@@ -186,6 +186,10 @@ _ENERGY_SEQUENCES = {
     "negative": [-(k * k) + 250 * k for k in range(1, 601)],
     "repeated": [int(v) for v in np.random.default_rng(8).integers(-30, 30, 600)],
     "explicit": [5, 5, -2, 5, 0, -2, 1 << 61, -(1 << 61)] * 75,
+    # twice the span is 2^32 - 2, whose sums of offsets are uint32 keys, or
+    # 2^32, whose sums stay int64; negative terms, the span's ends repeated
+    "span-2^31-1": [v - (1 << 40) for v in _with_span((1 << 31) - 1, 300, 5)] * 2,
+    "span-2^31": [v - (1 << 31) for v in _with_span(1 << 31, 300, 6)] * 2,
 }
 
 
@@ -196,15 +200,10 @@ def test_additive_energy_matches_hash_reference(name):
         assert additive_energy(terms, count) == reference_additive_energy(terms, count)
 
 
-@pytest.mark.parametrize("span,dtype", [((1 << 31) - 1, np.uint32), (1 << 31, np.int64)])
-def test_additive_energy_narrow_sums_up_to_a_span_of_2_31(span, dtype):
-    # twice the span is 2^32 - 2, whose sums of offsets fit uint32 keys, or
-    # 2^32, whose sums stay int64; the terms are negative and both spans' ends recur
-    for base in (-(1 << 40) - 7, -span):
-        terms = [base + v for v in _with_span(span, 60, seed=span % 97)] * 2
-        assert arithmetic._ordered_sums(np.array(terms, dtype=np.int64)).dtype == dtype
-        for count in (0, 1, 2, 120):
-            assert additive_energy(terms, count) == reference_additive_energy(terms, count)
+def test_ordered_sums_are_uint32_offsets_below_a_span_of_2_31():
+    for name, dtype in (("span-2^31-1", np.uint32), ("span-2^31", np.int64)):
+        x = np.array(_ENERGY_SEQUENCES[name], dtype=np.int64)
+        assert arithmetic._ordered_sums(x).dtype == dtype
 
 
 def test_additive_energy_refuses_terms_of_2_62():
