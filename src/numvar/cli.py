@@ -75,8 +75,6 @@ class ExperimentConfig:
     n_grid: tuple
     s_grid: tuple
     seed: Optional[int]
-    out: Optional[str]
-    fmt: str
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,7 @@ def parse_s_grid(text: str) -> tuple:
 
 
 _CONFIG_KEYS = {"sequence", "alpha_mode", "alpha_count", "alphas", "n_grid",
-                "s_grid", "seed", "out", "format"}
+                "s_grid", "seed"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -182,12 +180,6 @@ def parse_config(text: str) -> ExperimentConfig:
     if seed is not None and seed < 0:
         raise ConfigError("seed must be >= 0")
 
-    if data.get("out") == "":
-        raise ConfigError("out: empty path")
-    fmt = data.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format: expected csv or json, got {fmt!r}")
-
     return ExperimentConfig(
         sequence=sequence,
         alpha_mode=mode,
@@ -196,14 +188,13 @@ def parse_config(text: str) -> ExperimentConfig:
         n_grid=n_grid,
         s_grid=s_grid,
         seed=seed,
-        out=data.get("out"),
-        fmt=fmt,
     )
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    """sha256 over the canonical JSON of the science fields (not output paths),
-    an explicit sequence's values included: its label names only their count."""
+    """sha256 over the canonical JSON of the config's fields, an explicit
+    sequence's values included: its label names only their count.  Where the
+    rows go is set by the command-line flags alone, so it is not hashed."""
     payload = {
         "sequence": config.sequence.label(),
         "alpha_mode": config.alpha_mode,
@@ -259,13 +250,15 @@ def _format_row(rec: VarianceRecord) -> str:
     return ",".join(_csv_field(value) for value in _row_values(rec))
 
 
-def run_scan(config: ExperimentConfig, *, threads: int = 1) -> ScanResult:
+def run_scan(config: ExperimentConfig, *, threads: int = 1, out=None) -> ScanResult:
     """Execute the (N, S, alpha) grid; rows N outer, S middle, alpha inner.
 
     Each N block is split over w = min(threads, alphas) processes: this one
     takes alphas 0, w, 2w, .., worker r of w - 1 (started once) r, r + w, ...
-    The first failing cell in row order is raised.  CSV rows to config.out are
-    flushed block by block, so an interrupted run leaves a valid row prefix.
+    The first failing cell in row order is raised.  Given a text stream `out`
+    (the caller's to open and close), the CSV header and each finished N block
+    are written to it and flushed, so a failed scan leaves a valid row prefix;
+    without one there is no I/O.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -277,8 +270,6 @@ def run_scan(config: ExperimentConfig, *, threads: int = 1) -> ScanResult:
     w = max(min(threads, len(alphas)), 1)  # a block holds one cell per alpha
     ctx = multiprocessing.get_context()
     rows, workers = [], []  # a worker is (process, receiving end of its pipe)
-    stream = (open(config.out, "w", encoding="utf-8", newline="")
-              if config.out is not None and config.fmt == "csv" else None)
     try:
         for r in range(1, w):  # started before the header is written: nothing buffered forks
             conn, send = ctx.Pipe(duplex=False)
@@ -287,9 +278,9 @@ def run_scan(config: ExperimentConfig, *, threads: int = 1) -> ScanResult:
             proc.start()
             workers.append((proc, conn))
             send.close()
-        if stream:
-            stream.write(CSV_HEADER + "\n")
-            stream.flush()
+        if out is not None:
+            out.write(CSV_HEADER + "\n")
+            out.flush()
         for n in config.n_grid:
             shares = [_alpha_cells(n, alphas[::w], config.s_grid, terms)]
             for r, (proc, conn) in enumerate(workers, 1):
@@ -307,9 +298,9 @@ def run_scan(config: ExperimentConfig, *, threads: int = 1) -> ScanResult:
             block = [VarianceRecord(n, s, alpha, values[k]) for k, s in enumerate(config.s_grid)
                      for alpha, values in zip(alphas, cells)]
             rows.extend(block)
-            if stream:
-                stream.write("".join(_format_row(r) + "\n" for r in block))
-                stream.flush()
+            if out is not None:
+                out.write("".join(_format_row(r) + "\n" for r in block))
+                out.flush()
         for proc, _ in workers:  # all sent: each exits by itself
             proc.join()
     finally:
@@ -317,8 +308,6 @@ def run_scan(config: ExperimentConfig, *, threads: int = 1) -> ScanResult:
             proc.terminate()  # no signal once joined
             proc.join()
             conn.close()
-        if stream:
-            stream.close()
     metadata = {
         "config_hash": config_hash(config),
         "code_version": CODE_VERSION,
@@ -404,12 +393,16 @@ def preset_verdict(name: str, result: ScanResult) -> dict:
 # command line
 
 
-def _write_bytes(data: bytes, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(data.decode())
-    else:
-        with open(out, "wb") as fh:
-            fh.write(data)
+@contextlib.contextmanager
+def _output(path: Optional[str]):
+    """The text stream a command writes to: the file at --out, or stdout."""
+    if path is None:
+        yield sys.stdout
+        return
+    if path == "":
+        raise ConfigError("--out: empty path")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        yield fh
 
 
 def _sequence_terms(args):
@@ -431,24 +424,22 @@ def _window_table(args, terms) -> arithmetic.RepTable:
 
 
 def _scan_and_write(config: ExperimentConfig, args, *, stdout: bool) -> ScanResult:
-    """run_scan with the command-line overrides, then write the rows.
+    """run_scan with --seed; its rows go to --out, else to stdout if `stdout` is set.
 
-    Rows go to --out (CSV rows there are streamed by run_scan itself).
-    Without --out they go to stdout if `stdout` is set, and nowhere otherwise.
+    The stream is opened before any cell is computed, so a bad --out fails
+    first.  CSV streams there block by block; JSON is written once the scan
+    is done, so a failed JSON scan leaves an empty file.
     """
     if args.seed is not None and config.alpha_mode == "explicit":
         raise ConfigError("--seed has no effect when alpha_mode is explicit")
-    if args.rows_out == "":
-        raise ConfigError("--out: empty path")
-    overrides = {"seed": args.seed, "out": args.rows_out, "fmt": args.format}
-    config = dataclasses.replace(
-        config, **{k: v for k, v in overrides.items() if v is not None})
-    result = run_scan(config, threads=args.threads)
-    if config.out is None:
-        if stdout:
-            _write_bytes(emit(result, config.fmt), None)
-    elif config.fmt == "json":
-        _write_bytes(emit(result, "json"), config.out)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    routed = args.rows_out is not None or stdout
+    with _output(args.rows_out) if routed else contextlib.nullcontext() as out:
+        csv = args.format != "json"
+        result = run_scan(config, threads=args.threads, out=out if csv else None)
+        if out is not None and not csv:
+            out.write(emit(result, "json").decode())
     return result
 
 
@@ -648,7 +639,7 @@ _WINDOW = (_arg("--n1", type=_positive_int, default=1),
 _SCAN = (_SEED,
          _arg("--threads", type=_positive_int, default=1),
          _arg("--out", dest="rows_out", default=None,
-              help="path for the rows; CSV streams there as each N block completes"),
+              help="path for the rows (scan: default stdout); CSV streams block by block"),
          _arg("--format", choices=("csv", "json"), default=None))
 
 # subcommand: (handler, help, arguments).  A subcommand takes only the flags
@@ -718,8 +709,9 @@ def main(argv=None) -> int:
         if doc is not None:
             # scan and preset take --out for their rows; a preset's verdict
             # always goes to stdout
-            _write_bytes((json.dumps(doc, indent=2, allow_nan=False) + "\n").encode(),
-                         getattr(args, "out", None))
+            text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+            with _output(getattr(args, "out", None)) as out:
+                out.write(text)
     except BudgetExceeded as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3

@@ -104,6 +104,22 @@ class Alpha:
         return f"{self.a:032x}"
 
 
+def _sort_words(hi, lo, kind=None):
+    """(order, hi[order], lo[order]), order sorting the values (hi << 64) | lo.
+
+    Argsorts the high words (of the given kind) and gathers each word once; a
+    lexsort on (high, low) words takes over only when equal high words are left
+    with their low words out of order, as a dyadic alpha's dilation never is.
+    """
+    order = np.argsort(hi, kind=kind)
+    hi_sorted, lo_sorted = hi[order], lo[order]
+    tied = hi_sorted[1:] == hi_sorted[:-1]
+    if tied.any() and (tied & (lo_sorted[1:] < lo_sorted[:-1])).any():
+        order = np.lexsort((lo, hi))
+        hi_sorted, lo_sorted = hi[order], lo[order]
+    return order, hi_sorted, lo_sorted
+
+
 class PointSet:
     """Sorted multiset of circle points on the 2^-128 grid, held as 64-bit words.
 
@@ -123,13 +139,7 @@ class PointSet:
     @classmethod
     def from_words(cls, hi, lo) -> "PointSet":
         """From word arrays in any order; sorted here."""
-        order = np.argsort(hi)
-        hi_sorted = hi[order]
-        if np.any(hi_sorted[1:] == hi_sorted[:-1]):
-            # equal high words need the low word as the second key
-            order = np.lexsort((lo, hi))
-            hi_sorted = hi[order]
-        return cls(hi_sorted, lo[order])
+        return cls(*_sort_words(hi, lo)[1:])
 
     @cached_property
     def points(self) -> tuple:

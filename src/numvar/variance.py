@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .points import _LOW32, _WORD, GRID_ONE, Alpha, PointSet
+from .points import _LOW32, _WORD, GRID_ONE, Alpha, PointSet, _sort_words
 
 SBin = Union[Fraction, int, float]
 
@@ -253,9 +253,9 @@ def variance_sweep(points: PointSet, s: SBin, *, exact: bool = False):
     Point p covers the arc [p - S/2, p + S/2) mod 1.  The arc starts, p - S/2
     mod 1, and the arc ends, p + S/2 = p - (1 - S/2) mod 1, come from two
     _sub128 calls.  Each is the sorted points moved round the circle, so the
-    2N events form four sorted runs, which one stable argsort by high word
-    merges; a lexsort on (high, low) words takes over when equal high words
-    come out with their low words out of order.  The count after each event
+    2N events form four sorted runs, which _sort_words merges with a stable
+    argsort by high word (and a lexsort when equal high words come out with
+    their low words out of order).  The count after each event
     is a cumulative sum of the +1/-1 deltas.  With base the count on the arc
     just below 1 (the arcs that wrap past 0, counted by PointSet.below) and
     levels L_0 = base, L_1, .., L_2N at the event positions q_j, summation by
@@ -265,8 +265,8 @@ def variance_sweep(points: PointSet, s: SBin, *, exact: bool = False):
 
     on the 2^-128 grid, one exact weighted sum of the positions.  Events at a
     shared position may come in any order: the segment between them is empty.
-    The sweep shares only PointSet (with its below) and _grid_width with
-    WindowAccumulator.
+    The sweep shares only PointSet (with its below and the _sort_words that
+    builds it) and _grid_width with WindowAccumulator.
     """
     width = _grid_width(s)
     n = points.n
@@ -277,13 +277,11 @@ def variance_sweep(points: PointSet, s: SBin, *, exact: bool = False):
     hi, lo = points.hi, points.lo
     # the events, starts before ends: each pair of word arrays is freed once joined
     q_hi, q_lo = map(np.concatenate, zip(_sub128(hi, lo, half), _sub128(hi, lo, GRID_ONE - half)))
-    order = np.argsort(q_hi, kind="stable")  # merges the four sorted runs
-    if np.any((q_hi[order[1:]] == q_hi[order[:-1]]) & (q_lo[order[1:]] < q_lo[order[:-1]])):
-        order = np.lexsort((q_lo, q_hi))  # equal high words, low words out of order
+    order, q_hi, q_lo = _sort_words(q_hi, q_lo, kind="stable")  # merges the four sorted runs
     levels = base + np.concatenate(([0], np.cumsum(np.where(order < n, 1, -1))))
     if levels[-1] != base:
         raise RuntimeError("event deltas must cancel around the circle")
     weights = levels[:-1] ** 2 - levels[1:] ** 2
-    integral = base * base * GRID_ONE + _weighted_sum128(weights, q_hi[order], q_lo[order])
+    integral = base * base * GRID_ONE + _weighted_sum128(weights, q_hi, q_lo)
     v = Fraction(integral * GRID_ONE - (n * width) ** 2, GRID_ONE * GRID_ONE)
     return v if exact else float(v)

@@ -214,6 +214,14 @@ def test_additive_energy_refuses_terms_of_2_62():
     assert additive_energy([3, 1 << 62], 1) == 1  # only the first `count` terms are read
 
 
+def test_energy_counts_refuse_windows_past_the_terms():
+    with pytest.raises(ValueError, match="count 6 outside 0..5"):
+        additive_energy(SQUARES[:5], 6)
+    for n1, n2 in ((0, 3), (2, 6), (4, 3)):
+        with pytest.raises(ValueError, match=rf"window \({n1}, {n2}\) outside 1..5"):
+            energy_direct(SQUARES[:5], n1, n2)
+
+
 def test_energy_identity_with_rep_table():
     # for distinct terms, E(N) = N^2 + 2 sum Rep(u)^2
     for terms, n in ((SQUARES, 40), (LINEAR, 25)):

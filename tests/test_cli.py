@@ -1,4 +1,6 @@
+import builtins
 import dataclasses
+import io
 import json
 import math
 import multiprocessing
@@ -37,7 +39,10 @@ def test_parse_config_full_and_defaults():
     assert cfg.sequence.label() == "poly:0,0,1"
     assert cfg.alpha_mode == "uniform-random" and cfg.alpha_count == 10
     assert cfg.n_grid == (1000,) and cfg.s_grid == (Fraction(1, 64),)
-    assert cfg.seed == 7 and cfg.fmt == "csv" and cfg.out is None
+    assert cfg.seed == 7
+    # the config holds the experiment only: the command-line flags route its rows
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+        "sequence", "alpha_mode", "alpha_count", "alphas", "n_grid", "s_grid", "seed"]
     bare = parse_config("alphas = golden\nn_grid = 10\ns_grid = 1/4\n")
     assert bare.sequence.label() == "linear"
     assert bare.alpha_mode == "explicit" and bare.alphas == (Alpha.golden(),)
@@ -52,19 +57,19 @@ def test_parse_config_full_and_defaults():
     "n_grid = 10,5\ns_grid = 1/4\nseed = 1",
     "n_grid = 10\ns_grid = 1/3\nseed = 1",         # not dyadic
     "n_grid = 10\ns_grid = 1/4",                   # seed required
-    "n_grid = 10\ns_grid = 1/4\nseed = 1\nformat = yaml",
     "alpha_mode = explicit\nn_grid = 10\ns_grid = 1/4",
     "alpha_mode = sobol\nn_grid = 10\ns_grid = 1/4\nseed = 1",
     "n_grid\ns_grid = 1/4\nseed = 1",              # no equals sign
     "n_grid = 10\ns_grid = 1/4\nseed = 1\nmemory_budget = 1",  # removed key
     "n_grid = 10\ns_grid = 1/4\nseed = 1\npair_budget = 10",    # removed key
+    "n_grid = 10\ns_grid = 1/4\nseed = 1\nformat = yaml",          # removed key
+    "n_grid = 10\ns_grid = 1/4\nseed = 1\nout =",                  # removed key
     # keys the alpha mode does not read
     "alpha_mode = uniform-random\nalphas = golden\nn_grid = 10\ns_grid = 1/4\nseed = 1",
     "alphas = golden\nalpha_count = 5\nn_grid = 10\ns_grid = 1/4",
     "alphas = golden\nn_grid = 10\ns_grid = 1/4\nseed = 8",
     "alpha_mode = explicit\nalphas = golden\nn_grid = 10\ns_grid = 1/4\nseed = 9",
-    # input that would write rows nowhere or repeat or drop them
-    "n_grid = 10\ns_grid = 1/4\nseed = 1\nout =",
+    # input that would repeat or drop rows
     "n_grid = 10\ns_grid = 1/4\nseed = 1\nseed = 2",
     "n_grid = 10\nn_grid = 20\ns_grid = 1/4\nseed = 1",
     "n_grid = 10\ns_grid = 1/4, 1/4\nseed = 1",
@@ -94,8 +99,8 @@ def test_config_hash_ignores_presentation():
         "seed = 7\ns_grid = 1/64\nn_grid = 1000\nalpha_count = 10\n"
         "alpha_mode = uniform-random\nsequence = poly:0,0,1\n")
     assert config_hash(a) == config_hash(reordered)
-    routed = parse_config(BASE_CONFIG + "out = /tmp/x.csv\nformat = json\n")
-    assert config_hash(a) == config_hash(routed)
+    commented = parse_config(BASE_CONFIG.replace("seed = 7", "seed = 7  # the scan's seed"))
+    assert config_hash(a) == config_hash(commented)
     reseeded = parse_config(BASE_CONFIG.replace("seed = 7", "seed = 8"))
     assert config_hash(a) != config_hash(reseeded)
 
@@ -171,8 +176,10 @@ def test_run_scan_large_n_is_not_screened():
 
 def test_run_scan_incremental_csv(tmp_path):
     out = tmp_path / "rows.csv"
-    cfg = parse_config(BASE_CONFIG + f"out = {out}\n")
-    result = run_scan(cfg)
+    cfg = parse_config(BASE_CONFIG)
+    with open(out, "w", encoding="utf-8", newline="") as stream:
+        result = run_scan(cfg, out=stream)
+        assert not stream.closed  # the caller's stream, left open
     assert out.read_bytes() == emit(result, "csv")
 
 
@@ -439,6 +446,75 @@ def test_main_scan_failure_keeps_its_exit_code(tmp_path, capsys, monkeypatch, th
     assert f"N = 10, alpha {bad.hex}: dilation failed" in capsys.readouterr().err
 
 
+_TWO_BLOCKS = "alphas = golden, sqrt2m1\nn_grid = 20, 40\ns_grid = 1/8, 1/16\n"
+
+
+def _first_block_then_failure(monkeypatch) -> str:
+    """The CSV of _TWO_BLOCKS' N = 20 block; then patches _alpha_cells so that
+    the N = 40 block fails at its first cell (a forked worker inherits it)."""
+    first = emit(run_scan(dataclasses.replace(parse_config(_TWO_BLOCKS), n_grid=(20,))))
+    real = cli._alpha_cells
+
+    def cells(n, alphas, s_grid, terms):
+        if n == 40:
+            return [OverflowError("cell failed")]
+        return real(n, alphas, s_grid, terms)
+
+    monkeypatch.setattr(cli, "_alpha_cells", cells)
+    return first.decode()
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_run_scan_failure_leaves_the_header_and_finished_blocks(monkeypatch, started, threads):
+    first = _first_block_then_failure(monkeypatch)
+    stream = io.StringIO()
+    with pytest.raises(OverflowError, match="cell failed"):
+        run_scan(parse_config(_TWO_BLOCKS), threads=threads, out=stream)
+    assert stream.getvalue() == first
+    assert len(started) == threads - 1
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_run_scan_without_a_stream_does_no_io(monkeypatch, capsys, threads):
+    opened = []  # in this process; a forked worker appends to its own copy
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", lambda *a, **k: opened.append(a) or real_open(*a, **k))
+    result = run_scan(parse_config(_TWO_BLOCKS), threads=threads)
+    assert len(result.rows) == 8
+    assert opened == [] and capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("threads", ("1", "2"))
+def test_main_scan_streams_finished_blocks_to_stdout(tmp_path, capsys, monkeypatch, threads):
+    # without --out the CSV reaches stdout block by block: a failed scan has
+    # printed the header and the N = 20 block, and exits with its cell's code
+    conf = tmp_path / "scan.conf"
+    conf.write_text(_TWO_BLOCKS)
+    first = _first_block_then_failure(monkeypatch)
+    assert main(["scan", "--config", str(conf), "--threads", threads]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == first
+    assert "cell failed" in captured.err
+
+
+def test_main_scan_opens_out_before_the_scan(tmp_path, capsys, monkeypatch):
+    conf = tmp_path / "scan.conf"
+    conf.write_text(_TWO_BLOCKS)
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "run_scan", lambda *a, **k: pytest.fail("scan ran"))
+        for fmt in ("csv", "json"):
+            missing = tmp_path / "missing" / f"rows.{fmt}"
+            assert main(["scan", "--config", str(conf), "--format", fmt,
+                         "--out", str(missing)]) == 2
+            assert "io error" in capsys.readouterr().err
+    # a JSON scan that fails leaves its file empty, a CSV scan its finished blocks
+    first = _first_block_then_failure(monkeypatch)
+    for fmt, want in (("json", ""), ("csv", first)):
+        out = tmp_path / f"rows.{fmt}"
+        assert main(["scan", "--config", str(conf), "--format", fmt, "--out", str(out)]) == 2
+        assert out.read_text() == want
+
+
 def test_preset_config_and_verdict():
     cfg = preset_config("thm1-quadratic")
     assert cfg.seed == cli.PRESET_SEED
@@ -478,7 +554,7 @@ def test_preset_config_equals_hand_built_config():
         sequence=SequenceSpec.poly((0, 0, 1)), alpha_mode="uniform-random",
         alpha_count=100, alphas=(), n_grid=(10 ** 5,),
         s_grid=tuple(Fraction(1, 1 << v) for v in range(5, 13)),
-        seed=cli.PRESET_SEED, out=None, fmt="csv")
+        seed=cli.PRESET_SEED)
     got = preset_config("thm1-quadratic")
     for field in dataclasses.fields(ExperimentConfig):
         assert getattr(got, field.name) == getattr(want, field.name), field.name
@@ -518,8 +594,11 @@ def test_main_scan_refuses_empty_out(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_scan", lambda *a, **k: pytest.fail("scan ran"))
     assert main(["scan", "--config", str(conf), "--out", ""]) == 2
     assert "--out" in capsys.readouterr().err
-    conf.write_text("alphas = golden\nn_grid = 10\ns_grid = 1/4\nout =\n")
-    assert main(["scan", "--config", str(conf)]) == 2
+    # the flags alone route the rows: the config keys are refused by name
+    for line in ("out =", "out = rows.csv", "format = json"):
+        conf.write_text(f"alphas = golden\nn_grid = 10\ns_grid = 1/4\n{line}\n")
+        assert main(["scan", "--config", str(conf)]) == 2
+        assert f"unknown key {line.split()[0]!r}" in capsys.readouterr().err
 
 
 def test_main_scan_refuses_seed_for_explicit_alphas(tmp_path, capsys):
@@ -568,6 +647,16 @@ def test_main_energy_and_repstats(capsys):
     assert doc["max_rep"] >= 2 and doc["pair_count"] == 190
 
 
+@pytest.mark.parametrize("command", ("energy", "repstats"))
+@pytest.mark.parametrize("window", (["--n2", "11"], ["--n1", "11"], ["--n1", "5", "--n2", "3"]))
+def test_main_window_outside_count_is_refused(capsys, command, window):
+    argv = [command, "--sequence", "linear", "--count", "10", *window]
+    assert main(argv) == 2
+    n1 = window[window.index("--n1") + 1] if "--n1" in window else "1"
+    n2 = window[window.index("--n2") + 1] if "--n2" in window else "10"
+    assert f"window --n1 {n1} --n2 {n2} outside 1..--count 10" in capsys.readouterr().err
+
+
 def test_main_gcdsum(capsys):
     assert main(["gcdsum", "--sequence", "linear", "--count", "3",
                  "--variant", "half"]) == 0
@@ -601,6 +690,21 @@ def test_main_divcheck(capsys):
     for ell_min, ell_max in (("5", "1"), ("-4", "1")):
         assert main(["divcheck", "--poly", "0,1", "--count", "5",
                      "--ell-min", ell_min, "--ell-max", ell_max]) == 2
+
+
+def test_main_divcheck_reports_a_failing_modulus(monkeypatch, capsys):
+    real = cli.arithmetic.divisibility_bound_check
+
+    def check(diffs, ell, degree, count):
+        hits, bound, ok = real(diffs, ell, degree, count)
+        return hits, bound, ok and ell != 7
+
+    monkeypatch.setattr(cli.arithmetic, "divisibility_bound_check", check)
+    assert main(["divcheck", "--poly", "0,1,1", "--count", "20", "--ell-max", "10"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    hits, bound, _ = real(cli.arithmetic.difference_set([0, 1, 1], 20), 7, 2, 20)
+    assert doc["failures"] == [{"ell": 7, "hits": hits, "bound": bound}]
+    assert doc["all_ok"] is False
 
 
 def test_main_divcheck_cost_budget(capsys):

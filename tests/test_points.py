@@ -84,6 +84,34 @@ def test_pointset_validation():
         PointSet(np.array([2, 1], dtype=np.uint64), np.array([0, 0], dtype=np.uint64))
 
 
+@pytest.fixture
+def lexsorts(monkeypatch):
+    """Counts the calls of np.lexsort."""
+    calls = []
+    real = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or real(keys))
+    return calls
+
+
+def test_from_words_lexsorts_only_low_words_out_of_order(lexsorts):
+    # a dyadic rational alpha's squares repeat their high words, all with low
+    # word 0, so the argsort of the high words orders them
+    terms = generate_terms(SequenceSpec.poly((0, 0, 1)), 5000)
+    for name in ("rat:3/1024", "rat:1/2", "rat:5/64"):
+        hi, lo = dilate_words(terms, Alpha.parse(name))
+        assert len(np.unique(hi)) < len(hi)
+        order = np.argsort(hi, kind="stable")
+        assert PointSet.from_words(hi, lo) == PointSet(hi[order], lo[order]), name
+    assert lexsorts == []
+    # (5, 2) and (5, 1) share a high word and come out of argsort with their low
+    # words out of order; (5, 2) and (7, 1) do not
+    for his, calls in (((5, 1, 7), 0), ((5, 1, 5), 1)):
+        words = PointSet.from_words(np.array(his, dtype=np.uint64),
+                                    np.array([2, 9, 1], dtype=np.uint64))
+        assert words.points == tuple(sorted((h << 64) | lo for h, lo in zip(his, (2, 9, 1))))
+        assert len(lexsorts) == calls
+
+
 def _check_below(points, xs):
     for x in xs:
         assert points.below(x) == bisect.bisect_left(points.points, x), x
@@ -187,6 +215,14 @@ def test_generate_terms_overflow_names_index():
         generate_terms(SequenceSpec.lacunary(2), 70)
     with pytest.raises(OverflowError, match="term 2"):
         generate_terms(SequenceSpec.poly([0, 1 << 62]), 5)
+
+
+def test_generate_terms_coefficient_past_int64_names_term_1():
+    # a coefficient beyond +-(2^63 - 1) skips the size bound's sum and takes
+    # the exact loop, whose first term already overflows
+    for coeffs in ((0, 1 << 63), (-(1 << 63) - 1, 1), (0, 0, -(1 << 64))):
+        with pytest.raises(OverflowError, match="term 1 "):
+            generate_terms(SequenceSpec.poly(coeffs), 3)
 
 
 def test_dilate_examples():

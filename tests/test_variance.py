@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from numvar.baselines import sample_uniform
-from numvar.points import GRID_ONE, Alpha, PointSet, dilate_mod1
+from numvar.points import GRID_ONE, Alpha, PointSet, SequenceSpec, dilate_mod1, generate_terms
 import numvar.variance
 from pointsets import from_ints
 from numvar.variance import (VarianceRecord, WindowAccumulator, _grid_width, _limb_dot,
@@ -359,6 +359,14 @@ def test_tent_pair_sum_on_clustered_sets(alpha):
         _assert_width(acc, width)
 
 
+def test_tent_pair_sum_refuses_widths_off_the_circle():
+    acc = WindowAccumulator(_squares_dilated(Alpha.golden(), 50))
+    for width in (-1, GRID_ONE + 1):
+        with pytest.raises(ValueError, match="outside"):
+            acc.tent_pair_sum(width)
+    assert acc.tent_pair_sum(GRID_ONE) == 50 * 49 * GRID_ONE
+
+
 def test_tent_pair_sum_with_chunked_limb_dot(monkeypatch):
     # N distinct points spread over 2^32 consecutive high words, an arc far
     # shorter than S: point k's weight is about N - 2k and its second limb
@@ -471,6 +479,21 @@ def test_sweep_merges_wrapped_and_unwrapped_events_in_one_high_word(monkeypatch,
         assert len(lexsorts) == before + 1, k  # the fall-back was taken
     for s in (Fraction(1, 4), Fraction(1, 2), 1):
         assert variance_sweep(pts, s, exact=True) == variance_pairwise(pts, s, exact=True)
+
+
+def test_sweep_of_a_dyadic_rational_alpha_needs_no_lexsort(monkeypatch):
+    """A dyadic rational alpha's squares repeat their high words, with low word
+    0, and so do their arc ends: the stable argsort of the high words orders
+    the events."""
+    lexsorts = []
+    real_lexsort = np.lexsort
+    monkeypatch.setattr(numvar.variance.np, "lexsort",
+                        lambda keys: lexsorts.append(1) or real_lexsort(keys))
+    terms = generate_terms(SequenceSpec.poly((0, 0, 1)), 3000)
+    pts = dilate_mod1(terms, Alpha.parse("rat:3/1024"))
+    for s in (Fraction(1, 64), Fraction(3, 8), Fraction(1, 4096)):
+        assert variance_sweep(pts, s, exact=True) == variance_pairwise(pts, s, exact=True)
+    assert lexsorts == []
 
 
 def test_sweep_is_independent_of_the_pairwise_engine(monkeypatch):
