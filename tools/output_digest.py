@@ -72,18 +72,13 @@ def digest(command) -> str:
     return h.hexdigest()
 
 
-def digest_lines(commands=COMMANDS) -> list:
-    """`sha256  numvar command` for each command, run in a fresh directory."""
+def main(argv=None) -> int:
+    argparse.ArgumentParser(description=__doc__.split("\n")[0]).parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         with open("scan.conf", "w", encoding="utf-8") as fh:
             fh.write(SCAN_CONFIG)
-        return [f"{digest(command)}  numvar {' '.join(command)}" for command in commands]
-
-
-def main(argv=None) -> int:
-    argparse.ArgumentParser(description=__doc__.split("\n")[0]).parse_args(argv)
-    for line in digest_lines():
-        print(line)
+        for command in COMMANDS:
+            print(f"{digest(command)}  numvar {' '.join(command)}", flush=True)
     return 0
 
 
