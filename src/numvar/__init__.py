@@ -10,8 +10,8 @@ numvar.cli; it is not imported by the package.
 
 from .arithmetic import (BudgetExceeded, RepTable, additive_energy,
                          congruence_solution_count, difference_set,
-                         divisibility_bound_check, divisor_lists,
-                         energy_direct, energy_window, gcd_average, gcd_sum,
+                         divisibility_bound_check, energy_direct,
+                         energy_window, gcd_average, gcd_sum,
                          normalize_polynomial, rep_quadratic_divisor,
                          rep_table, sparse_u2_mass)
 from .baselines import (RandomSample, bridge_functional, bridge_path,

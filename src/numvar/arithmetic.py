@@ -318,15 +318,6 @@ def _divisors(u: int) -> list:
     return small + large[::-1]
 
 
-def divisor_lists(limit: int) -> list:
-    """lists[n] = sorted divisors of n, for all n <= limit (index 0 unused)."""
-    lists: list = [[] for _ in range(limit + 1)]
-    for d in range(1, limit + 1):
-        for m in range(d, limit + 1, d):
-            lists[m].append(d)
-    return lists
-
-
 def rep_quadratic_divisor(p, u: int, n_limit=None, divisors=None) -> int:
     """Rep_{1,N}(u) for the quadratic a x^2 + b x (+ any constant).
 

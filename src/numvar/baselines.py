@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .points import (Alpha, PointSet, continued_fraction_convergents, dilate_mod1,
-                     philox_words)
+                     philox_words, seed_sequence)
 from .variance import WindowAccumulator, as_dyadic, variance_pairwise
 
 DEFAULT_BRIDGE_GRID = 1 << 14
@@ -27,7 +27,7 @@ DEFAULT_BRIDGE_GRID = 1 << 14
 
 def _derived_seeds(seed, count: int) -> list:
     """Deterministic 64-bit seeds for `count` replicates of a root seed."""
-    state = np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
+    state = seed_sequence(seed).generate_state(count, dtype=np.uint64)
     return [int(s) for s in state]
 
 
@@ -43,7 +43,7 @@ def sample_uniform(count: int, seed) -> RandomSample:
     if count < 0:
         raise ValueError("count must be nonnegative")
     words = philox_words(seed, (count, 2))
-    return RandomSample(PointSet.from_words(words[:, 0], words[:, 1]))
+    return RandomSample(PointSet(words[:, 0], words[:, 1]))
 
 
 def bridge_path(m: int, seed) -> np.ndarray:

@@ -28,6 +28,14 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _HEX_RE = re.compile(r"^[0-9a-fA-F]{32}$")
 
 
+def seed_sequence(seed) -> np.random.SeedSequence:
+    """numpy's SeedSequence for `seed`, which must be given: None would draw
+    from OS entropy, and the output would change from call to call."""
+    if seed is None:
+        raise ValueError("a seed is required")
+    return np.random.SeedSequence(seed)
+
+
 def philox_words(seed, shape) -> np.ndarray:
     """Uniform uint64 words of the given shape from numpy's Philox stream for `seed`.
 
@@ -35,7 +43,7 @@ def philox_words(seed, shape) -> np.ndarray:
     the same bytes on any platform.  A row of two words is one point of the
     2^-128 grid, high word first.
     """
-    return np.random.Philox(np.random.SeedSequence(seed)).random_raw(shape)
+    return np.random.Philox(seed_sequence(seed)).random_raw(shape)
 
 
 @dataclass(frozen=True)
@@ -123,23 +131,20 @@ def _sort_words(hi, lo, kind=None):
 class PointSet:
     """Sorted multiset of circle points on the 2^-128 grid, held as 64-bit words.
 
-    Point k is the integer (hi[k] << 64) | lo[k].  The read-only uint64 arrays
-    `hi` and `lo` are sorted lexicographically, which is numeric order.
+    Point k is the integer (hi[k] << 64) | lo[k].  The constructor takes the
+    words in any order and keeps sorted copies that no caller holds: the
+    read-only, contiguous uint64 arrays `hi` and `lo`, sorted
+    lexicographically, which is numeric order.
     """
 
     def __init__(self, hi, lo):
         hi, lo = np.asarray(hi), np.asarray(lo)
         if hi.dtype != np.uint64 or lo.dtype != np.uint64 or hi.ndim != 1 or hi.shape != lo.shape:
             raise ValueError("point words must be two uint64 arrays of one length")
-        if not np.all((hi[1:] > hi[:-1]) | ((hi[1:] == hi[:-1]) & (lo[1:] >= lo[:-1]))):
-            raise ValueError("points must be sorted")
-        self.hi, self.lo = hi.view(), lo.view()
+        # [1:] frees the sort's order array before the words are stored: a held
+        # one slowed dilate_mod1 through the allocator's heap layout
+        self.hi, self.lo = _sort_words(hi, lo)[1:]
         self.hi.flags.writeable = self.lo.flags.writeable = False
-
-    @classmethod
-    def from_words(cls, hi, lo) -> "PointSet":
-        """From word arrays in any order; sorted here."""
-        return cls(*_sort_words(hi, lo)[1:])
 
     @cached_property
     def points(self) -> tuple:
@@ -375,9 +380,10 @@ def dilate_mod1(terms, alpha: Alpha) -> PointSet:
 
     The only rounding is the one already inside A, so each point is within
     |x| * 2^-128 of the true alpha*x mod 1.  Terms outside the signed 64-bit
-    range raise OverflowError.
+    range raise OverflowError.  PointSet(...), the only constructor, keeps
+    sorted copies of dilate_words' words.
     """
-    return PointSet.from_words(*dilate_words(terms, alpha))
+    return PointSet(*dilate_words(terms, alpha))
 
 
 def continued_fraction_convergents(alpha: Alpha, count: int) -> list:

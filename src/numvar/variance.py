@@ -72,7 +72,7 @@ def _limb_dot(weights: np.ndarray, points: PointSet) -> int:
     einsum, with no N-sized cast); a weight above 2^31 raises OverflowError.
     """
     low = int(not np.little_endian)  # where a word's low half lies
-    limbs = [np.ascontiguousarray(word).view(np.uint32)[low ^ k::2]
+    limbs = [word.view(np.uint32)[low ^ k::2]
              for word in (points.lo, points.hi) for k in (0, 1)]
     per_entry = max(int(weights.max(initial=0)), -int(weights.min(initial=0))) * _LIMB_MAX
     if per_entry > _INT64_MAX:

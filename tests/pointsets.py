@@ -6,7 +6,7 @@ from numvar.points import GRID_ONE, PointSet
 
 
 def from_ints(points) -> PointSet:
-    """From sorted grid integers in [0, 2^128)."""
+    """From grid integers in [0, 2^128), in any order; the PointSet sorts copies of their words."""
     grid = np.array(points, dtype=object)
     if np.any((grid < 0) | (grid >= GRID_ONE)):
         raise ValueError("points must lie on the grid [0, 2^128)")

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from numvar.arithmetic import (congruence_solution_count, difference_set,
-                               divisibility_bound_check, divisor_lists,
-                               energy_direct, energy_window, gcd_average,
-                               gcd_sum, normalize_polynomial,
-                               rep_quadratic_divisor, rep_table)
+                               divisibility_bound_check, energy_direct,
+                               energy_window, gcd_average, gcd_sum,
+                               normalize_polynomial, rep_quadratic_divisor,
+                               rep_table)
 from numvar.baselines import (_derived_seeds, bridge_functional, bridge_path,
                               kronecker_experiment, random_variance_experiment,
                               sample_uniform)
@@ -23,6 +23,7 @@ from numvar.cli import parse_s_grid, preset_config, preset_verdict, run_scan
 from numvar.dyadic import PlateauKernel, decompose, verify_decomposition, y_window_sum
 from numvar.points import Alpha, SequenceSpec, dilate_mod1, generate_terms
 from numvar.variance import variance_pairwise, variance_sweep
+from divisors import divisor_lists
 
 
 def test_criterion_01_dual_route_equivalence():

@@ -34,5 +34,5 @@ def test_every_public_name_has_a_caller():
 
 def test_test_only_names_are_gone():
     for name in ("counting_function", "tau_sieve", "tau_moment_sum",
-                 "prop2_exceedance_scan", "DifferenceSet", "BridgePath"):
+                 "prop2_exceedance_scan", "DifferenceSet", "BridgePath", "divisor_lists"):
         assert not hasattr(numvar, name)

@@ -10,11 +10,12 @@ from numvar import arithmetic
 from numvar.arithmetic import (_ROW_BLOCK, BudgetExceeded, RepTable, _gap_ranges,
                                _range_keys, _run_square_sum, _runs, additive_energy,
                                congruence_solution_count, difference_set,
-                               divisibility_bound_check, divisor_lists,
-                               energy_direct, energy_window, gcd_average,
-                               gcd_sum, normalize_polynomial, rep_quadratic_divisor,
+                               divisibility_bound_check, energy_direct,
+                               energy_window, gcd_average, gcd_sum,
+                               normalize_polynomial, rep_quadratic_divisor,
                                rep_table, sparse_u2_mass)
 from numvar.points import SequenceSpec, generate_terms
+from divisors import divisor_lists
 
 SQUARES = [k * k for k in range(1, 201)]
 LINEAR = list(range(1, 201))

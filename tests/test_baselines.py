@@ -120,6 +120,14 @@ def test_random_variance_determinism_and_tags():
     assert c.values != a.values
 
 
+def test_random_draws_require_a_seed():
+    # None would draw from OS entropy, so the values would change from call to call
+    for draw in (lambda: sample_uniform(10, None), lambda: bridge_path(16, None),
+                 lambda: random_variance_experiment(50, Fraction(1, 8), 2, None)):
+        with pytest.raises(ValueError, match="seed is required"):
+            draw()
+
+
 def test_random_variance_matches_expectation():
     res = random_variance_experiment(500, Fraction(1, 32), 200, seed=11)
     assert abs(res.mean - res.expected) <= 3 * res.stderr

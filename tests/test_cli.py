@@ -232,6 +232,16 @@ def test_run_scan_starts_one_worker_per_alpha_at_most(started):
     assert len(started) == 1  # one alpha: no worker
 
 
+def test_run_scan_without_a_seed_raises_before_any_worker_starts(started):
+    # no seed would draw the alphas from OS entropy: another CSV on each call
+    # under one config_hash
+    cfg = dataclasses.replace(parse_config(BASE_CONFIG), seed=None)
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="seed is required"):
+        run_scan(cfg, threads=2, out=out)
+    assert started == [] and out.getvalue() == ""
+
+
 def test_cells_of_a_block_hold_one_cell_at_a_time():
     # a process's share of a block frees each cell's points and accumulator
     # before it dilates the next alpha

@@ -10,6 +10,7 @@ from numvar.arithmetic import additive_energy, energy_direct, rep_table
 from numvar.points import (GRID_ONE, Alpha, PointSet, SequenceSpec,
                            continued_fraction_convergents, dilate_mod1,
                            dilate_words, generate_terms, philox_words)
+from numvar.variance import variance_pairwise, variance_sweep
 from pointsets import from_ints
 
 
@@ -62,21 +63,42 @@ def test_alpha_random_stream_reproducible():
     assert len(set(a.a for a in xs)) == 5
     assert all(0 <= a.a < GRID_ONE for a in xs)
     assert Alpha.random_stream(0, seed=1) == []
+    for draw in (lambda: Alpha.random_stream(1, None), lambda: philox_words(None, 2)):
+        with pytest.raises(ValueError, match="seed is required"):
+            draw()
 
 
 def test_pointset_validation():
     with pytest.raises(ValueError):
-        from_ints((2, 1))
-    with pytest.raises(ValueError):
         from_ints((GRID_ONE,))
-    ps = PointSet.from_words(np.array([1 << 63, 1 << 62], dtype=np.uint64),
-                             np.zeros(2, dtype=np.uint64))
+    ps = PointSet(np.array([1 << 63, 1 << 62], dtype=np.uint64), np.zeros(2, dtype=np.uint64))
     assert ps.points == (GRID_ONE // 4, GRID_ONE // 2)
     assert ps.n == 2
-    assert ps == from_ints((GRID_ONE // 4, GRID_ONE // 2))
+    assert ps == from_ints((GRID_ONE // 2, GRID_ONE // 4))
     assert ps != from_ints((GRID_ONE // 4, GRID_ONE // 2 + 1))
-    with pytest.raises(ValueError):
-        PointSet(np.array([2, 1], dtype=np.uint64), np.array([0, 0], dtype=np.uint64))
+    words = np.zeros(2, dtype=np.uint64)
+    for hi, lo in ((words.astype(np.int64), words), (words, words.astype(np.float64)),
+                   ([0, 0], [0, 0]), (words.reshape(1, 2), words.reshape(1, 2)),
+                   (words[0], words[0]), (words, words[:1])):
+        with pytest.raises(ValueError, match="two uint64 arrays of one length"):
+            PointSet(hi, lo)
+
+
+def test_pointset_owns_sorted_copies_of_its_words():
+    # a set that kept views of the caller's sorted words was unsorted by a write
+    # through them, and the pairwise and sweep routes then disagreed
+    hi, lo = dilate_words(generate_terms(SequenceSpec.poly((0, 0, 1)), 1000), Alpha.golden())
+    order = np.lexsort((lo, hi))
+    hi, lo = hi[order], lo[order]
+    points = PointSet(hi, lo)
+    assert not np.shares_memory(points.hi, hi) and not np.shares_memory(points.lo, lo)
+    assert not points.hi.flags.writeable and not points.lo.flags.writeable
+    assert points.hi.flags.c_contiguous and points.lo.flags.c_contiguous
+    hi_before, lo_before = points.hi.copy(), points.lo.copy()
+    hi[0], lo[-1] = np.uint64((1 << 64) - 1), np.uint64(0)
+    assert np.array_equal(points.hi, hi_before) and np.array_equal(points.lo, lo_before)
+    s = Fraction(1, 64)
+    assert variance_pairwise(points, s, exact=True) == variance_sweep(points, s, exact=True)
 
 
 @pytest.fixture
@@ -88,7 +110,7 @@ def lexsorts(monkeypatch):
     return calls
 
 
-def test_from_words_lexsorts_only_low_words_out_of_order(lexsorts):
+def test_pointset_lexsorts_only_low_words_out_of_order(lexsorts):
     # a dyadic rational alpha's squares repeat their high words, all with low
     # word 0, so the argsort of the high words orders them
     terms = generate_terms(SequenceSpec.poly((0, 0, 1)), 5000)
@@ -96,15 +118,16 @@ def test_from_words_lexsorts_only_low_words_out_of_order(lexsorts):
         hi, lo = dilate_words(terms, Alpha.parse(name))
         assert len(np.unique(hi)) < len(hi)
         order = np.argsort(hi, kind="stable")
-        assert PointSet.from_words(hi, lo) == PointSet(hi[order], lo[order]), name
+        assert PointSet(hi, lo) == PointSet(hi[order], lo[order]), name
     assert lexsorts == []
-    # words in any order; equal high words are ordered by the low word: (5, 2)
-    # and (5, 1) come out of argsort with their low words out of order
+    # words in any order build the set their sorted words build; equal high
+    # words are ordered by the low word: (5, 2) and (5, 1) come out of argsort
+    # with their low words out of order
     for his, calls in (((5, 1, 7), 0), ((5, 1, 5), 1)):
-        words = PointSet.from_words(np.array(his, dtype=np.uint64),
-                                    np.array([2, 9, 1], dtype=np.uint64))
-        assert words.points == tuple(sorted((h << 64) | lo for h, lo in zip(his, (2, 9, 1))))
+        values = sorted((h << 64) | lo for h, lo in zip(his, (2, 9, 1)))
+        words = PointSet(np.array(his, dtype=np.uint64), np.array([2, 9, 1], dtype=np.uint64))
         assert len(lexsorts) == calls
+        assert words.points == tuple(values) and words == from_ints(values)
 
 
 def _check_below(points, xs):

@@ -341,8 +341,8 @@ def test_tie_search_over_many_blocks_of_targets():
     # the high words of rat:5/65536 with random low words: more than 2^14 targets
     # tie at S = 1/256, so the tie search takes them in blocks
     hi = _squares_dilated(Alpha.parse("rat:5/65536"), 40_000).hi
-    points = PointSet.from_words(hi, np.random.default_rng(7).integers(
-        0, 1 << 64, len(hi), dtype=np.uint64))
+    points = PointSet(hi, np.random.default_rng(7).integers(0, 1 << 64, len(hi),
+                                                            dtype=np.uint64))
     t_hi = points.hi - np.uint64(1 << 56)
     tied = points.hi[np.searchsorted(points.hi, t_hi, side="right") - 1] == t_hi
     assert np.count_nonzero(tied) > 2 << 14

@@ -5,7 +5,7 @@
 Runs the stages of one `run_scan` cell in this process, one after another:
 the first N squares (`generate_terms`), their dilation by the first alpha of
 `Alpha.random_stream(1, seed)` in two stages, the words (`dilate_words`) and
-their sort (`PointSet.from_words`), the `WindowAccumulator` build, and the
+their sort (`PointSet(...)`), the `WindowAccumulator` build, and the
 scan's 8 widths S = 2^-5 .. 2^-12.  For each stage it prints
 the wall seconds, the minor page faults and the user and system seconds that
 `getrusage` reports for this process, and the process's peak RSS so far.
@@ -67,7 +67,7 @@ def main(argv=None) -> int:
 
     terms = stage("terms", lambda: generate_terms(SequenceSpec.poly((0, 0, 1)), args.n))
     words = stage("words", lambda: dilate_words(terms, alpha))
-    points = stage("sort", lambda: PointSet.from_words(*words))
+    points = stage("sort", lambda: PointSet(*words))
     del words  # a scan cell keeps only the sorted points
     acc = stage("build", lambda: WindowAccumulator(points))
     values = stage("widths", lambda: [acc.variance(s) for s in WIDTHS])

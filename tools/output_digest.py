@@ -4,12 +4,13 @@
 
 Runs a fixed list of `numvar` commands (COMMANDS) in this process, with the
 package imported from the checkout this script sits in, in a fresh temporary
-directory that holds the scan config (SCAN_CONFIG).  For each command it prints
+directory that holds the scan configs (SCAN_CONFIGS).  For each command it prints
 one line, `sha256  command`: the sha256 of its exit code, its stdout, its
 stderr and the file its --out names, if any, with the value of every
 `"wall_time"` replaced by a fixed string.  The list covers every subcommand;
-scan's CSV and JSON, to stdout and to --out, at --threads 1 and 2; and a preset
-with --out.  Run it in a `git archive` copy of each revision and compare the
+scan's CSV and JSON, to stdout and to --out, at --threads 1 and 2; the CSV and
+JSON of a scan over rational and explicit alphas at --threads 1 and 2; and a
+preset with --out.  Run it in a `git archive` copy of each revision and compare the
 lines: equal lines mean byte-identical output.
 """
 
@@ -29,8 +30,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from numvar import cli  # noqa: E402
 
-SCAN_CONFIG = ("sequence = poly:0,0,1\nalpha_mode = uniform-random\nalpha_count = 5\n"
-               "n_grid = 1000, 4000\ns_grid = logspace:5..8\nseed = 7\n")
+# Random alphas practically never leave equal high words with their low words
+# out of order; rat:1/3's squares do, so that scan takes the points' lexsort.
+SCAN_CONFIGS = {
+    "scan.conf": ("sequence = poly:0,0,1\nalpha_mode = uniform-random\nalpha_count = 5\n"
+                  "n_grid = 1000, 4000\ns_grid = logspace:5..8\nseed = 7\n"),
+    "rational.conf": ("sequence = poly:0,0,1\nalphas = rat:3/1024, rat:1/3, golden\n"
+                      "n_grid = 1000, 4000\ns_grid = logspace:5..8\n"),
+}
 
 _SCANS = tuple(
     ("scan", "--config", "scan.conf", "--threads", threads, *fmt, *out)
@@ -38,8 +45,12 @@ _SCANS = tuple(
     for fmt, out in (((), ()), (("--format", "json"), ()),
                      ((), ("--out", "rows.csv")), (("--format", "json"), ("--out", "rows.json"))))
 
+_RATIONAL_SCANS = tuple(("scan", "--config", "rational.conf", "--threads", threads, *fmt)
+                        for threads in ("1", "2") for fmt in ((), ("--format", "json")))
+
 COMMANDS = (
     *_SCANS,
+    *_RATIONAL_SCANS,
     ("preset", "thm1-quadratic", "--threads", "2", "--out", "preset.csv"),
     ("decompose", "15/64"),
     ("decompose", "15/64", "--out", "decompose.json"),
@@ -75,8 +86,9 @@ def digest(command) -> str:
 def main(argv=None) -> int:
     argparse.ArgumentParser(description=__doc__.split("\n")[0]).parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        with open("scan.conf", "w", encoding="utf-8") as fh:
-            fh.write(SCAN_CONFIG)
+        for name, text in SCAN_CONFIGS.items():
+            with open(name, "w", encoding="utf-8") as fh:
+                fh.write(text)
         for command in COMMANDS:
             print(f"{digest(command)}  numvar {' '.join(command)}", flush=True)
     return 0
