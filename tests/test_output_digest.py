@@ -31,8 +31,6 @@ def test_output_digest_prints_a_line_per_command(capsys):
             assert digests[one] == digests[two]
     assert len({digests[c] for c in output_digest._SCANS}) == 4
     assert len({digests[c] for c in output_digest._RATIONAL_SCANS}) == 2
-    assert not {digests[c] for c in output_digest._SCANS} & {
-        digests[c] for c in output_digest._RATIONAL_SCANS}
     # a command's digest covers its exit code and stdout, the file --out names included
     decompose, to_file = ("decompose", "15/64"), ("decompose", "15/64", "--out", "decompose.json")
     assert cli.main(list(decompose)) == 0
