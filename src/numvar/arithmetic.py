@@ -37,8 +37,8 @@ class RepTable:
     """Rep(u), the number of pairs m < n with N1 <= n <= N2 and |x_n - x_m| = u > 0.
 
     `gaps` holds the distinct u in ascending order and `reps` their counts,
-    both read-only int64 arrays; `counts` is the same table as a read-only
-    dict {u: Rep(u)}, built on first access.
+    both read-only int64 copies that the table owns; `counts` is the same
+    table as a read-only dict {u: Rep(u)}, built on first access.
     """
 
     window: tuple
@@ -47,7 +47,7 @@ class RepTable:
 
     def __post_init__(self):
         for name in ("gaps", "reps"):
-            arr = np.asarray(getattr(self, name)).view()
+            arr = np.array(getattr(self, name), dtype=np.int64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -92,18 +92,18 @@ def _window_parts(terms, n1: int, n2: int):
     return [(tail, tail)] + ([(tail, head), (head, tail)] if head[0].size else []), span
 
 
-def _value_ranges(parts, span: int, cap: int) -> list:
-    """Gap ranges [lo, hi) in ascending order that cover 1..span, each
-    holding at most `cap` of the parts' pairs unless it holds one gap value
-    alone; each ends at the largest hi that fits, by bisection."""
+def _value_ranges(parts, span: int, cap: int) -> tuple:
+    """(ranges, largest range's pair count): gap ranges [lo, hi) in ascending order that
+    cover 1..span, each holding at most `cap` of the parts' pairs unless it holds one
+    gap value alone; each ends at the largest hi that fits, by bisection."""
     if span < 1:
-        return []
+        return [], 0
     sides = [(rows, cols, cols.searchsorted(rows - 1, side="right")) for (rows, _), (cols, _) in parts]
 
     def below(v):  # pairs with 1 <= gap < v
         return sum(int((b - cols.searchsorted(rows - v, side="right")).sum()) for rows, cols, b in sides)
 
-    ranges, lo, base, top = [], 1, 0, below(span + 1)
+    ranges, lo, base, top, largest = [], 1, 0, below(span + 1), 0
     while top - base > cap:
         good, bad = lo + 1, span + 1  # hi >= lo + 1 even when gap lo alone tops cap
         while bad - good > 1:
@@ -113,20 +113,21 @@ def _value_ranges(parts, span: int, cap: int) -> list:
             else:
                 bad = mid
         ranges.append((lo, good))
-        lo, base = good, below(good)
+        pairs = below(good) - base
+        lo, base, largest = good, base + pairs, max(largest, pairs)
     ranges.append((lo, span + 1))
-    return ranges
+    return ranges, max(largest, top - base)
 
 
-def _range_keys(parts, lo: int, hi: int) -> np.ndarray:
-    """The parts' gaps r - c in [lo, hi) as sorted keys."""
-    keys = _unsorted_range_keys(parts, lo, hi)
+def _range_keys(parts, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
+    """The parts' gaps r - c in [lo, hi) as sorted keys, in a prefix of buf."""
+    keys = _unsorted_range_keys(parts, lo, hi, buf)
     keys.sort()
     return keys
 
 
-def _unsorted_range_keys(parts, lo: int, hi: int) -> np.ndarray:
-    """The parts' gaps r - c in [lo, hi) as keys, in the order they are built.
+def _unsorted_range_keys(parts, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
+    """The parts' gaps r - c in [lo, hi) as keys, in build order, in a prefix of buf.
 
     Each block of rows writes the columns every row of it partners into one
     rectangle of the key buffer; the ragged ends of the rows' runs (the
@@ -136,7 +137,7 @@ def _unsorted_range_keys(parts, lo: int, hi: int) -> np.ndarray:
     # sorted row r partners the run a <= i < b of the sorted cols c with lo <= r - c < hi
     bounds = [(cols.searchsorted(rows - hi, side="right"), cols.searchsorted(rows - lo, side="right"))
               for (rows, _), (cols, _) in parts]
-    keys = np.empty(sum(int((b - a).sum()) for a, b in bounds), dtype=parts[0][0][1].dtype)
+    keys = buf[:sum(int((b - a).sum()) for a, b in bounds)]
     pos = 0
     for ((_, rk), (_, ck)), (a, b) in zip(parts, bounds):
         for j0 in range(0, rk.size, _ROW_BLOCK):
@@ -161,9 +162,9 @@ def _unsorted_range_keys(parts, lo: int, hi: int) -> np.ndarray:
 
 
 def _gap_ranges(terms, n1: int, n2: int):
-    """(parts, value ranges) of the gaps u = |x_n - x_m| > 0 over pairs
-    m < n with N1 <= n <= N2: _range_keys(parts, lo, hi) over the ranges in
-    order gives the sorted keys of every gap, one range at a time.
+    """(parts, value ranges, key buffer) of the gaps u = |x_n - x_m| > 0 over pairs
+    m < n with N1 <= n <= N2: _range_keys(parts, lo, hi, buf) over the ranges in order
+    gives the sorted keys of every gap, one range at a time in the largest range's buffer.
 
     Builds each of the window's pairs once (see _window_parts), as keys of
     w = 4 bytes (uint32) or 8.  The value ranges fit DEFAULT_MEM_BUDGET for
@@ -174,7 +175,8 @@ def _gap_ranges(terms, n1: int, n2: int):
     """
     parts, span = _window_parts(terms, n1, n2)
     cap = max(n2, DEFAULT_MEM_BUDGET // (2 * parts[0][0][1].itemsize + 17))
-    return parts, _value_ranges(parts, span, cap)
+    ranges, largest = _value_ranges(parts, span, cap)
+    return parts, ranges, np.empty(largest, dtype=parts[0][0][1].dtype)
 
 
 def _runs(keys: np.ndarray):
@@ -229,8 +231,8 @@ def _run_square_sum(keys: np.ndarray) -> int:
 def _gap_arrays(terms, n1: int, n2: int):
     """The sorted distinct gaps u and their counts Rep(u), as two int64 arrays."""
     empty = np.zeros(0, dtype=np.int64)
-    parts, ranges = _gap_ranges(terms, n1, n2)
-    hists = [_runs(_range_keys(parts, lo, hi)) for lo, hi in ranges]
+    parts, ranges, buf = _gap_ranges(terms, n1, n2)
+    hists = [_runs(_range_keys(parts, lo, hi, buf)) for lo, hi in ranges]
     return (np.concatenate([empty, *(g for g, _ in hists)]),
             np.concatenate([empty, *(r for _, r in hists)]))
 
@@ -300,9 +302,9 @@ def energy_direct(terms, n1: int, n2: int) -> int:
     """
     if not 1 <= n1 <= n2 <= len(terms):
         raise ValueError(f"window ({n1}, {n2}) outside 1..{len(terms)}")
-    parts, ranges = _gap_ranges(terms, n1, n2)
-    # each range's keys are dropped before the next range's are built
-    return sum(_run_square_sum(_range_keys(parts, lo, hi)) for lo, hi in ranges)
+    parts, ranges, buf = _gap_ranges(terms, n1, n2)
+    # each range's keys overwrite the previous range's in buf
+    return sum(_run_square_sum(_range_keys(parts, lo, hi, buf)) for lo, hi in ranges)
 
 
 def _divisors(u: int) -> list:

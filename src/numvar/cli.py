@@ -523,17 +523,16 @@ def _cmd_divcheck(args) -> dict:
         normalized = arithmetic.normalize_polynomial(
             [int(tok) for tok in args.poly.split(",")])
     degree = len(normalized) - 1
-    ell_min = max(2, args.ell_min)
-    if args.ell_max < ell_min:
-        raise ConfigError(f"--ell-max {args.ell_max} is below the first modulus {ell_min}")
+    if args.ell_max < args.ell_min:
+        raise ConfigError(f"--ell-max {args.ell_max} is below the first modulus {args.ell_min}")
     diffs = arithmetic.difference_set(normalized, args.count,
                                       pair_budget=args.pair_budget)
-    cost = (args.ell_max - ell_min + 1) * len(diffs)
+    cost = (args.ell_max - args.ell_min + 1) * len(diffs)
     if cost > args.pair_budget:
         raise BudgetExceeded("modulus scan too large: moduli times differences",
                              cost, args.pair_budget)
     failures = []
-    for ell in range(ell_min, args.ell_max + 1):
+    for ell in range(args.ell_min, args.ell_max + 1):
         hits, bound, ok = arithmetic.divisibility_bound_check(
             diffs, ell, degree, args.count)
         if not ok:
@@ -541,7 +540,7 @@ def _cmd_divcheck(args) -> dict:
     return {
         "poly": normalized,
         "count": args.count,
-        "ell_range": [ell_min, args.ell_max],
+        "ell_range": [args.ell_min, args.ell_max],
         "failures": failures,
         "all_ok": not failures,
     }
@@ -617,6 +616,10 @@ def _nonnegative_int(text: str) -> int:
     return _at_least(0, text)
 
 
+def _modulus(text: str) -> int:
+    return _at_least(2, text)
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -659,7 +662,7 @@ _COMMANDS = {
     "divcheck": (_cmd_divcheck, "difference divisibility bound over a range of moduli", (
         _arg("--poly", required=True, help="coefficients c0,c1,..., ascending"),
         _arg("--count", type=_positive_int, required=True),
-        _arg("--ell-min", type=int, default=2),
+        _arg("--ell-min", type=_modulus, default=2),
         _arg("--ell-max", type=int, default=200),
         _PAIR_BUDGET, _OUT)),
     "random-baseline": (_cmd_random_baseline, "variance of i.i.d. uniform samples", (

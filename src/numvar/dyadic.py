@@ -32,14 +32,14 @@ class PlateauKernel:
             raise ValueError("offset c must satisfy 0 <= c < 2^v")
 
     def value(self, x):
-        """f_{v,c}(x); exact for Fraction/int x, float arithmetic for float x."""
+        """f_{v,c}(x) = min(2^-v, max(0, (c + 1) 2^-v - |x|)); exact for
+        Fraction/int x, float arithmetic for a float or a float array x."""
         t = abs(x)
-        h = 2.0 ** -self.v if isinstance(t, float) else Fraction(1, 1 << self.v)
-        inner = self.c * h
-        if t <= inner:
-            return h
-        outer = inner + h
-        return outer - t if t < outer else 0 * h
+        h = 2.0 ** -self.v if isinstance(t, (float, np.ndarray)) else Fraction(1, 1 << self.v)
+        outer = (self.c + 1) * h
+        if isinstance(t, np.ndarray):
+            return np.clip(outer - t, 0.0, h)
+        return min(h, max(0 * h, outer - t))
 
     def periodized(self, t):
         """sum_j f_{v,c}(t + j); j in {-1, 0, 1} is exhaustive since support <= 1."""
@@ -135,21 +135,12 @@ def y_window_sum(counts, pair_count: int, kernel: PlateauKernel, alpha: Alpha) -
     contributes multiplicity * periodized(alpha u).  The pairs counts leaves
     out have equal terms (u = 0, as in rep_table) and add periodized(0) each.
     Gaps must lie in the signed 64-bit range (OverflowError otherwise).
-    Evaluated on arrays, with the same roundings and the same summation
-    order as the loop over counts.items().
+    periodized is evaluated on the array of alpha u mod 1, with the same
+    roundings and the same summation order as the loop over counts.items().
     """
     gaps = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
     reps = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-    t = _grid_floats(*dilate_words(gaps, alpha))
-    h = 2.0 ** -kernel.v
-    inner = kernel.c * h
-    outer = inner + h
-
-    def value(x):  # PlateauKernel.value's float branch
-        ax = np.abs(x)
-        return np.where(ax <= inner, h, np.where(ax < outer, outer - ax, 0.0))
-
-    vals = value(t) + value(t - 1) + value(t + 1)
+    vals = kernel.periodized(_grid_floats(*dilate_words(gaps, alpha)))
     acc = float(np.cumsum(reps * vals)[-1]) if reps.size else 0.0
     acc += (pair_count - int(reps.sum())) * kernel.periodized(0.0)
     return 2.0 * acc - 2.0 * pair_count * float(kernel.mean())

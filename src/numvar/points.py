@@ -305,7 +305,8 @@ def generate_terms(spec: SequenceSpec, count: int) -> np.ndarray:
         n = np.arange(1, count + 1, dtype=np.int64)
         acc = np.zeros(count, dtype=np.int64)
         for c in reversed(spec.coeffs):
-            acc = acc * n + c
+            acc *= n
+            acc += c
         return acc
     return np.array(_term_loop(spec, count), dtype=np.int64)
 

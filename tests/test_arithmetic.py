@@ -89,8 +89,8 @@ def test_gap_counters_match_reference_loop(monkeypatch, terms, coeffs):
         with monkeypatch.context() as small:
             small.setattr(arithmetic, "DEFAULT_MEM_BUDGET", 256)
             assert energy_direct(terms, n1, n2) == energy
-            pairs, ranges = _gap_ranges(terms, n1, n2)
-        parts = [_runs(_range_keys(pairs, lo, hi)) for lo, hi in ranges]
+            pairs, ranges, buf = _gap_ranges(terms, n1, n2)
+        parts = [_runs(_range_keys(pairs, lo, hi, buf)) for lo, hi in ranges]
         assert [u for gaps, _ in parts for u in gaps.tolist()] == sorted(ref)
         assert [r for _, reps in parts for r in reps.tolist()] == [ref[u] for u in sorted(ref)]
         if n1 in (1, 3) and n2 == n and n > 2:
@@ -132,6 +132,38 @@ def test_rep_table_arrays_and_counts_view():
     huge = _table({1: 3 << 31, 2: 3 << 31})
     assert energy_window(huge) == 2 * (3 << 31) ** 2
     assert sparse_u2_mass(huge)[0] == 2 * (3 << 31) ** 2
+
+
+def test_rep_table_owns_its_arrays():
+    gaps = np.array([1, 2, 3], dtype=np.int64)
+    reps = np.array([1, 1, 2], dtype=np.int64)
+    table = RepTable(window=(1, 3), gaps=gaps, reps=reps)
+    assert energy_window(table) == 6
+    reps[2] = 5  # a write through the caller's array leaves the table as it was
+    assert energy_window(table) == 6 and table.reps.tolist() == [1, 1, 2]
+    assert not np.shares_memory(table.gaps, gaps) and not np.shares_memory(table.reps, reps)
+    assert not table.gaps.flags.writeable and not table.reps.flags.writeable
+
+
+def test_value_ranges_reuse_one_key_buffer(monkeypatch):
+    # each range's keys are held here, so ranges allocated one by one could
+    # not overlap; only keys written into one buffer share memory
+    terms = generate_terms(SequenceSpec.poly((0, 0, 1)), 100)
+    expect = rep_table(terms, 1, 100)
+    monkeypatch.setattr(arithmetic, "DEFAULT_MEM_BUDGET", 4096)
+    held, real = [], arithmetic._range_keys
+
+    def holding(*args):
+        held.append(real(*args))
+        return held[-1]
+
+    monkeypatch.setattr(arithmetic, "_range_keys", holding)
+    for call, want in ((lambda: energy_direct(terms, 1, 100), energy_window(expect)),
+                       (lambda: rep_table(terms, 1, 100).counts, expect.counts)):
+        held.clear()
+        assert call() == want
+        assert len(held) >= 3
+        assert all(np.shares_memory(a, b) for a, b in zip(held, held[1:]))
 
 
 def test_narrow_late_window_builds_only_its_pairs(monkeypatch):

@@ -697,9 +697,14 @@ def test_main_divcheck(capsys):
                  "--ell-min", "2", "--ell-max", "50"]) == 0
     assert json.loads(capsys.readouterr().out)["poly"] == [0, 1, 1]
     # a range with no modulus in it checks nothing, so it is refused
-    for ell_min, ell_max in (("5", "1"), ("-4", "1")):
-        assert main(["divcheck", "--poly", "0,1", "--count", "5",
-                     "--ell-min", ell_min, "--ell-max", ell_max]) == 2
+    assert main(["divcheck", "--poly", "0,1", "--count", "5",
+                 "--ell-min", "5", "--ell-max", "1"]) == 2
+    # a first modulus below 2 is refused by the parser, not raised to 2
+    for ell in (["--ell-min", "-4", "--ell-max", "1"], ["--ell-min", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["divcheck", "--poly", "0,1", "--count", "5", *ell])
+        assert exc.value.code == 2
+        assert f"expected an integer >= 2, got {ell[1]}" in capsys.readouterr().err
 
 
 def test_main_divcheck_reports_a_failing_modulus(monkeypatch, capsys):

@@ -70,6 +70,41 @@ def test_plateau_values():
     assert wide.periodized(Fraction(11, 16)) == Fraction(1, 16)
 
 
+def _branch_value(kern, x):
+    """f_{v,c} by cases: the flat top, the ramp, zero."""
+    t = abs(x)
+    h = Fraction(1, 1 << kern.v)
+    inner, outer = kern.c * h, (kern.c + 1) * h
+    return h if t <= inner else outer - t if t < outer else Fraction(0)
+
+
+def test_plateau_value_on_arrays_matches_the_scalar_path():
+    rng = np.random.default_rng(59)
+    for v, c in ((4, 1), (6, 10), (0, 0), (1, 1), (10, 1000), (3, 7)):
+        kern = PlateauKernel(v, c)
+        h = 2.0 ** -v
+        inner, outer = c * h, (c + 1) * h
+        edges = [inner, -inner, outer, -outer, 0.0, -0.0, 1.0, -1.0, np.nextafter(outer, 0.0)]
+        t = np.concatenate([rng.uniform(-1.0, 1.0, 2000), edges])
+        for x in (t, t - 1, t + 1):
+            got = kern.value(x)
+            want = np.array([kern.value(float(e)) for e in x])
+            assert got.dtype == np.float64 and not np.signbit(got).any()
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            # every float is a rational: the exact path agrees wherever the
+            # float difference is exact, and is a Fraction
+            exact = [kern.value(Fraction(e)) for e in x[-len(edges):]]
+            assert all(type(f) is Fraction for f in exact)
+            assert exact == [_branch_value(kern, Fraction(e)) for e in x[-len(edges):]]
+            assert exact == [Fraction(float(g)) for g in got[-len(edges):]]
+        periodized = kern.periodized(t)
+        assert np.array_equal(periodized, [kern.periodized(float(e)) for e in t])
+        for x in (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 1 << (v + 2)), 0, 1, -1):
+            assert kern.value(x) == _branch_value(kern, Fraction(x))
+            assert type(kern.value(x)) is Fraction
+            assert type(kern.value(float(x))) is float
+
+
 def test_pointwise_reconstruction():
     rng = np.random.default_rng(5)
     for _ in range(1000):

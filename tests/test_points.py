@@ -227,6 +227,20 @@ def test_generate_terms_int64_path_matches_python_loop():
         assert got.dtype == np.int64 and got.tolist() == loop(coeffs, count)
 
 
+def test_generate_terms_holds_two_arrays_of_terms():
+    # the index array and the Horner accumulator, 8 bytes a term each,
+    # updated in place: no temporary per coefficient
+    count = 1 << 16
+    tracemalloc.start()
+    try:
+        terms = generate_terms(SequenceSpec.poly((0, 0, 1)), count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert terms.tolist() == [n * n for n in range(1, count + 1)]
+    assert peak <= 17 * count
+
+
 def test_generate_terms_overflow_names_index():
     # 2^63 first exceeds the signed 64-bit range at n = 63
     with pytest.raises(OverflowError, match="term 63"):

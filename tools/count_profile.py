@@ -8,10 +8,11 @@ process) and the squares (`generate_terms`); `rep_table` over 1..COUNT as
 its gap keys, their sort and their runs; `additive_energy` over the first
 COUNT squares as its ordered sums, their sort and the walk over their runs;
 and `energy_direct` over 1..D (default 3000) as its keys, their sort and the
-walk, one value range at a time.  For each stage it prints the wall seconds,
-the user and system seconds and the minor page faults that `getrusage`
-reports for this process, and the process's peak RSS so far; a stage run
-once per value range is summed over the ranges.  Then come the total, and a
+walk, one value range at a time, each range's keys in the one key buffer
+that the library reuses across a call's ranges.  For each stage it prints
+the wall seconds, the user and system seconds and the minor page faults that
+`getrusage` reports for this process, and the process's peak RSS so far; a
+stage run once per value range is summed over the ranges.  Then come the total, and a
 check that each staged value `==` the library call's.
 """
 
@@ -75,17 +76,17 @@ def main(argv=None) -> int:
 
     gaps, reps = [], []
     with stage("rep.keys"):
-        parts, ranges = arithmetic._gap_ranges(terms, 1, count)
+        parts, ranges, buf = arithmetic._gap_ranges(terms, 1, count)
     for lo, hi in ranges:
         with stage("rep.keys"):
-            keys = arithmetic._unsorted_range_keys(parts, lo, hi)
+            keys = arithmetic._unsorted_range_keys(parts, lo, hi, buf)
         with stage("rep.sort"):
             keys.sort()
         with stage("rep.runs"):
             g, r = arithmetic._runs(keys)
-        del keys
         gaps.append(g)
         reps.append(r)
+    del keys, buf
 
     with stage("sums.add"):
         sums = arithmetic._ordered_sums(term_array(terms[:count], arithmetic.PAIR_LIMIT))
@@ -97,15 +98,15 @@ def main(argv=None) -> int:
 
     direct_energy = 0
     with stage("direct.keys"):
-        parts, ranges = arithmetic._gap_ranges(terms, 1, direct)
+        parts, ranges, buf = arithmetic._gap_ranges(terms, 1, direct)
     for lo, hi in ranges:
         with stage("direct.keys"):
-            keys = arithmetic._unsorted_range_keys(parts, lo, hi)
+            keys = arithmetic._unsorted_range_keys(parts, lo, hi, buf)
         with stage("direct.sort"):
             keys.sort()
         with stage("direct.walk"):
             direct_energy += arithmetic._run_square_sum(keys)
-        del keys
+    del keys, buf
     end = _usage()
 
     for name in STAGES:
