@@ -119,14 +119,7 @@ def _value_ranges(parts, span: int, cap: int) -> tuple:
     return ranges, max(largest, top - base)
 
 
-def _range_keys(parts, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
-    """The parts' gaps r - c in [lo, hi) as sorted keys, in a prefix of buf."""
-    keys = _unsorted_range_keys(parts, lo, hi, buf)
-    keys.sort()
-    return keys
-
-
-def _unsorted_range_keys(parts, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
+def _write_keys(parts, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
     """The parts' gaps r - c in [lo, hi) as keys, in build order, in a prefix of buf.
 
     Each block of rows writes the columns every row of it partners into one
@@ -161,10 +154,10 @@ def _unsorted_range_keys(parts, lo: int, hi: int, buf: np.ndarray) -> np.ndarray
     return keys
 
 
-def _gap_ranges(terms, n1: int, n2: int):
-    """(parts, value ranges, key buffer) of the gaps u = |x_n - x_m| > 0 over pairs
-    m < n with N1 <= n <= N2: _range_keys(parts, lo, hi, buf) over the ranges in order
-    gives the sorted keys of every gap, one range at a time in the largest range's buffer.
+def _gap_key_ranges(terms, n1: int, n2: int):
+    """The gaps u = |x_n - x_m| > 0 over pairs m < n with N1 <= n <= N2 as unsorted
+    keys, one value range at a time, ranges ascending; each yielded array is a prefix
+    of one key buffer sized for the largest range, valid until the next step.
 
     Builds each of the window's pairs once (see _window_parts), as keys of
     w = 4 bytes (uint32) or 8.  The value ranges fit DEFAULT_MEM_BUDGET for
@@ -176,18 +169,26 @@ def _gap_ranges(terms, n1: int, n2: int):
     parts, span = _window_parts(terms, n1, n2)
     cap = max(n2, DEFAULT_MEM_BUDGET // (2 * parts[0][0][1].itemsize + 17))
     ranges, largest = _value_ranges(parts, span, cap)
-    return parts, ranges, np.empty(largest, dtype=parts[0][0][1].dtype)
+    buf = np.empty(largest, dtype=parts[0][0][1].dtype)
+    for lo, hi in ranges:
+        yield _write_keys(parts, lo, hi, buf)
+
+
+def _run_starts(keys: np.ndarray, chunk: int):
+    """Each chunk's offset i and its run starts less i, over chunks of `chunk` sorted keys."""
+    for i in range(0, keys.size, chunk):
+        j = min(i + chunk, keys.size)
+        edge = np.empty(j - i, dtype=bool)
+        edge[0] = i == 0 or keys[i] != keys[i - 1]
+        np.not_equal(keys[i + 1:j], keys[i:j - 1], out=edge[1:])
+        yield i, np.flatnonzero(edge)
 
 
 def _runs(keys: np.ndarray):
     """(distinct keys, int64 run lengths) of sorted keys."""
     if not keys.size:
         return keys, np.zeros(0, dtype=np.int64)
-    edge = np.empty(keys.size, dtype=bool)
-    edge[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=edge[1:])
-    starts = np.flatnonzero(edge)
-    del edge
+    (_, starts), = _run_starts(keys, keys.size)
     reps = np.empty_like(starts)
     np.subtract(starts[1:], starts[:-1], out=reps[:-1])
     reps[-1] = keys.size - starts[-1]
@@ -207,17 +208,12 @@ _RUN_CHUNK = 1 << 16
 
 
 def _run_square_sum(keys: np.ndarray) -> int:
-    """sum of squared run lengths of sorted keys, over fixed chunks of
-    _RUN_CHUNK keys, so that its scratch stays chunk-sized.
-
-    Each chunk compares its keys with their predecessors and adds the squares
-    of the runs that close inside it; the run still open at its end is
-    carried into the next chunk by its start, and squared after the last.
-    """
+    """sum of squared run lengths of sorted keys, over chunks of _RUN_CHUNK keys so
+    that its scratch stays chunk-sized: each chunk adds the squares of the runs that
+    close inside it, and the run still open at its end is carried into the next
+    chunk by its start, and squared after the last."""
     total, start = 0, 0  # start: where the open run starts
-    for i in range(1, keys.size, _RUN_CHUNK):
-        j = min(i + _RUN_CHUNK, keys.size)
-        starts = np.flatnonzero(keys[i:j] != keys[i - 1:j - 1])  # run starts, less i
+    for i, starts in _run_starts(keys, _RUN_CHUNK):
         if starts.size:
             first = i + int(starts[0]) - start
             # the runs closed inside the chunk cover at most _RUN_CHUNK = 2^16
@@ -230,11 +226,11 @@ def _run_square_sum(keys: np.ndarray) -> int:
 
 def _gap_arrays(terms, n1: int, n2: int):
     """The sorted distinct gaps u and their counts Rep(u), as two int64 arrays."""
-    empty = np.zeros(0, dtype=np.int64)
-    parts, ranges, buf = _gap_ranges(terms, n1, n2)
-    hists = [_runs(_range_keys(parts, lo, hi, buf)) for lo, hi in ranges]
-    return (np.concatenate([empty, *(g for g, _ in hists)]),
-            np.concatenate([empty, *(r for _, r in hists)]))
+    hists = [(np.zeros(0, dtype=np.int64),) * 2]
+    for keys in _gap_key_ranges(terms, n1, n2):
+        keys.sort()
+        hists.append(_runs(keys))
+    return tuple(np.concatenate(arrays) for arrays in zip(*hists))
 
 
 def rep_table(terms, n1: int, n2: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RepTable:
@@ -302,9 +298,11 @@ def energy_direct(terms, n1: int, n2: int) -> int:
     """
     if not 1 <= n1 <= n2 <= len(terms):
         raise ValueError(f"window ({n1}, {n2}) outside 1..{len(terms)}")
-    parts, ranges, buf = _gap_ranges(terms, n1, n2)
-    # each range's keys overwrite the previous range's in buf
-    return sum(_run_square_sum(_range_keys(parts, lo, hi, buf)) for lo, hi in ranges)
+    total = 0
+    for keys in _gap_key_ranges(terms, n1, n2):  # each range's keys overwrite the last's
+        keys.sort()
+        total += _run_square_sum(keys)
+    return total
 
 
 def _divisors(u: int) -> list:

@@ -111,8 +111,6 @@ def parse_s_grid(text: str) -> tuple:
             out.append(as_dyadic(Fraction(tok.strip())))
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"s_grid: bad entry {tok.strip()!r}: {exc}") from None
-    if not out:
-        raise ConfigError("s_grid: empty")
     if len(set(out)) < len(out):
         raise ConfigError(f"s_grid: repeated entry in {text!r}")
     return tuple(out)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from numvar import arithmetic
-from numvar.arithmetic import (_ROW_BLOCK, BudgetExceeded, RepTable, _gap_ranges,
-                               _range_keys, _run_square_sum, _runs, additive_energy,
+from numvar.arithmetic import (_ROW_BLOCK, BudgetExceeded, RepTable, _gap_key_ranges,
+                               _run_square_sum, _runs, additive_energy,
                                congruence_solution_count, difference_set,
                                divisibility_bound_check, energy_direct,
                                energy_window, gcd_average, gcd_sum,
@@ -89,8 +89,10 @@ def test_gap_counters_match_reference_loop(monkeypatch, terms, coeffs):
         with monkeypatch.context() as small:
             small.setattr(arithmetic, "DEFAULT_MEM_BUDGET", 256)
             assert energy_direct(terms, n1, n2) == energy
-            pairs, ranges, buf = _gap_ranges(terms, n1, n2)
-        parts = [_runs(_range_keys(pairs, lo, hi, buf)) for lo, hi in ranges]
+            parts = []
+            for keys in _gap_key_ranges(terms, n1, n2):
+                keys.sort()
+                parts.append(_runs(keys))
         assert [u for gaps, _ in parts for u in gaps.tolist()] == sorted(ref)
         assert [r for _, reps in parts for r in reps.tolist()] == [ref[u] for u in sorted(ref)]
         if n1 in (1, 3) and n2 == n and n > 2:
@@ -151,13 +153,14 @@ def test_value_ranges_reuse_one_key_buffer(monkeypatch):
     terms = generate_terms(SequenceSpec.poly((0, 0, 1)), 100)
     expect = rep_table(terms, 1, 100)
     monkeypatch.setattr(arithmetic, "DEFAULT_MEM_BUDGET", 4096)
-    held, real = [], arithmetic._range_keys
+    held, real = [], arithmetic._gap_key_ranges
 
     def holding(*args):
-        held.append(real(*args))
-        return held[-1]
+        for keys in real(*args):
+            held.append(keys)
+            yield keys
 
-    monkeypatch.setattr(arithmetic, "_range_keys", holding)
+    monkeypatch.setattr(arithmetic, "_gap_key_ranges", holding)
     for call, want in ((lambda: energy_direct(terms, 1, 100), energy_window(expect)),
                        (lambda: rep_table(terms, 1, 100).counts, expect.counts)):
         held.clear()
@@ -287,8 +290,13 @@ def test_energy_direct_matches_window(monkeypatch):
             rep_table(terms, 1, 2)
 
 
-def _squared_runs(keys):
-    return sum(c * c for c in Counter(keys.tolist()).values())
+def _check_runs(keys, label):
+    """_run_square_sum and _runs of sorted keys against a Counter of them."""
+    counts = Counter(keys.tolist())  # in the keys' (sorted) order
+    assert _run_square_sum(keys) == sum(c * c for c in counts.values()), label
+    gaps, reps = _runs(keys)
+    assert gaps.dtype == keys.dtype and reps.dtype == np.int64, label
+    assert gaps.tolist() == list(counts) and reps.tolist() == list(counts.values()), label
 
 
 @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
@@ -310,21 +318,23 @@ def test_run_square_sum_chunk_edges(monkeypatch, dtype):
     }
     if dtype is np.int64:  # keys of a span of 2^32 and more
         keys["wide"] = [1, 1, 1 << 32, 1 << 32, 1 << 32, (1 << 62) - 1]
+    # _runs takes its keys as one chunk, whatever _RUN_CHUNK is
     for chunk in (1, 2, 3, 4, arithmetic._RUN_CHUNK):
         monkeypatch.setattr(arithmetic, "_RUN_CHUNK", chunk)
         for name, values in keys.items():
-            k = np.array(values, dtype=dtype)
-            assert _run_square_sum(k) == _squared_runs(k), (name, chunk)
-    # at the default chunk of 2^16 keys: the longest run that closes inside
-    # one chunk (keys 1..2^16 - 1), a run that fills exactly the first chunk
-    # (keys 1..2^16), and all-equal keys of length 2^16 - 1, 2^16 and 2^16 + 1
+            _check_runs(np.array(values, dtype=dtype), (name, chunk))
+    # at the default chunk of 2^16 keys, which holds keys 0..2^16 - 1: the
+    # longest run that closes inside one chunk (keys 0..2^16 - 2), a run that
+    # fills exactly the first chunk, a run that ends on the chunk's last key
+    # (keys 1..2^16 - 1), one that crosses into the next chunk (keys 1..2^16),
+    # and all-equal keys of length 2^16 - 1, 2^16 and 2^16 + 1
     c = 1 << 16
     assert arithmetic._RUN_CHUNK == c
-    edges = {"closes-inside": [0, *[5] * (c - 1), 7], "fills-one-chunk": [0, *[5] * c, 7],
+    edges = {"closes-inside": [*[5] * (c - 1), 7], "fills-one-chunk": [*[5] * c, 7],
+             "ends-on-chunk-end": [0, *[5] * (c - 1), 7], "crosses": [0, *[5] * c, 7],
              **{f"all-equal-{n}": [3] * n for n in (c - 1, c, c + 1)}}
     for name, values in edges.items():
-        k = np.array(values, dtype=dtype)
-        assert _run_square_sum(k) == _squared_runs(k), name
+        _check_runs(np.array(values, dtype=dtype), name)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])

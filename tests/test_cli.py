@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -49,36 +50,52 @@ def test_parse_config_full_and_defaults():
     assert bare.seed is None
 
 
-@pytest.mark.parametrize("text", [
-    "bogus = 1\nn_grid = 10\ns_grid = 1/4\nseed = 1",
-    "s_grid = 1/4\nseed = 1",                      # missing n_grid
-    "n_grid = 10\nseed = 1",                       # missing s_grid
-    "n_grid = 10,10\ns_grid = 1/4\nseed = 1",      # not ascending
-    "n_grid = 10,5\ns_grid = 1/4\nseed = 1",
-    "n_grid = 10\ns_grid = 1/3\nseed = 1",         # not dyadic
-    "n_grid = 10\ns_grid = 1/4",                   # seed required
-    "alpha_mode = explicit\nn_grid = 10\ns_grid = 1/4",
-    "alpha_mode = sobol\nn_grid = 10\ns_grid = 1/4\nseed = 1",
-    "n_grid\ns_grid = 1/4\nseed = 1",              # no equals sign
-    "n_grid = 10\ns_grid = 1/4\nseed = 1\nmemory_budget = 1",  # removed key
-    "n_grid = 10\ns_grid = 1/4\nseed = 1\npair_budget = 10",    # removed key
-    "n_grid = 10\ns_grid = 1/4\nseed = 1\nformat = yaml",          # removed key
-    "n_grid = 10\ns_grid = 1/4\nseed = 1\nout =",                  # removed key
+_REJECTED_CONFIGS = [
+    ("bogus = 1\nn_grid = 10\ns_grid = 1/4\nseed = 1", "line 1: unknown key 'bogus'"),
+    ("s_grid = 1/4\nseed = 1", "n_grid is required"),
+    ("n_grid = 10\nseed = 1", "s_grid is required"),
+    ("n_grid = 10,10\ns_grid = 1/4\nseed = 1", "n_grid must be strictly ascending"),
+    ("n_grid = 10,5\ns_grid = 1/4\nseed = 1", "n_grid must be strictly ascending"),
+    ("n_grid = 10\ns_grid = 1/3\nseed = 1", "bad entry '1/3': S = 1/3 is not a dyadic"),
+    ("n_grid = 10\ns_grid = 1/4", "seed is required when alpha_mode is uniform-random"),
+    ("alpha_mode = explicit\nn_grid = 10\ns_grid = 1/4", "explicit requires an alphas list"),
+    ("alpha_mode = sobol\nn_grid = 10\ns_grid = 1/4\nseed = 1", "got 'sobol'"),
+    ("n_grid\ns_grid = 1/4\nseed = 1", "line 1: expected key = value"),
+    # removed keys
+    ("n_grid = 10\ns_grid = 1/4\nseed = 1\nmemory_budget = 1", "unknown key 'memory_budget'"),
+    ("n_grid = 10\ns_grid = 1/4\nseed = 1\npair_budget = 10", "unknown key 'pair_budget'"),
+    ("n_grid = 10\ns_grid = 1/4\nseed = 1\nformat = yaml", "unknown key 'format'"),
+    ("n_grid = 10\ns_grid = 1/4\nseed = 1\nout =", "unknown key 'out'"),
     # keys the alpha mode does not read
-    "alpha_mode = uniform-random\nalphas = golden\nn_grid = 10\ns_grid = 1/4\nseed = 1",
-    "alphas = golden\nalpha_count = 5\nn_grid = 10\ns_grid = 1/4",
-    "alphas = golden\nn_grid = 10\ns_grid = 1/4\nseed = 8",
-    "alpha_mode = explicit\nalphas = golden\nn_grid = 10\ns_grid = 1/4\nseed = 9",
+    ("alpha_mode = uniform-random\nalphas = golden\nn_grid = 10\ns_grid = 1/4\nseed = 1",
+     "alphas has no effect when alpha_mode is uniform-random"),
+    ("alphas = golden\nalpha_count = 5\nn_grid = 10\ns_grid = 1/4",
+     "alpha_count has no effect when alpha_mode is explicit"),
+    ("alphas = golden\nn_grid = 10\ns_grid = 1/4\nseed = 8",
+     "seed has no effect when alpha_mode is explicit"),
+    ("alpha_mode = explicit\nalphas = golden\nn_grid = 10\ns_grid = 1/4\nseed = 9",
+     "seed has no effect when alpha_mode is explicit"),
     # input that would repeat or drop rows
-    "n_grid = 10\ns_grid = 1/4\nseed = 1\nseed = 2",
-    "n_grid = 10\nn_grid = 20\ns_grid = 1/4\nseed = 1",
-    "n_grid = 10\ns_grid = 1/4, 1/4\nseed = 1",
-    "n_grid = 10\ns_grid = 1/4, 2/8\nseed = 1",
-    "alphas = golden, golden\nn_grid = 10\ns_grid = 1/4",
-    "alphas = rat:1/4, rat:5/4\nn_grid = 10\ns_grid = 1/4",
-])
-def test_parse_config_rejects(text):
-    with pytest.raises(ConfigError):
+    ("n_grid = 10\ns_grid = 1/4\nseed = 1\nseed = 2", "line 4: repeated key 'seed'"),
+    ("n_grid = 10\nn_grid = 20\ns_grid = 1/4\nseed = 1", "line 2: repeated key 'n_grid'"),
+    ("n_grid = 10\ns_grid = 1/4, 1/4\nseed = 1", "s_grid: repeated entry in '1/4, 1/4'"),
+    ("n_grid = 10\ns_grid = 1/4, 2/8\nseed = 1", "s_grid: repeated entry in '1/4, 2/8'"),
+    ("alphas = golden, golden\nn_grid = 10\ns_grid = 1/4",
+     "alphas: repeated entry in 'golden, golden'"),
+    ("alphas = rat:1/4, rat:5/4\nn_grid = 10\ns_grid = 1/4",
+     "alphas: repeated entry in 'rat:1/4, rat:5/4'"),
+    # values out of their domain
+    ("n_grid = 1x\ns_grid = 1/4\nseed = 1", "n_grid: expected an integer, got '1x'"),
+    ("alpha_count = 0\nn_grid = 10\ns_grid = 1/4\nseed = 1", "alpha_count must be >= 1"),
+    ("n_grid = -1\ns_grid = 1/4\nseed = 1", "n_grid entries must be nonnegative"),
+    ("n_grid = 10\ns_grid = 1/4\nseed = -1", "seed must be >= 0"),
+    ("n_grid = 10\ns_grid =\nseed = 1", "s_grid: bad entry ''"),
+]
+
+
+@pytest.mark.parametrize("text, match", _REJECTED_CONFIGS, ids=[t for t, _ in _REJECTED_CONFIGS])
+def test_parse_config_rejects(text, match):
+    with pytest.raises(ConfigError, match=re.escape(match)):
         parse_config(text)
 
 
@@ -529,7 +546,7 @@ def test_preset_config_and_verdict():
     cfg = preset_config("thm1-quadratic")
     assert cfg.seed == cli.PRESET_SEED
     assert cfg.n_grid == (10 ** 5,) and len(cfg.s_grid) == 8
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown preset 'thm2-cubic'"):
         preset_config("thm2-cubic")
 
     def rows_at(level):
@@ -543,6 +560,8 @@ def test_preset_config_and_verdict():
     assert good["pass"] and good["medians"] == {"1/64": pytest.approx(1.0)}
     bad = preset_verdict("thm1-quadratic", ScanResult(rows_at(1.3), {}))
     assert not bad["pass"]
+    with pytest.raises(ConfigError, match="unknown preset 'thm2-cubic'"):
+        preset_verdict("thm2-cubic", ScanResult(rows_at(1.0), {}))
 
 
 def test_preset_seed_is_overridden_by_the_command_line(monkeypatch, capsys):
@@ -633,6 +652,8 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["decompose", "1/3"]) == 2  # not dyadic
     assert main(["decompose", "1/0"]) == 2
     capsys.readouterr()
+    assert main(["preset", "nope"]) == 2
+    assert "unknown preset 'nope'" in capsys.readouterr().err
 
     def fake_scan(config, **kwargs):
         n, s = 1000, Fraction(1, 64)

@@ -54,6 +54,8 @@ def test_alpha_range_validation():
         Alpha(GRID_ONE)
     with pytest.raises(ValueError):
         Alpha(-1)
+    with pytest.raises(TypeError, match="alpha numerator must be an int"):
+        Alpha(1.0)
 
 
 def test_alpha_random_stream_reproducible():
@@ -63,6 +65,8 @@ def test_alpha_random_stream_reproducible():
     assert len(set(a.a for a in xs)) == 5
     assert all(0 <= a.a < GRID_ONE for a in xs)
     assert Alpha.random_stream(0, seed=1) == []
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        Alpha.random_stream(-1, 0)
     for draw in (lambda: Alpha.random_stream(1, None), lambda: philox_words(None, 2)):
         with pytest.raises(ValueError, match="seed is required"):
             draw()
@@ -76,6 +80,7 @@ def test_pointset_validation():
     assert ps.n == 2
     assert ps == from_ints((GRID_ONE // 2, GRID_ONE // 4))
     assert ps != from_ints((GRID_ONE // 4, GRID_ONE // 2 + 1))
+    assert (ps == object()) is False and ps != object()
     words = np.zeros(2, dtype=np.uint64)
     for hi, lo in ((words.astype(np.int64), words), (words, words.astype(np.float64)),
                    ([0, 0], [0, 0]), (words.reshape(1, 2), words.reshape(1, 2)),
@@ -173,6 +178,10 @@ def test_sequence_spec_validation():
         SequenceSpec.explicit([])
     with pytest.raises(ValueError):
         SequenceSpec.parse("cubic")
+    with pytest.raises(ValueError, match="unknown sequence kind 'bogus'"):
+        SequenceSpec("bogus")
+    with pytest.raises(ValueError, match="bad polynomial spec 'poly:1,x'"):
+        SequenceSpec.parse("poly:1,x")
 
 
 def test_sequence_parse_and_labels():
@@ -247,6 +256,12 @@ def test_generate_terms_overflow_names_index():
         generate_terms(SequenceSpec.lacunary(2), 70)
     with pytest.raises(OverflowError, match="term 2"):
         generate_terms(SequenceSpec.poly([0, 1 << 62]), 5)
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        generate_terms(SequenceSpec.linear(), -1)
+    # the linear term 2^63 is refused by its bound before any array is
+    # asked for: np.arange(1, 2^63 + 1) returns an empty array, not an error
+    with pytest.raises(OverflowError, match=f"term {1 << 63} exceeds the signed 64-bit range"):
+        generate_terms(SequenceSpec.linear(), 1 << 63)
 
 
 def test_generate_terms_coefficient_past_int64_names_term_1():
@@ -402,3 +417,5 @@ def test_convergents_dirichlet_property():
 def test_convergents_respect_count():
     convs = continued_fraction_convergents(Alpha.golden(), 3)
     assert len(convs) == 3
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        continued_fraction_convergents(Alpha.golden(), -1)

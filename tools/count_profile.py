@@ -74,19 +74,23 @@ def main(argv=None) -> int:
     with stage("terms"):
         terms = generate_terms(SequenceSpec.poly((0, 0, 1)), max(count, direct))
 
+    def timed(name, steps):  # the steps of an iterator, each timed as stage `name`
+        while True:
+            with stage(name):
+                item = next(steps, None)
+            if item is None:
+                return
+            yield item
+
     gaps, reps = [], []
-    with stage("rep.keys"):
-        parts, ranges, buf = arithmetic._gap_ranges(terms, 1, count)
-    for lo, hi in ranges:
-        with stage("rep.keys"):
-            keys = arithmetic._unsorted_range_keys(parts, lo, hi, buf)
+    for keys in timed("rep.keys", arithmetic._gap_key_ranges(terms, 1, count)):
         with stage("rep.sort"):
             keys.sort()
         with stage("rep.runs"):
             g, r = arithmetic._runs(keys)
         gaps.append(g)
         reps.append(r)
-    del keys, buf
+    del keys
 
     with stage("sums.add"):
         sums = arithmetic._ordered_sums(term_array(terms[:count], arithmetic.PAIR_LIMIT))
@@ -97,16 +101,12 @@ def main(argv=None) -> int:
     del sums
 
     direct_energy = 0
-    with stage("direct.keys"):
-        parts, ranges, buf = arithmetic._gap_ranges(terms, 1, direct)
-    for lo, hi in ranges:
-        with stage("direct.keys"):
-            keys = arithmetic._unsorted_range_keys(parts, lo, hi, buf)
+    for keys in timed("direct.keys", arithmetic._gap_key_ranges(terms, 1, direct)):
         with stage("direct.sort"):
             keys.sort()
         with stage("direct.walk"):
             direct_energy += arithmetic._run_square_sum(keys)
-    del keys, buf
+    del keys
     end = _usage()
 
     for name in STAGES:
