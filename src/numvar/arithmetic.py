@@ -233,6 +233,15 @@ def _gap_arrays(terms, n1: int, n2: int):
     return tuple(np.concatenate(arrays) for arrays in zip(*hists))
 
 
+def _budgeted_pairs(n1: int, n2: int, pair_budget: int) -> int:
+    """The window's pair count (_pair_count), or BudgetExceeded when it tops pair_budget."""
+    pairs = _pair_count(n1, n2)
+    if pairs > pair_budget:
+        raise BudgetExceeded("pair enumeration too large; for quadratics use the divisor route"
+                             " (rep_quadratic_divisor)", pairs, pair_budget)
+    return pairs
+
+
 def rep_table(terms, n1: int, n2: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RepTable:
     """Exact difference counts over all pairs (m < n, N1 <= n <= N2).
 
@@ -241,14 +250,7 @@ def rep_table(terms, n1: int, n2: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
     """
     if not 1 <= n1 <= n2 <= len(terms):
         raise ValueError(f"window ({n1}, {n2}) outside 1..{len(terms)}")
-    pairs = _pair_count(n1, n2)
-    if pairs > pair_budget:
-        raise BudgetExceeded(
-            "pair enumeration too large; for quadratics use the divisor route"
-            " (rep_quadratic_divisor)",
-            pairs,
-            pair_budget,
-        )
+    _budgeted_pairs(n1, n2, pair_budget)
     gaps, reps = _gap_arrays(terms, n1, n2)
     return RepTable(window=(n1, n2), gaps=gaps, reps=reps)
 
@@ -294,7 +296,7 @@ def energy_direct(terms, n1: int, n2: int) -> int:
     rep_table's histogram uses) and sums the squared runs of each range
     chunk by chunk, so that it holds the range's keys and chunk-sized
     scratch, never the distinct gaps or a run per gap.  Exact for
-    |terms| <= PAIR_LIMIT; intended for windows far beyond rep_table's reach.
+    |terms| <= PAIR_LIMIT; `numvar energy` takes its window energy from here.
     """
     if not 1 <= n1 <= n2 <= len(terms):
         raise ValueError(f"window ({n1}, {n2}) outside 1..{len(terms)}")

@@ -244,8 +244,9 @@ def _csv_field(value) -> str:
     return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
-def _format_row(rec: VarianceRecord) -> str:
-    return ",".join(_csv_field(value) for value in _row_values(rec))
+def _csv_rows(records) -> str:
+    """The CSV lines of the records, each ended by a newline."""
+    return "".join(",".join(map(_csv_field, _row_values(rec))) + "\n" for rec in records)
 
 
 def run_scan(config: ExperimentConfig, *, threads: int = 1, out=None) -> ScanResult:
@@ -297,7 +298,7 @@ def run_scan(config: ExperimentConfig, *, threads: int = 1, out=None) -> ScanRes
                      for alpha, values in zip(alphas, cells)]
             rows.extend(block)
             if out is not None:
-                out.write("".join(_format_row(r) + "\n" for r in block))
+                out.write(_csv_rows(block))
                 out.flush()
         for proc, _ in workers:  # all sent: each exits by itself
             proc.join()
@@ -317,9 +318,7 @@ def run_scan(config: ExperimentConfig, *, threads: int = 1, out=None) -> ScanRes
 def emit(result: ScanResult, fmt: str = "csv") -> bytes:
     """CSV (header + rows) or JSON (metadata + rows); both parse back losslessly."""
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        lines.extend(_format_row(r) for r in result.rows)
-        return ("\n".join(lines) + "\n").encode()
+        return (CSV_HEADER + "\n" + _csv_rows(result.rows)).encode()
     if fmt == "json":
         doc = {
             "metadata": result.metadata,
@@ -413,12 +412,12 @@ def _dyadic_s(text: str) -> Fraction:
         return as_dyadic(Fraction(text))
 
 
-def _window_table(args, terms) -> arithmetic.RepTable:
-    """rep_table over --n1..--n2; by default the whole window 1..--count."""
+def _window(args) -> tuple:
+    """(--n1, --n2), checked against --count; by default the whole window 1..--count."""
     n2 = args.count if args.n2 is None else args.n2
     if not args.n1 <= n2 <= args.count:
         raise ConfigError(f"window --n1 {args.n1} --n2 {n2} outside 1..--count {args.count}")
-    return arithmetic.rep_table(terms, args.n1, n2, pair_budget=args.pair_budget)
+    return args.n1, n2
 
 
 def _scan_and_write(config: ExperimentConfig, args, *, stdout: bool) -> ScanResult:
@@ -463,18 +462,13 @@ def _cmd_decompose(args) -> dict:
 
 def _cmd_energy(args) -> dict:
     terms = _sequence_terms(args)
-    whole = args.n1 == 1 and args.n2 in (None, args.count)
-    # on the window 1..--count, additive_energy goes first, so that its count^2
-    # budget fails before any table is built; a table over budget still fails first
-    if whole and args.count * (args.count - 1) // 2 <= args.pair_budget:
+    n1, n2 = _window(args)
+    out = {"sequence": args.sequence, "window": [n1, n2],
+           "pair_count": arithmetic._budgeted_pairs(n1, n2, args.pair_budget)}
+    whole = (n1, n2) == (1, args.count)
+    if whole:  # first, so that its count^2 budget fails before any pair is built
         energy = arithmetic.additive_energy(terms, args.count, pair_budget=args.pair_budget)
-    table = _window_table(args, terms)
-    out = {
-        "sequence": args.sequence,
-        "window": list(table.window),
-        "pair_count": table.pair_count,
-        "energy_window": arithmetic.energy_window(table),
-    }
+    out["energy_window"] = arithmetic.energy_direct(terms, n1, n2)
     if whole:
         out["additive_energy"] = energy
     return out
@@ -486,7 +480,7 @@ def _cmd_repstats(args) -> dict:
     if pairs > args.pair_budget:
         raise BudgetExceeded(f"repeated_mass reads every pair of 1..--count {args.count}",
                              pairs, args.pair_budget)
-    table = _window_table(args, terms)
+    table = arithmetic.rep_table(terms, *_window(args), pair_budget=args.pair_budget)
     full = table if table.window == (1, args.count) else arithmetic.rep_table(
         terms, 1, args.count, pair_budget=args.pair_budget)
     mass, exponent = arithmetic.sparse_u2_mass(full)

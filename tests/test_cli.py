@@ -678,6 +678,40 @@ def test_main_energy_and_repstats(capsys):
     assert doc["max_rep"] >= 2 and doc["pair_count"] == 190
 
 
+@pytest.mark.parametrize("argv", (
+    ["--sequence", "poly:0,0,1", "--count", "40"],
+    ["--sequence", "poly:0,0,1", "--count", "40", "--n1", "7", "--n2", "31"],
+    ["--sequence", "poly:0,0,1", "--count", "1"],
+    ["--sequence", "poly:0,-3,1", "--count", "20"],  # p(1) = p(2): a pair with no gap
+    ["--sequence", "lacunary:3", "--count", "30"],  # a span past 2^32: int64 keys
+), ids=("whole", "inner", "count-1", "repeated-terms", "int64-keys"))
+def test_main_energy_window_equals_rep_tables(capsys, argv):
+    assert main(["energy", *argv]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    args = cli._parser().parse_args(["energy", *argv])
+    terms = generate_terms(SequenceSpec.parse(args.sequence), args.count)
+    table = rep_table(terms, args.n1, args.n2 or args.count)
+    assert doc["window"] == list(table.window)
+    assert doc["pair_count"] == table.pair_count
+    assert doc["energy_window"] == energy_window(table)
+    assert ("additive_energy" in doc) == (table.window == (1, args.count))
+
+
+def test_main_energy_builds_no_table(monkeypatch, capsys):
+    terms = generate_terms(SequenceSpec.poly((0, 0, 1)), 50)
+    expected = [energy_window(rep_table(terms, n1, 50)) for n1 in (1, 20)]
+
+    def refuse(*args, **kwargs):
+        pytest.fail("energy built a RepTable")
+
+    monkeypatch.setattr(cli.arithmetic, "rep_table", refuse)
+    monkeypatch.setattr(cli.arithmetic, "energy_window", refuse)
+    for n1, energy in zip((1, 20), expected):
+        assert main(["energy", "--sequence", "poly:0,0,1", "--count", "50",
+                     "--n1", str(n1)]) == 0
+        assert json.loads(capsys.readouterr().out)["energy_window"] == energy
+
+
 @pytest.mark.parametrize("command", ("energy", "repstats"))
 @pytest.mark.parametrize("window", (["--n2", "11"], ["--n1", "11"], ["--n1", "5", "--n2", "3"]))
 def test_main_window_outside_count_is_refused(capsys, command, window):
@@ -893,9 +927,11 @@ def test_main_repstats_budget_names_the_pairs_repeated_mass_reads(monkeypatch, c
 
 def test_main_energy_checks_the_sum_budget_before_any_table(monkeypatch, capsys):
     # the window's 199 990 000 pairs fit the budget, but additive_energy's
-    # count^2 ordered sums do not: that is refused before any table is built
+    # count^2 ordered sums do not: that is refused before any pair is built
     with monkeypatch.context() as patched:
         patched.setattr(cli.arithmetic, "rep_table", lambda *a, **k: pytest.fail("table built"))
+        patched.setattr(cli.arithmetic, "energy_direct",
+                        lambda *a, **k: pytest.fail("pairs built"))
         assert main(["energy", "--sequence", "poly:0,0,1", "--count", "20000",
                      "--pair-budget", "300000000"]) == 3
     err = capsys.readouterr().err

@@ -14,7 +14,8 @@ written to BENCH_<NAME>.json at the repository root: per workload and metric,
 each side's median and quartiles (statistics.quantiles, n=4), every run,
 the pairs the change won (ties count for neither side), the change's median
 relative to the parent's, and a verdict against the metric's bound (see
-verdict).
+verdict).  The export extracts with `filter="data"`, which Python 3.10 has
+only from 3.10.12.
 """
 
 from __future__ import annotations

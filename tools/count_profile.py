@@ -3,48 +3,34 @@
     python3 tools/count_profile.py COUNT [--direct D]
 
 Runs, in this process and one after another, the stages of the counting
-path: the CLI parser build (`build_parser`, which `main` does once per
-process) and the squares (`generate_terms`); `rep_table` over 1..COUNT as
-its gap keys, their sort and their runs; `additive_energy` over the first
-COUNT squares as its ordered sums, their sort and the walk over their runs;
-and `energy_direct` over 1..D (default 3000) as its keys, their sort and the
-walk, one value range at a time, each range's keys in the one key buffer
-that the library reuses across a call's ranges.  For each stage it prints
-the wall seconds, the user and system seconds and the minor page faults that
-`getrusage` reports for this process, and the process's peak RSS so far; a
-stage run once per value range is summed over the ranges.  Then come the total, and a
-check that each staged value `==` the library call's.
+path: the CLI parser build (`build_parser`, once per process in `main`), the
+squares (`generate_terms`); `rep_table` over 1..COUNT as its gap keys, their
+sort and their runs (the `rep.*` stages: only `repstats` builds this table,
+as `energy` takes its window energy from `energy_direct`); `additive_energy`
+over the first COUNT squares as its ordered sums, their sort and their walk;
+and `energy_direct` over 1..D (default 3000) as its keys, their sort and
+their walk, one value range at a time in the one key buffer the library
+reuses.  tools/stage_timer.py times the stages, summing those run per value
+range.  Then comes a check that each staged value `==` the library call's.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
-import resource
 import sys
-import time
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                "src"))
+_TOOLS = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [_TOOLS, os.path.join(os.path.dirname(_TOOLS), "src")]
 
 from numvar import arithmetic, cli  # noqa: E402
 from numvar.points import SequenceSpec, generate_terms, term_array  # noqa: E402
+from stage_timer import StageTimer  # noqa: E402
 
 STAGES = ("parser", "terms", "rep.keys", "rep.sort", "rep.runs", "sums.add", "sums.sort",
           "sums.walk", "direct.keys", "direct.sort", "direct.walk")
-
-
-def _usage():
-    return time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
-
-
-def _delta(start, end) -> list:
-    (t0, r0), (t1, r1) = start, end
-    return [t1 - t0, r1.ru_utime - r0.ru_utime, r1.ru_stime - r0.ru_stime,
-            r1.ru_minflt - r0.ru_minflt]
 
 
 def main(argv=None) -> int:
@@ -56,34 +42,14 @@ def main(argv=None) -> int:
         parser.error("COUNT and D must be at least 2")
     count, direct = args.count, args.direct
     print(f"squares, COUNT = {count}, D = {direct}")
-    print(f"{'stage':<12} {'wall_s':>8} {'user_s':>8} {'sys_s':>8} {'minflt':>9} {'peak_mb':>8}")
-    costs = {name: [0.0, 0.0, 0.0, 0] for name in STAGES}
-    peak = {}
-
-    @contextlib.contextmanager
-    def stage(name):
-        start = _usage()
-        yield
-        end = _usage()
-        costs[name] = [a + b for a, b in zip(costs[name], _delta(start, end))]
-        peak[name] = end[1].ru_maxrss / 1024
-
-    begin = _usage()
+    stage = StageTimer(STAGES, 12)
     with stage("parser"):
         cli.build_parser()
     with stage("terms"):
         terms = generate_terms(SequenceSpec.poly((0, 0, 1)), max(count, direct))
 
-    def timed(name, steps):  # the steps of an iterator, each timed as stage `name`
-        while True:
-            with stage(name):
-                item = next(steps, None)
-            if item is None:
-                return
-            yield item
-
     gaps, reps = [], []
-    for keys in timed("rep.keys", arithmetic._gap_key_ranges(terms, 1, count)):
+    for keys in stage.steps("rep.keys", arithmetic._gap_key_ranges(terms, 1, count)):
         with stage("rep.sort"):
             keys.sort()
         with stage("rep.runs"):
@@ -101,20 +67,13 @@ def main(argv=None) -> int:
     del sums
 
     direct_energy = 0
-    for keys in timed("direct.keys", arithmetic._gap_key_ranges(terms, 1, direct)):
+    for keys in stage.steps("direct.keys", arithmetic._gap_key_ranges(terms, 1, direct)):
         with stage("direct.sort"):
             keys.sort()
         with stage("direct.walk"):
             direct_energy += arithmetic._run_square_sum(keys)
     del keys
-    end = _usage()
-
-    for name in STAGES:
-        wall, user, sys_s, minflt = costs[name]
-        print(f"{name:<12} {wall:8.3f} {user:8.3f} {sys_s:8.3f} {minflt:9d} {peak[name]:8.1f}")
-    wall, user, sys_s, minflt = _delta(begin, end)
-    print(f"{'total':<12} {wall:8.3f} {user:8.3f} {sys_s:8.3f} {minflt:9d} "
-          f"{end[1].ru_maxrss / 1024:8.1f}")
+    stage.report()
 
     table = arithmetic.rep_table(terms, 1, count, pair_budget=count * count)
     ok = (np.array_equal(np.concatenate(gaps), table.gaps)

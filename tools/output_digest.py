@@ -85,12 +85,17 @@ def digest(command) -> str:
 
 def main(argv=None) -> int:
     argparse.ArgumentParser(description=__doc__.split("\n")[0]).parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        for name, text in SCAN_CONFIGS.items():
-            with open(name, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        for command in COMMANDS:
-            print(f"{digest(command)}  numvar {' '.join(command)}", flush=True)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # not contextlib.chdir, which needs Python 3.11
+        try:
+            for name, text in SCAN_CONFIGS.items():
+                with open(name, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            for command in COMMANDS:
+                print(f"{digest(command)}  numvar {' '.join(command)}", flush=True)
+        finally:
+            os.chdir(cwd)
     return 0
 
 
