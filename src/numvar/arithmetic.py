@@ -202,26 +202,41 @@ def _square_sum(reps) -> int:
     return int(np.dot(reps, reps))
 
 
-# keys per chunk of _run_square_sum; at up to 17 bytes of scratch a key, a
-# chunk's 1.1 MB stays in a 2 MB L2 cache
+# keys per chunk of _run_stats; at up to 17 bytes of scratch a key, a chunk's
+# 1.1 MB stays in a 2 MB L2 cache
 _RUN_CHUNK = 1 << 16
 
 
-def _run_square_sum(keys: np.ndarray) -> int:
-    """sum of squared run lengths of sorted keys, over chunks of _RUN_CHUNK keys so
-    that its scratch stays chunk-sized: each chunk adds the squares of the runs that
-    close inside it, and the run still open at its end is carried into the next
-    chunk by its start, and squared after the last."""
-    total, start = 0, 0  # start: where the open run starts
+def _run_stats(keys: np.ndarray) -> tuple:
+    """(runs, runs of length 1, longest run, sum of squared run lengths) of sorted
+    keys, exactly, over chunks of _RUN_CHUNK keys: each chunk adds the runs that
+    close inside it and carries the one still open at its end by its start."""
+    runs = ones = longest = squares = start = 0  # start: where the open run starts
+    buf = np.empty(min(keys.size, _RUN_CHUNK), dtype=np.int64)  # a chunk's closed run lengths
     for i, starts in _run_starts(keys, _RUN_CHUNK):
         if starts.size:
-            first = i + int(starts[0]) - start
+            first = i + int(starts[0]) - start  # the carried run; 0 in the first chunk
             # the runs closed inside the chunk cover at most _RUN_CHUNK = 2^16
             # keys, so their squares sum to at most 2^32: no int64 overflow
-            runs = np.diff(starts)
-            total += first * first + int(np.dot(runs, runs))
+            lengths = np.subtract(starts[1:], starts[:-1], out=buf[:starts.size - 1])
+            runs += starts.size
+            ones += (first == 1) + int(np.count_nonzero(lengths == 1))
+            longest = max(longest, first, int(lengths.max(initial=0)))
+            squares += first * first + int(np.dot(lengths, lengths))
             start = i + int(starts[-1])
-    return total + (keys.size - start) ** 2
+    last = keys.size - start  # 0 only without keys
+    return runs, ones + (last == 1), max(longest, last), squares + last * last
+
+
+def _gap_run_stats(terms, n1: int, n2: int) -> tuple:
+    """_run_stats of the window's sorted gaps u > 0, summed over the value ranges
+    (no run crosses one), each range's keys held alone and no run array."""
+    runs = ones = longest = squares = 0
+    for keys in _gap_key_ranges(terms, n1, n2):  # each range's keys overwrite the last's
+        keys.sort()
+        r, o, m, q = _run_stats(keys)
+        runs, ones, longest, squares = runs + r, ones + o, max(longest, m), squares + q
+    return runs, ones, longest, squares
 
 
 def _gap_arrays(terms, n1: int, n2: int):
@@ -273,7 +288,7 @@ def additive_energy(terms, count: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
     """Quadruples with x_{n1} + x_{n2} = x_{n3} + x_{n4}, indices up to `count`.
 
     Sorts the count^2 ordered sums in place and sums the squared run lengths
-    with energy_direct's chunked walker.  When twice the span max - min is
+    with the chunked walker (_run_stats).  When twice the span max - min is
     below 2^32, the sums are those of the offsets x - min, as uint32 keys
     (4 * count^2 bytes); otherwise they are int64 (8 * count^2 bytes).
     Forming no difference keeps it independent of the gap histogram.  Terms
@@ -286,7 +301,7 @@ def additive_energy(terms, count: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
                              count * count, pair_budget)
     sums = _ordered_sums(term_array(terms[:count], PAIR_LIMIT))
     sums.sort()
-    return _run_square_sum(sums)
+    return _run_stats(sums)[3]
 
 
 def energy_direct(terms, n1: int, n2: int) -> int:
@@ -294,17 +309,11 @@ def energy_direct(terms, n1: int, n2: int) -> int:
 
     Takes the sorted gap keys one value range at a time (the ranges
     rep_table's histogram uses) and sums the squared runs of each range
-    chunk by chunk, so that it holds the range's keys and chunk-sized
-    scratch, never the distinct gaps or a run per gap.  Exact for
-    |terms| <= PAIR_LIMIT; `numvar energy` takes its window energy from here.
+    chunk by chunk (_gap_run_stats).  Exact for |terms| <= PAIR_LIMIT.
     """
     if not 1 <= n1 <= n2 <= len(terms):
         raise ValueError(f"window ({n1}, {n2}) outside 1..{len(terms)}")
-    total = 0
-    for keys in _gap_key_ranges(terms, n1, n2):  # each range's keys overwrite the last's
-        keys.sort()
-        total += _run_square_sum(keys)
-    return total
+    return _gap_run_stats(terms, n1, n2)[3]
 
 
 def _divisors(u: int) -> list:
@@ -361,8 +370,7 @@ def _gcd_sum_dense(us, rs, variant, threshold, pair_budget):
     if k * k > pair_budget:
         raise BudgetExceeded("gcd double sum too large", k * k, pair_budget)
     if threshold is not None and int(us[-1]) ** 2 >= 1 << 62:
-        raise OverflowError(
-            "support too large for the filtered dense path; use strategy='classes'")
+        raise OverflowError("support too large for the filtered dense path: max gap^2 >= 2^62")
     uf = us.astype(np.float64)
     block = max(1, min(k, _BLOCK_CELLS // max(k, 1)))
     total = 0.0
@@ -472,30 +480,34 @@ def gcd_sum(table: RepTable, variant: str, threshold=None, *,
     squared = gcd^2/(u1 u2).  strategy 'dense' walks all K^2 cells in numpy
     blocks; 'classes' (threshold required) enumerates coprime shape classes
     (a, b) with a b <= threshold, which is far cheaper for small thresholds.
-    'auto' picks between them, except that without a threshold, when
-    isqrt(max u) < K, it splits the sum over common divisors d by gcd = sum
-    of phi(d) (gcd^2 = sum of J_2(d)), which costs isqrt(max u) * K cells of
-    trial division.  That route needs max u < 2^31, so that J_2(d) <= d^2
-    stays exact in int64.  The dense cells and the trial divisions are
-    charged against pair_budget, like rep_table's pairs.
+    'auto' picks between them by cost (T ln(T + 2) K cells for the classes),
+    but takes the classes when only they fit int64 (max u * T < 2^62 <= max
+    u^2).  Without a threshold, when isqrt(max u) < K, it splits the sum over
+    common divisors d by gcd = sum of phi(d) (gcd^2 = sum of J_2(d)), which
+    costs isqrt(max u) * K cells of trial division.  That route needs max u <
+    2^31, so that J_2(d) <= d^2 stays exact in int64.  The dense cells, the
+    trial divisions and those forced classes are charged against pair_budget.
     """
     if variant not in GCD_VARIANTS:
         raise ValueError(f"unknown gcd_sum variant {variant!r}; expected one of {GCD_VARIANTS}")
     if not table.gaps.size:
         return 0.0
     us, rs = table.gaps, table.reps.astype(np.float64)
-    auto = strategy == "auto"
+    auto, k, top = strategy == "auto", us.size, int(us[-1])
     if auto:
-        k = us.size
-        if threshold is None and math.isqrt(int(us[-1])) < k and int(us[-1]) < 1 << 31:
+        if threshold is None and math.isqrt(top) < k and top < 1 << 31:
             return _gcd_sum_divisors(us, rs, variant, pair_budget)
-        cheap = (threshold is not None and threshold >= 1
-                 and threshold * math.log(threshold + 2) * k < k * k)
-        strategy = "classes" if cheap else "dense"
+        t = max(threshold or 0, 0)
+        cells = int(t * math.log(t + 2) * k)
+        # only the classes fit: the filtered dense path needs max u^2 < 2^62
+        forced = threshold is not None and top * top >= 1 << 62 and top * int(t) < 1 << 62
+        if forced and cells > pair_budget:
+            raise BudgetExceeded("gcd class sum too large", cells, pair_budget)
+        strategy = "classes" if forced or (t >= 1 and cells < k * k) else "dense"
     if strategy == "classes":
         if threshold is None:
             raise ValueError("the class strategy requires a threshold")
-        if int(us[-1]) * int(threshold) < 1 << 62:
+        if top * int(threshold) < 1 << 62:
             return _gcd_sum_classes(us, rs, variant, threshold)  # 0.0 for threshold < 1
         if not auto:
             raise OverflowError("threshold too large for the class strategy")
@@ -536,10 +548,7 @@ def difference_set(coeffs, count: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
 
 def _radical(ell: int):
     """(rad(ell), omega(ell)) by trial division."""
-    rad = 1
-    omega = 0
-    rest = ell
-    p = 2
+    rad, omega, rest, p = 1, 0, ell, 2
     while p * p <= rest:
         if rest % p == 0:
             rad *= p
@@ -572,14 +581,10 @@ def normalize_polynomial(coeffs):
 
     Puts a polynomial into the form the divisibility bound assumes.
     """
-    body = list(coeffs)
-    if body:
-        body[0] = 0
+    body = [0, *list(coeffs)[1:]]
     while body and body[-1] == 0:
         body.pop()
-    g = 0
-    for c in body:
-        g = math.gcd(g, c)
+    g = math.gcd(*body)
     if g == 0:
         raise ValueError("polynomial must be nonconstant")
     return tuple(c // g for c in body)
@@ -601,24 +606,20 @@ def congruence_solution_count(coeffs, q: int) -> int:
         acc = 0
         for c in reversed(reduced):
             acc = (acc * x + c) % q
-        if acc == 0:
-            count += 1
+        count += acc == 0
     degree = max(i for i, c in enumerate(coeffs) if c)
     if count > degree:
         raise RuntimeError("root count exceeded the degree bound")
     return count
 
 
-def sparse_u2_mass(table: RepTable):
-    """(mass, exponent) of repeated gaps: mass = sum of Rep(u)^2 over Rep >= 2.
+def _mass_exponent(mass: int, count: int) -> float:
+    """log(mass)/log(count), the repeated-gap mass's trend exponent; nan when undefined."""
+    return math.log(mass) / math.log(count) if mass > 0 and count > 1 else math.nan
 
-    exponent = log(mass)/log(N) with N = N2 of the table's window, for trend
-    reporting (nan when undefined).
-    """
-    count = table.window[1]
+
+def sparse_u2_mass(table: RepTable):
+    """(mass, exponent) of repeated gaps: mass = sum of Rep(u)^2 over Rep >= 2,
+    exponent = _mass_exponent(mass, N) with N = N2 of the table's window."""
     mass = _square_sum(table.reps[table.reps >= 2])
-    if mass > 0 and count > 1:
-        exponent = math.log(mass) / math.log(count)
-    else:
-        exponent = math.nan
-    return mass, exponent
+    return mass, _mass_exponent(mass, table.window[1])

@@ -480,17 +480,20 @@ def _cmd_repstats(args) -> dict:
     if pairs > args.pair_budget:
         raise BudgetExceeded(f"repeated_mass reads every pair of 1..--count {args.count}",
                              pairs, args.pair_budget)
-    table = arithmetic.rep_table(terms, *_window(args), pair_budget=args.pair_budget)
-    full = table if table.window == (1, args.count) else arithmetic.rep_table(
-        terms, 1, args.count, pair_budget=args.pair_budget)
-    mass, exponent = arithmetic.sparse_u2_mass(full)
+    n1, n2 = _window(args)
+    # the gaps' runs: (distinct gaps, #{Rep = 1}, max Rep, sum of Rep^2)
+    distinct, _, max_rep, energy = whole = arithmetic._gap_run_stats(terms, n1, n2)
+    if (n1, n2) != (1, args.count):
+        whole = arithmetic._gap_run_stats(terms, 1, args.count)
+    mass = whole[3] - whole[1]  # sum of Rep^2 over Rep >= 2
+    exponent = arithmetic._mass_exponent(mass, args.count)
     return {
         "sequence": args.sequence,
-        "window": list(table.window),
-        "pair_count": table.pair_count,
-        "distinct_differences": table.gaps.size,
-        "max_rep": int(table.reps.max(initial=0)),
-        "energy_window": arithmetic.energy_window(table),
+        "window": [n1, n2],
+        "pair_count": arithmetic._pair_count(n1, n2),
+        "distinct_differences": distinct,
+        "max_rep": max_rep,
+        "energy_window": energy,
         "repeated_mass": mass,
         "repeated_mass_exponent": None if math.isnan(exponent) else exponent,
     }

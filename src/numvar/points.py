@@ -399,20 +399,17 @@ def continued_fraction_convergents(alpha: Alpha, count: int) -> list:
     if count < 0:
         raise ValueError("count must be nonnegative")
     res = []
-    hm2, hm1 = 0, 1
-    km2, km1 = 1, 0
+    hm2, hm1, km2, km1 = 0, 1, 1, 0
     num, den = alpha.a, GRID_ONE
     while den > 0 and len(res) < count:
         a = num // den
-        h = a * hm1 + hm2
-        k = a * km1 + km2
+        h, k = a * hm1 + hm2, a * km1 + km2
         if k >= 1 << 64:
             break
         if res and res[-1][1] == k:
             res[-1] = (h, k)
         else:
             res.append((h, k))
-        hm2, hm1 = hm1, h
-        km2, km1 = km1, k
+        hm2, hm1, km2, km1 = hm1, h, km1, k
         num, den = den, num - a * den
     return res

@@ -8,7 +8,7 @@ import pytest
 
 from numvar import arithmetic
 from numvar.arithmetic import (_ROW_BLOCK, BudgetExceeded, RepTable, _gap_key_ranges,
-                               _run_square_sum, _runs, additive_energy,
+                               _run_stats, _runs, additive_energy,
                                congruence_solution_count, difference_set,
                                divisibility_bound_check, energy_direct,
                                energy_window, gcd_average, gcd_sum,
@@ -291,9 +291,13 @@ def test_energy_direct_matches_window(monkeypatch):
 
 
 def _check_runs(keys, label):
-    """_run_square_sum and _runs of sorted keys against a Counter of them."""
+    """_run_stats and _runs of sorted keys against a Counter of them."""
     counts = Counter(keys.tolist())  # in the keys' (sorted) order
-    assert _run_square_sum(keys) == sum(c * c for c in counts.values()), label
+    lengths = list(counts.values())
+    stats = (len(lengths), lengths.count(1), max(lengths, default=0),
+             sum(c * c for c in lengths))
+    assert _run_stats(keys) == stats, label
+    assert all(type(v) is int for v in _run_stats(keys)), label
     gaps, reps = _runs(keys)
     assert gaps.dtype == keys.dtype and reps.dtype == np.int64, label
     assert gaps.tolist() == list(counts) and reps.tolist() == list(counts.values()), label
@@ -525,6 +529,24 @@ def test_gcd_sum_guards():
     with pytest.raises(OverflowError):
         gcd_sum(_table({1 << 32: 1}), "half", 1 << 30, strategy="classes")
     assert gcd_sum(_table({5: 1}), "half", 0, strategy="classes") == 0.0
+
+
+def test_gcd_sum_auto_takes_classes_where_dense_overflows():
+    # max u^2 >= 2^62 overflows the filtered dense path; max u * T < 2^62 fits
+    # the classes, whose T ln(T + 2) K cells are charged against the budget
+    counts = {1 << 32: 2, 3 << 32: 1, 5 << 32: 3, (7 << 32) + 1: 1}
+    table = _table(counts)
+    for t in (1, 3, 15, 40):
+        for variant in ("half", "one_over_max", "squared"):
+            ref = brute_gcd_sum(counts, variant, t)
+            assert gcd_sum(table, variant, t) == pytest.approx(ref, rel=1e-12)
+    assert gcd_sum(table, "half", -3) == 0.0  # no coprime class a b <= T < 1
+    cells = int(40 * math.log(42) * len(counts))
+    assert gcd_sum(table, "half", 40, pair_budget=cells) == gcd_sum(table, "half", 40)
+    with pytest.raises(BudgetExceeded, match=f"estimated {cells}, budget {cells - 1}"):
+        gcd_sum(table, "half", 40, pair_budget=cells - 1)
+    with pytest.raises(OverflowError):  # max u * T >= 2^62: neither route fits
+        gcd_sum(table, "half", 1 << 28)
 
 
 def test_gcd_average_examples():

@@ -17,7 +17,9 @@ import pytest
 
 import numvar
 import numvar.cli as cli
-from numvar.arithmetic import additive_energy, energy_window, gcd_sum, rep_table
+from numvar import arithmetic
+from numvar.arithmetic import (additive_energy, energy_window, gcd_sum, rep_table,
+                               sparse_u2_mass)
 from numvar.cli import (CSV_HEADER, ConfigError, ExperimentConfig, ScanResult,
                         config_hash, emit, main, parse, parse_config,
                         parse_s_grid, preset_config, preset_verdict, run_scan)
@@ -695,6 +697,20 @@ def test_main_energy_window_equals_rep_tables(capsys, argv):
     assert doc["pair_count"] == table.pair_count
     assert doc["energy_window"] == energy_window(table)
     assert ("additive_energy" in doc) == (table.window == (1, args.count))
+    # repstats streams the same window and 1..count; the tables are its oracle
+    assert main(["repstats", *argv]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    mass, exponent = sparse_u2_mass(rep_table(terms, 1, args.count))
+    assert doc == {
+        "sequence": args.sequence,
+        "window": list(table.window),
+        "pair_count": table.pair_count,
+        "distinct_differences": table.gaps.size,
+        "max_rep": int(table.reps.max(initial=0)),
+        "energy_window": energy_window(table),
+        "repeated_mass": mass,
+        "repeated_mass_exponent": None if math.isnan(exponent) else exponent,
+    }
 
 
 def test_main_energy_builds_no_table(monkeypatch, capsys):
@@ -710,6 +726,52 @@ def test_main_energy_builds_no_table(monkeypatch, capsys):
         assert main(["energy", "--sequence", "poly:0,0,1", "--count", "50",
                      "--n1", str(n1)]) == 0
         assert json.loads(capsys.readouterr().out)["energy_window"] == energy
+
+
+def test_main_repstats_builds_no_table(monkeypatch, capsys):
+    terms = generate_terms(SequenceSpec.poly((0, -3, 1)), 50)  # p(1) = p(2)
+    expected = []
+    for n1, n2 in ((1, 50), (20, 50), (3, 17)):
+        table = rep_table(terms, n1, n2)
+        expected.append((table.gaps.size, int(table.reps.max()), energy_window(table)))
+    mass = sparse_u2_mass(rep_table(terms, 1, 50))[0]
+
+    def refuse(*args, **kwargs):
+        pytest.fail("repstats built or read a RepTable")
+
+    for name in ("rep_table", "energy_window", "sparse_u2_mass"):
+        monkeypatch.setattr(cli.arithmetic, name, refuse)
+    for (n1, n2), (distinct, max_rep, energy) in zip(((1, 50), (20, 50), (3, 17)), expected):
+        assert main(["repstats", "--sequence", "poly:0,-3,1", "--count", "50",
+                     "--n1", str(n1), "--n2", str(n2)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["distinct_differences"], doc["max_rep"], doc["energy_window"],
+                doc["repeated_mass"]) == (distinct, max_rep, energy, mass)
+
+
+def test_main_repstats_holds_little_beyond_its_keys(monkeypatch, capsys):
+    # the keys of 1..3000 squares are uint32, 4 bytes for each of the C(3000, 2)
+    # gaps; repstats walks them one value range at a time, with chunk-sized
+    # scratch and no histogram, whether it walks one window or two
+    n = 3000
+    keys = 4 * n * (n - 1) // 2
+
+    def peak(*argv):
+        tracemalloc.start()
+        try:
+            assert main(["repstats", "--sequence", "poly:0,0,1", "--count", str(n), *argv]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    assert peak() < 1.5 * keys
+    assert peak("--n1", "1000") < 1.5 * keys
+    # a budget of 2 * 10^6 gaps a range (25 bytes each to the histogram)
+    # splits the 4.5 * 10^6 gaps into three ranges, held one at a time
+    cap = 2 * 10 ** 6
+    monkeypatch.setattr(arithmetic, "DEFAULT_MEM_BUDGET", 25 * cap)
+    assert peak() < 1.5 * 4 * cap
 
 
 @pytest.mark.parametrize("command", ("energy", "repstats"))
@@ -728,6 +790,23 @@ def test_main_gcdsum(capsys):
     doc = json.loads(capsys.readouterr().out)
     # gaps {1: 2, 2: 1}: 4 + 1 + 2*2/sqrt(2)
     assert doc["value"] == pytest.approx(5 + 2 * math.sqrt(2))
+
+
+def test_main_gcdsum_takes_classes_where_dense_overflows(capsys):
+    # lacunary:2's gaps reach 2^40, past the filtered dense path's max u^2 < 2^62;
+    # the coprime classes need only max u * T < 2^62, and their T ln(T + 2) K
+    # cells (K = 780 distinct gaps) are charged against the budget
+    argv = ["gcdsum", "--sequence", "lacunary:2", "--count", "40", "--threshold", "1000"]
+    assert main(argv) == 0
+    table = rep_table(generate_terms(SequenceSpec.lacunary(2), 40), 1, 40)
+    want = gcd_sum(table, "half", 1000, strategy="classes")
+    assert json.loads(capsys.readouterr().out)["value"] == want
+    cells = int(1000 * math.log(1002) * 780)
+    assert main([*argv, "--pair-budget", str(cells)]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--pair-budget", str(cells - 1)]) == 3
+    assert f"gcd class sum too large (estimated {cells}, budget {cells - 1})" in (
+        capsys.readouterr().err)
 
 
 def test_main_gcdsum_threshold_and_budget(capsys):
@@ -899,7 +978,7 @@ def test_main_repstats_undefined_exponent_is_null(capsys, argv):
 
 
 def test_main_writes_no_nonfinite_json(monkeypatch, capsys):
-    monkeypatch.setattr(cli.arithmetic, "sparse_u2_mass", lambda table: (1, math.inf))
+    monkeypatch.setattr(cli.arithmetic, "_mass_exponent", lambda mass, count: math.inf)
     with pytest.raises(ValueError):
         main(["repstats", "--sequence", "linear", "--count", "5"])
     assert capsys.readouterr().out == ""

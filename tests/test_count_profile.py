@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from numvar import arithmetic
 from numvar.arithmetic import additive_energy, energy_direct, rep_table
 from numvar.points import SequenceSpec, generate_terms
 
@@ -27,3 +28,13 @@ def test_count_profile_prints_each_stage_and_checks_the_values(capsys):
                          f"E_window(1, 300) = {energy_direct(terms, 1, 300)}")
     with pytest.raises(SystemExit):
         count_profile.main(["1"])
+
+
+def test_count_profile_checks_the_walk_against_rep_table(monkeypatch, capsys):
+    # a walker that miscounts the runs of length 1 fools energy_direct and
+    # additive_energy alike, but not rep_table's histogram
+    real = arithmetic._run_stats
+    monkeypatch.setattr(arithmetic, "_run_stats",
+                        lambda keys: (lambda r, o, m, q: (r, o + 1, m, q))(*real(keys)))
+    assert count_profile.main(["60", "--direct", "300"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("check: MISMATCH: ")

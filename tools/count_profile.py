@@ -3,15 +3,15 @@
     python3 tools/count_profile.py COUNT [--direct D]
 
 Runs, in this process and one after another, the stages of the counting
-path: the CLI parser build (`build_parser`, once per process in `main`), the
-squares (`generate_terms`); `rep_table` over 1..COUNT as its gap keys, their
-sort and their runs (the `rep.*` stages: only `repstats` builds this table,
-as `energy` takes its window energy from `energy_direct`); `additive_energy`
-over the first COUNT squares as its ordered sums, their sort and their walk;
-and `energy_direct` over 1..D (default 3000) as its keys, their sort and
-their walk, one value range at a time in the one key buffer the library
-reuses.  tools/stage_timer.py times the stages, summing those run per value
-range.  Then comes a check that each staged value `==` the library call's.
+path: the CLI parser build (`build_parser`, once per process in `main`); the
+squares (`generate_terms`); `additive_energy` over 1..COUNT as its ordered
+sums, their sort and their walk; and, in one loop, the gap run walk over
+1..COUNT that `energy` and `repstats` run (`count.*`) and over 1..D, default
+3000, that `energy_direct` runs (`direct.*`), each as its keys, their sort
+and their walk, one value range at a time in the library's one key buffer.  tools/stage_timer.py
+times the stages, summing those run per value range.  Then comes a check of
+the staged values against `rep_table`'s histogram, `additive_energy` and
+`energy_direct`.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from numvar import arithmetic, cli  # noqa: E402
 from numvar.points import SequenceSpec, generate_terms, term_array  # noqa: E402
 from stage_timer import StageTimer  # noqa: E402
 
-STAGES = ("parser", "terms", "rep.keys", "rep.sort", "rep.runs", "sums.add", "sums.sort",
-          "sums.walk", "direct.keys", "direct.sort", "direct.walk")
+STAGES = ("parser", "terms", "sums.add", "sums.sort", "sums.walk", "count.keys", "count.sort",
+          "count.walk", "direct.keys", "direct.sort", "direct.walk")
 
 
 def main(argv=None) -> int:
@@ -48,40 +48,35 @@ def main(argv=None) -> int:
     with stage("terms"):
         terms = generate_terms(SequenceSpec.poly((0, 0, 1)), max(count, direct))
 
-    gaps, reps = [], []
-    for keys in stage.steps("rep.keys", arithmetic._gap_key_ranges(terms, 1, count)):
-        with stage("rep.sort"):
-            keys.sort()
-        with stage("rep.runs"):
-            g, r = arithmetic._runs(keys)
-        gaps.append(g)
-        reps.append(r)
-    del keys
-
     with stage("sums.add"):
         sums = arithmetic._ordered_sums(term_array(terms[:count], arithmetic.PAIR_LIMIT))
     with stage("sums.sort"):
         sums.sort()
     with stage("sums.walk"):
-        energy = arithmetic._run_square_sum(sums)
+        energy = arithmetic._run_stats(sums)[3]
     del sums
 
-    direct_energy = 0
-    for keys in stage.steps("direct.keys", arithmetic._gap_key_ranges(terms, 1, direct)):
-        with stage("direct.sort"):
-            keys.sort()
-        with stage("direct.walk"):
-            direct_energy += arithmetic._run_square_sum(keys)
-    del keys
+    walks = {}  # arithmetic._gap_run_stats over 1..COUNT and 1..D, stage by stage
+    for name, n in (("count", count), ("direct", direct)):
+        per_range = []
+        for keys in stage.steps(f"{name}.keys", arithmetic._gap_key_ranges(terms, 1, n)):
+            with stage(f"{name}.sort"):
+                keys.sort()
+            with stage(f"{name}.walk"):
+                per_range.append(arithmetic._run_stats(keys))
+        del keys
+        runs, ones, longest, squares = zip(*per_range)
+        walks[name] = sum(runs), sum(ones), max(longest), sum(squares)
     stage.report()
 
     table = arithmetic.rep_table(terms, 1, count, pair_budget=count * count)
-    ok = (np.array_equal(np.concatenate(gaps), table.gaps)
-          and np.array_equal(np.concatenate(reps), table.reps)
+    reps = table.reps
+    ok = (walks["count"] == (reps.size, int(np.count_nonzero(reps == 1)), int(reps.max()),
+                             arithmetic.energy_window(table))
           and energy == arithmetic.additive_energy(terms, count, pair_budget=count * count)
-          and direct_energy == arithmetic.energy_direct(terms, 1, direct))
-    print(f"check: {'ok' if ok else 'MISMATCH'}: {table.gaps.size} distinct gaps, "
-          f"E({count}) = {energy}, E_window(1, {direct}) = {direct_energy}")
+          and walks["direct"][3] == arithmetic.energy_direct(terms, 1, direct))
+    print(f"check: {'ok' if ok else 'MISMATCH'}: {reps.size} distinct gaps, "
+          f"E({count}) = {energy}, E_window(1, {direct}) = {walks['direct'][3]}")
     return 0 if ok else 1
 
 

@@ -8,10 +8,11 @@ directory that holds the scan configs (SCAN_CONFIGS).  For each command it print
 one line, `sha256  command`: the sha256 of its exit code, its stdout, its
 stderr and the file its --out names, if any, with the value of every
 `"wall_time"` replaced by a fixed string.  The list covers every subcommand;
-scan's CSV and JSON, to stdout and to --out, at --threads 1 and 2; the CSV and
-JSON of a scan over rational and explicit alphas at --threads 1 and 2; and a
-preset with --out.  Run it in a `git archive` copy of each revision and compare the
-lines: equal lines mean byte-identical output.
+scan's CSV and JSON at --threads 1 and 2, over random alphas (to stdout and to
+--out) and over rational and explicit ones; a preset with --out; and `repstats`
+on inner and whole windows, int64 keys and repeated terms.  Run it in a `git
+archive` copy of each revision and compare the lines: equal lines mean
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ COMMANDS = (
     ("decompose", "15/64", "--out", "decompose.json"),
     ("energy", "--sequence", "poly:0,0,1", "--count", "300"),
     ("repstats", "--sequence", "poly:0,0,1", "--count", "300", "--n1", "50", "--n2", "200"),
+    ("repstats", "--sequence", "poly:0,0,1", "--count", "300"),
+    ("repstats", "--sequence", "lacunary:3", "--count", "30"),
+    ("repstats", "--sequence", "poly:0,-3,1", "--count", "20"),
     ("gcdsum", "--sequence", "poly:0,0,1", "--count", "100", "--variant", "one_over_max",
      "--threshold", "40"),
     ("divcheck", "--poly", "0,1,1", "--count", "50"),
