@@ -498,11 +498,11 @@ def gcd_sum(table: RepTable, variant: str, threshold=None, *,
         if threshold is None and math.isqrt(top) < k and top < 1 << 31:
             return _gcd_sum_divisors(us, rs, variant, pair_budget)
         t = max(threshold or 0, 0)
-        cells = int(t * math.log(t + 2) * k)
+        cells = t * math.log(t + 2) * k  # an inf or nan threshold takes the dense path
         # only the classes fit: the filtered dense path needs max u^2 < 2^62
-        forced = threshold is not None and top * top >= 1 << 62 and top * int(t) < 1 << 62
-        if forced and cells > pair_budget:
-            raise BudgetExceeded("gcd class sum too large", cells, pair_budget)
+        forced = threshold is not None and top * top >= 1 << 62 and top * t < 1 << 62
+        if forced and int(cells) > pair_budget:
+            raise BudgetExceeded("gcd class sum too large", int(cells), pair_budget)
         strategy = "classes" if forced or (t >= 1 and cells < k * k) else "dense"
     if strategy == "classes":
         if threshold is None:

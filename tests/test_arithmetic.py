@@ -515,6 +515,7 @@ def test_gcd_sum_threshold_monotone():
         prev = cur
     # a threshold past every coprime product recovers the unfiltered sum
     assert gcd_sum(table, "half", 14 * 14) == pytest.approx(gcd_sum(table, "half"))
+    assert gcd_sum(table, "half", math.inf) == pytest.approx(gcd_sum(table, "half"))
 
 
 def test_gcd_sum_guards():

@@ -730,8 +730,9 @@ def test_main_energy_builds_no_table(monkeypatch, capsys):
 
 def test_main_repstats_builds_no_table(monkeypatch, capsys):
     terms = generate_terms(SequenceSpec.poly((0, -3, 1)), 50)  # p(1) = p(2)
+    windows = ((1, 50), (20, 50), (3, 17))
     expected = []
-    for n1, n2 in ((1, 50), (20, 50), (3, 17)):
+    for n1, n2 in windows:
         table = rep_table(terms, n1, n2)
         expected.append((table.gaps.size, int(table.reps.max()), energy_window(table)))
     mass = sparse_u2_mass(rep_table(terms, 1, 50))[0]
@@ -741,7 +742,7 @@ def test_main_repstats_builds_no_table(monkeypatch, capsys):
 
     for name in ("rep_table", "energy_window", "sparse_u2_mass"):
         monkeypatch.setattr(cli.arithmetic, name, refuse)
-    for (n1, n2), (distinct, max_rep, energy) in zip(((1, 50), (20, 50), (3, 17)), expected):
+    for (n1, n2), (distinct, max_rep, energy) in zip(windows, expected):
         assert main(["repstats", "--sequence", "poly:0,-3,1", "--count", "50",
                      "--n1", str(n1), "--n2", str(n2)]) == 0
         doc = json.loads(capsys.readouterr().out)

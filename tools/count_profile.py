@@ -8,10 +8,10 @@ squares (`generate_terms`); `additive_energy` over 1..COUNT as its ordered
 sums, their sort and their walk; and, in one loop, the gap run walk over
 1..COUNT that `energy` and `repstats` run (`count.*`) and over 1..D, default
 3000, that `energy_direct` runs (`direct.*`), each as its keys, their sort
-and their walk, one value range at a time in the library's one key buffer.  tools/stage_timer.py
-times the stages, summing those run per value range.  Then comes a check of
-the staged values against `rep_table`'s histogram, `additive_energy` and
-`energy_direct`.
+and their walk, one value range at a time in the library's one key buffer.
+tools/stage_timer.py times the stages, summing those run per value range.
+Then comes a check of the staged values against `rep_table`'s histogram,
+`additive_energy` and `energy_direct`.
 """
 
 from __future__ import annotations
