@@ -365,12 +365,12 @@ def _gcd_weight(variant: str, g, u1, u2):
     return (g * g) / (u1 * u2)
 
 
-def _gcd_sum_dense(us, rs, variant, threshold, pair_budget):
-    k = us.size
-    if k * k > pair_budget:
-        raise BudgetExceeded("gcd double sum too large", k * k, pair_budget)
-    if threshold is not None and int(us[-1]) ** 2 >= 1 << 62:
+def _gcd_sum_dense(us, rs, variant, threshold, cells, pair_budget):
+    if cells is None:
         raise OverflowError("support too large for the filtered dense path: max gap^2 >= 2^62")
+    if cells > pair_budget:
+        raise BudgetExceeded("gcd double sum too large", cells, pair_budget)
+    k = us.size
     uf = us.astype(np.float64)
     block = max(1, min(k, _BLOCK_CELLS // max(k, 1)))
     total = 0.0
@@ -386,9 +386,13 @@ def _gcd_sum_dense(us, rs, variant, threshold, pair_budget):
     return total
 
 
-def _gcd_sum_classes(us, rs, variant, threshold):
+def _gcd_sum_classes(us, rs, variant, threshold, cells, pair_budget):
     # Enumerate ordered coprime (a, b) with a b <= T; for each, sum
     # Rep(g a) Rep(g b) over g via sorted lookups.
+    if cells is None:
+        raise OverflowError("threshold too large for the class strategy")
+    if cells > pair_budget:
+        raise BudgetExceeded("gcd class sum too large", cells, pair_budget)
     total = 0.0
     t_cap = int(threshold)
     n = us.size
@@ -431,15 +435,14 @@ def _jordan_totient(d: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _gcd_sum_divisors(us, rs, variant, pair_budget):
+def _gcd_sum_divisors(us, rs, variant, threshold, cells, pair_budget):
     # gcd(u1, u2) = sum of phi(d) and gcd(u1, u2)^2 = sum of J_2(d) over the
     # common divisors d, so the double sum splits into one sum per divisor d
     # over the u that d divides.  Divisor pairs (d, u) come from trial
     # division by d <= isqrt(u), each d paired with its cofactor u / d.
-    k = us.size
-    root = math.isqrt(int(us[-1]))
-    if root * k > pair_budget:
-        raise BudgetExceeded("gcd divisor sum too large", root * k, pair_budget)
+    if cells > pair_budget:  # only 'auto' takes it, threshold None, max u < 2^31
+        raise BudgetExceeded("gcd divisor sum too large", cells, pair_budget)
+    k, root = us.size, math.isqrt(int(us[-1]))
     divs, cols = [], []
     block = max(1, _BLOCK_CELLS // k)
     for d0 in range(1, root + 1, block):
@@ -477,43 +480,37 @@ def gcd_sum(table: RepTable, variant: str, threshold=None, *,
     restricted to pairs with u1 u2 / gcd(u1, u2)^2 <= threshold.
 
     Weights: half = gcd/sqrt(u1 u2), one_over_max = gcd/max(u1, u2),
-    squared = gcd^2/(u1 u2).  strategy 'dense' walks all K^2 cells in numpy
-    blocks; 'classes' (threshold required) enumerates coprime shape classes
-    (a, b) with a b <= threshold, which is far cheaper for small thresholds.
-    'auto' picks between them by cost (T ln(T + 2) K cells for the classes),
-    but takes the classes when only they fit int64 (max u * T < 2^62 <= max
-    u^2).  Without a threshold, when isqrt(max u) < K, it splits the sum over
-    common divisors d by gcd = sum of phi(d) (gcd^2 = sum of J_2(d)), which
-    costs isqrt(max u) * K cells of trial division.  That route needs max u <
-    2^31, so that J_2(d) <= d^2 stays exact in int64.  The dense cells, the
-    trial divisions and those forced classes are charged against pair_budget.
+    squared = gcd^2/(u1 u2).  Each route is exact under a condition and costs
+    cells (K distinct gaps, threshold T): the divisor sum (gcd = sum of phi(d)
+    over common divisors d, gcd^2 = sum of J_2(d)) needs no threshold and max
+    u < 2^31 and costs isqrt(max u) * K; the dense grid needs no threshold or
+    max u^2 < 2^62 and costs K^2; the coprime classes (a, b) with a b <= T
+    need max u * T < 2^62 (false for an inf or nan T) and cost
+    T' ln(T' + 2) K, T' = max(T, 0).  strategy 'auto' takes the cheapest exact
+    route (the dense grid on a tie, and its OverflowError when none is exact);
+    'dense' or 'classes' forces one.  The route then refuses what it cannot
+    compute exactly, charges its cells against pair_budget, and runs.
     """
     if variant not in GCD_VARIANTS:
         raise ValueError(f"unknown gcd_sum variant {variant!r}; expected one of {GCD_VARIANTS}")
+    if strategy not in ("auto", "dense", "classes"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "classes" and threshold is None:
+        raise ValueError("the class strategy requires a threshold")
     if not table.gaps.size:
         return 0.0
     us, rs = table.gaps, table.reps.astype(np.float64)
-    auto, k, top = strategy == "auto", us.size, int(us[-1])
-    if auto:
-        if threshold is None and math.isqrt(top) < k and top < 1 << 31:
-            return _gcd_sum_divisors(us, rs, variant, pair_budget)
-        t = max(threshold or 0, 0)
-        cells = t * math.log(t + 2) * k  # an inf or nan threshold takes the dense path
-        # only the classes fit: the filtered dense path needs max u^2 < 2^62
-        forced = threshold is not None and top * top >= 1 << 62 and top * t < 1 << 62
-        if forced and int(cells) > pair_budget:
-            raise BudgetExceeded("gcd class sum too large", int(cells), pair_budget)
-        strategy = "classes" if forced or (t >= 1 and cells < k * k) else "dense"
-    if strategy == "classes":
-        if threshold is None:
-            raise ValueError("the class strategy requires a threshold")
-        if top * int(threshold) < 1 << 62:
-            return _gcd_sum_classes(us, rs, variant, threshold)  # 0.0 for threshold < 1
-        if not auto:
-            raise OverflowError("threshold too large for the class strategy")
-    elif strategy != "dense":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return _gcd_sum_dense(us, rs, variant, threshold, pair_budget)
+    k, top, t = us.size, int(us[-1]), max(threshold or 0, 0)
+    # the exact routes' cells (a route left out gets None), the dense grid's first to win a tie
+    cells = {"dense": k * k} if threshold is None or top * top < 1 << 62 else {}
+    if threshold is None and top < 1 << 31:
+        cells["divisors"] = math.isqrt(top) * k
+    if threshold is not None and threshold < -(-(1 << 62) // top):  # top * floor(T) < 2^62
+        cells["classes"] = int(t * math.log(t + 2) * k)
+    if strategy == "auto":
+        strategy = min(cells, key=cells.get, default="dense")
+    route = {"dense": _gcd_sum_dense, "divisors": _gcd_sum_divisors, "classes": _gcd_sum_classes}
+    return route[strategy](us, rs, variant, threshold, cells.get(strategy), pair_budget)
 
 
 def gcd_average(x: int) -> float:

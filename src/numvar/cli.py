@@ -402,9 +402,15 @@ def _output(path: Optional[str]):
         yield fh
 
 
-def _sequence_terms(args):
+def _sequence_spec(args) -> SequenceSpec:
     with _input_error("--sequence"):
-        return generate_terms(SequenceSpec.parse(args.sequence), args.count)
+        return SequenceSpec.parse(args.sequence)
+
+
+def _sequence_terms(spec: SequenceSpec, count: int):
+    """The first `count` terms, built once the command's checks and charge have passed."""
+    with _input_error("--sequence"):
+        return generate_terms(spec, count)
 
 
 def _dyadic_s(text: str) -> Fraction:
@@ -461,10 +467,10 @@ def _cmd_decompose(args) -> dict:
 
 
 def _cmd_energy(args) -> dict:
-    terms = _sequence_terms(args)
-    n1, n2 = _window(args)
+    spec, (n1, n2) = _sequence_spec(args), _window(args)
     out = {"sequence": args.sequence, "window": [n1, n2],
            "pair_count": arithmetic._budgeted_pairs(n1, n2, args.pair_budget)}
+    terms = _sequence_terms(spec, args.count)
     whole = (n1, n2) == (1, args.count)
     if whole:  # first, so that its count^2 budget fails before any pair is built
         energy = arithmetic.additive_energy(terms, args.count, pair_budget=args.pair_budget)
@@ -475,12 +481,12 @@ def _cmd_energy(args) -> dict:
 
 
 def _cmd_repstats(args) -> dict:
-    terms = _sequence_terms(args)
+    spec, (n1, n2) = _sequence_spec(args), _window(args)
     pairs = args.count * (args.count - 1) // 2  # repeated_mass reads every pair of 1..--count
     if pairs > args.pair_budget:
         raise BudgetExceeded(f"repeated_mass reads every pair of 1..--count {args.count}",
                              pairs, args.pair_budget)
-    n1, n2 = _window(args)
+    terms = _sequence_terms(spec, args.count)
     # the gaps' runs: (distinct gaps, #{Rep = 1}, max Rep, sum of Rep^2)
     distinct, _, max_rep, energy = whole = arithmetic._gap_run_stats(terms, n1, n2)
     if (n1, n2) != (1, args.count):
@@ -500,8 +506,10 @@ def _cmd_repstats(args) -> dict:
 
 
 def _cmd_gcdsum(args) -> dict:
-    terms = _sequence_terms(args)
-    table = arithmetic.rep_table(terms, 1, args.count, pair_budget=args.pair_budget)
+    spec = _sequence_spec(args)
+    arithmetic._budgeted_pairs(1, args.count, args.pair_budget)  # the table's charge, early
+    table = arithmetic.rep_table(_sequence_terms(spec, args.count), 1, args.count,
+                                 pair_budget=args.pair_budget)
     value = arithmetic.gcd_sum(table, args.variant, threshold=args.threshold,
                                pair_budget=args.pair_budget)
     return {

@@ -452,8 +452,8 @@ def brute_gcd_sum(counts, variant, threshold):
     for u1, r1 in counts.items():
         for u2, r2 in counts.items():
             g = math.gcd(u1, u2)
-            if threshold is not None and (u1 // g) * (u2 // g) > threshold:
-                continue
+            if threshold is not None and not (u1 // g) * (u2 // g) <= threshold:
+                continue  # a nan threshold keeps no pair
             if variant == "half":
                 w = g / math.sqrt(u1 * u2)
             elif variant == "one_over_max":
@@ -530,6 +530,79 @@ def test_gcd_sum_guards():
     with pytest.raises(OverflowError):
         gcd_sum(_table({1 << 32: 1}), "half", 1 << 30, strategy="classes")
     assert gcd_sum(_table({5: 1}), "half", 0, strategy="classes") == 0.0
+    # the strategy and its threshold are checked before an empty table returns
+    with pytest.raises(ValueError, match="unknown strategy"):
+        gcd_sum(_table({}), "half", strategy="sparse")
+    with pytest.raises(ValueError, match="requires a threshold"):
+        gcd_sum(_table({}), "half", strategy="classes")
+    # forced classes are charged their cells; forced dense refuses an inexact
+    # filter before it charges its K^2 cells
+    with pytest.raises(BudgetExceeded, match="gcd class sum too large"):
+        gcd_sum(_table({u: 1 for u in range(1, 100)}), "half", 40, strategy="classes",
+                pair_budget=10)
+    with pytest.raises(OverflowError):
+        gcd_sum(_table({1 << 32: 1, 3 << 32: 1}), "half", 1, strategy="dense", pair_budget=1)
+
+
+def test_gcd_sum_takes_the_cheapest_exact_route(monkeypatch):
+    # K = 40 gaps up to 40: isqrt(40) K = 240 divisor cells, K^2 = 1600 dense
+    # cells, and T ln(T + 2) K class cells: 43 at T = 1, 1266 at 12, 5979 at 40
+    small = _table({u: 1 + u % 3 for u in range(1, 41)})
+    tie = _table({1: 1, 2: 1, 9: 1})  # isqrt(max u) = K: the dense grid wins the tie
+    # K = 46341 > isqrt(max u) = 46340, with max u on either side of 2^31
+    below, at = (_table({**dict.fromkeys(range(1, 46341), 1), top: 1})
+                 for top in ((1 << 31) - 1, 1 << 31))
+    # max u^2 >= 2^62, and max u * T < 2^62 up to T = 2^27
+    wide = _table({1 << 32: 2, 3 << 32: 1, 5 << 32: 3, (7 << 32) + 1: 1})
+    ran = []
+    for name in ("_gcd_sum_divisors", "_gcd_sum_dense", "_gcd_sum_classes"):
+        monkeypatch.setattr(arithmetic, name, lambda *a, _f=getattr(arithmetic, name),
+                            _name=name[9:]: ran.append(_name) or _f(*a))
+    nan, inf, big = math.nan, math.inf, 10 ** 7
+    cells12 = int(12 * math.log(14) * 40)
+    cases = [  # (table, threshold, strategy, pair_budget, route, what it raises)
+        *((small, t, "auto", None, route, None) for t, route in (
+            (None, "divisors"), (-3, "classes"), (0, "classes"), (0.5, "classes"),
+            (1, "classes"), (12, "classes"), (40, "dense"), (1 << 28, "dense"),
+            (nan, "dense"), (inf, "dense"))),
+        (tie, None, "auto", None, "dense", None),
+        (small, 12, "auto", cells12, "classes", None),
+        (small, 12, "auto", cells12 - 1, "classes", BudgetExceeded),
+        *((small, t, "dense", None, "dense", None) for t in (None, -3, 0.5, 12, 40, nan, inf)),
+        (small, 12, "dense", 1599, "dense", BudgetExceeded),
+        *((small, t, "classes", None, "classes", None) for t in (-3, 0, 1, 12, 40)),
+        (small, None, "classes", None, None, ValueError),
+        (small, 1 << 28, "classes", None, "classes", BudgetExceeded),
+        (small, nan, "classes", None, "classes", OverflowError),
+        (small, inf, "classes", None, "classes", OverflowError),
+        (below, None, "auto", big, "divisors", BudgetExceeded),
+        (below, 40, "auto", big, "classes", None),
+        (below, 1 << 28, "auto", big, "dense", BudgetExceeded),
+        (at, None, "auto", big, "dense", BudgetExceeded),
+        (at, 40, "auto", big, "classes", None),
+        (at, 1 << 28, "auto", big, "classes", BudgetExceeded),
+        *((wide, t, "auto", None, route, None) for t, route in (
+            (None, "dense"), (-3, "classes"), (0.5, "classes"), (40, "classes"))),
+        (wide, 1 << 27, "auto", None, "classes", BudgetExceeded),
+        *((wide, t, "auto", None, "dense", OverflowError) for t in (1 << 28, nan, inf)),
+        (wide, None, "dense", None, "dense", None),
+        (wide, 40, "dense", None, "dense", OverflowError),
+        (wide, 40, "classes", None, "classes", None),
+        (wide, 1 << 28, "classes", None, "classes", OverflowError),
+    ]
+    for table, t, strategy, budget, route, raises in cases:
+        ran.clear()
+        kwargs = {"strategy": strategy, **({} if budget is None else {"pair_budget": budget})}
+        if raises:
+            with pytest.raises(raises):
+                gcd_sum(table, "half", t, **kwargs)
+        else:
+            value = gcd_sum(table, "half", t, **kwargs)
+            if table.gaps.size < 100:
+                assert value == pytest.approx(brute_gcd_sum(table.counts, "half", t), rel=1e-12)
+            if route != "divisors":
+                assert value == gcd_sum(table, "half", t, strategy=route, pair_budget=budget or big)
+        assert ran[:1] == ([route] if route else []), (t, strategy, budget)
 
 
 def test_gcd_sum_auto_takes_classes_where_dense_overflows():

@@ -996,13 +996,19 @@ def test_main_repstats_narrow_window(capsys):
 
 def test_main_repstats_budget_names_the_pairs_repeated_mass_reads(monkeypatch, capsys):
     # the window holds 49 999 pairs, but repeated_mass reads every pair of
-    # 1..--count: that is refused before any table is built
+    # 1..--count: that is refused before any term or table is built
     monkeypatch.setattr(cli.arithmetic, "rep_table", lambda *a, **k: pytest.fail("table built"))
-    assert main(["repstats", "--sequence", "poly:0,0,1", "--count", "50000", "--n1", "50000",
-                 "--pair-budget", "100000"]) == 3
+    monkeypatch.setattr(cli, "generate_terms", lambda *a, **k: pytest.fail("terms built"))
+    argv = ["repstats", "--sequence", "poly:0,0,1", "--count", "50000"]
+    assert main([*argv, "--n1", "50000", "--pair-budget", "100000"]) == 3
     err = capsys.readouterr().err
     assert "repeated_mass reads every pair of 1..--count 50000" in err
     assert "estimated 1249975000, budget 100000" in err
+    # the sequence and the window are checked before the charge, as in energy
+    assert main([*argv, "--n1", "60000", "--pair-budget", "10"]) == 2
+    assert "window --n1 60000 --n2 50000 outside 1..--count 50000" in capsys.readouterr().err
+    assert main(["repstats", "--sequence", "poly:", "--count", "5", "--pair-budget", "0"]) == 2
+    assert "--sequence" in capsys.readouterr().err
 
 
 def test_main_energy_checks_the_sum_budget_before_any_table(monkeypatch, capsys):
@@ -1016,11 +1022,16 @@ def test_main_energy_checks_the_sum_budget_before_any_table(monkeypatch, capsys)
                      "--pair-budget", "300000000"]) == 3
     err = capsys.readouterr().err
     assert "ordered-sum enumeration too large (estimated 400000000, budget 300000000)" in err
-    # a table over its own budget still fails with its own message
-    assert main(["energy", "--sequence", "poly:0,0,1", "--count", "100",
-                 "--pair-budget", "4949"]) == 3
-    err = capsys.readouterr().err
-    assert "pair enumeration too large" in err and "estimated 4950, budget 4949" in err
+    # the window's pairs, and gcdsum's table's, are charged before any term is
+    # built, under the table's message; a malformed sequence is refused first
+    monkeypatch.setattr(cli, "generate_terms", lambda *a, **k: pytest.fail("terms built"))
+    for command in ("energy", "gcdsum"):
+        argv = [command, "--sequence", "poly:0,0,1", "--count", "100"]
+        assert main([*argv, "--pair-budget", "4949"]) == 3
+        err = capsys.readouterr().err
+        assert "pair enumeration too large" in err and "estimated 4950, budget 4949" in err
+        assert main([command, "--sequence", "poly:", "--count", "5", "--pair-budget", "0"]) == 2
+        assert "--sequence" in capsys.readouterr().err
 
 
 _ENERGY = ["energy", "--sequence", "poly:0,0,1", "--count", "300"]

@@ -10,9 +10,12 @@ stderr and the file its --out names, if any, with the value of every
 `"wall_time"` replaced by a fixed string.  The list covers every subcommand;
 scan's CSV and JSON at --threads 1 and 2, over random alphas (to stdout and to
 --out) and over rational and explicit ones; a preset with --out; and `repstats`
-on inner and whole windows, int64 keys and repeated terms.  Run it in a `git
-archive` copy of each revision and compare the lines: equal lines mean
-byte-identical output.
+on inner and whole windows, int64 keys and repeated terms.  It ends with
+refusals (_REFUSALS): counting commands over their --pair-budget (exit 3),
+terms or a threshold too large for the exact paths and a window past
+--count (exit 2), and the gcd sum routes at their edges.  Each of them
+allocates at most a few MB.  Run it in a `git archive` copy of each revision
+and compare the lines: equal lines mean byte-identical output.
 """
 
 from __future__ import annotations
@@ -49,6 +52,20 @@ _SCANS = tuple(
 _RATIONAL_SCANS = tuple(("scan", "--config", "rational.conf", "--threads", threads, *fmt)
                         for threads in ("1", "2") for fmt in ((), ("--format", "json")))
 
+_SQUARES, _LACUNARY = ("--sequence", "poly:0,0,1"), ("--sequence", "lacunary:2")
+_GCD_EDGE = ("gcdsum", *_SQUARES, "--count", "100", "--pair-budget", "20000")
+_REFUSALS = (
+    ("energy", *_SQUARES, "--count", "300", "--pair-budget", "1000"),
+    ("repstats", *_SQUARES, "--count", "300", "--pair-budget", "1000"),
+    ("divcheck", "--poly", "0,1,1", "--count", "50", "--pair-budget", "1000"),
+    ("gcdsum", *_LACUNARY, "--count", "40", "--threshold", "1000"),  # only the classes fit
+    ("energy", *_LACUNARY, "--count", "62"),  # terms past 2^62
+    (*_GCD_EDGE, "--threshold", "40"),  # the classes' cells top the budget
+    (*_GCD_EDGE, "--threshold", "0.5"),  # no coprime class: 0.0 by the classes
+    ("gcdsum", *_LACUNARY, "--count", "40", "--threshold", "1e15", "--pair-budget", "1000"),
+    ("repstats", *_SQUARES, "--count", "50000", "--n1", "60000"),  # the window past --count
+)
+
 COMMANDS = (
     *_SCANS,
     *_RATIONAL_SCANS,
@@ -66,6 +83,7 @@ COMMANDS = (
     ("random-baseline", "--n", "100", "--s", "1/8", "--replicates", "20", "--seed", "5"),
     ("bridge-sim", "--m", "256", "--s", "1/4", "--n", "100", "--paths", "20", "--seed", "3"),
     ("kronecker", "--alpha", "golden", "--s-grid", "1/4,1/8", "--n-max", "1000"),
+    *_REFUSALS,
 )
 
 _WALL_TIME = re.compile(rb'("wall_time": )[^,\n}]+')
