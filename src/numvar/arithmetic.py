@@ -316,17 +316,35 @@ def energy_direct(terms, n1: int, n2: int) -> int:
     return _gap_run_stats(terms, n1, n2)[3]
 
 
+def _primes(limit: int) -> np.ndarray:
+    """The primes p <= limit, ascending, by the sieve of Eratosthenes."""
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve)
+
+
+def _factor(u: int) -> list:
+    """The prime powers (p, e) of u >= 1, p ascending, by trial division by 2, then odd p."""
+    powers, p = [], 2
+    while p * p <= u:
+        e = 0
+        while u % p == 0:
+            u, e = u // p, e + 1
+        if e:
+            powers.append((p, e))
+        p += 1 if p == 2 else 2
+    return powers + [(u, 1)] * (u > 1)
+
+
 def _divisors(u: int) -> list:
-    """All positive divisors of u, by trial division."""
-    small, large = [], []
-    d = 1
-    while d * d <= u:
-        if u % d == 0:
-            small.append(d)
-            if d * d != u:
-                large.append(u // d)
-        d += 1
-    return small + large[::-1]
+    """All positive divisors of u, ascending, from its prime powers."""
+    divs = [1]
+    for p, e in _factor(u):
+        divs = [d * p ** i for i in range(e + 1) for d in divs]
+    return sorted(divs)
 
 
 def rep_quadratic_divisor(p, u: int, n_limit=None, divisors=None) -> int:
@@ -365,11 +383,7 @@ def _gcd_weight(variant: str, g, u1, u2):
     return (g * g) / (u1 * u2)
 
 
-def _gcd_sum_dense(us, rs, variant, threshold, cells, pair_budget):
-    if cells is None:
-        raise OverflowError("support too large for the filtered dense path: max gap^2 >= 2^62")
-    if cells > pair_budget:
-        raise BudgetExceeded("gcd double sum too large", cells, pair_budget)
+def _gcd_sum_dense(us, rs, variant, threshold):
     k = us.size
     uf = us.astype(np.float64)
     block = max(1, min(k, _BLOCK_CELLS // max(k, 1)))
@@ -386,13 +400,9 @@ def _gcd_sum_dense(us, rs, variant, threshold, cells, pair_budget):
     return total
 
 
-def _gcd_sum_classes(us, rs, variant, threshold, cells, pair_budget):
+def _gcd_sum_classes(us, rs, variant, threshold):
     # Enumerate ordered coprime (a, b) with a b <= T; for each, sum
     # Rep(g a) Rep(g b) over g via sorted lookups.
-    if cells is None:
-        raise OverflowError("threshold too large for the class strategy")
-    if cells > pair_budget:
-        raise BudgetExceeded("gcd class sum too large", cells, pair_budget)
     total = 0.0
     t_cap = int(threshold)
     n = us.size
@@ -419,29 +429,24 @@ def _gcd_sum_classes(us, rs, variant, threshold, cells, pair_budget):
 
 def _jordan_totient(d: np.ndarray, k: int) -> np.ndarray:
     """J_k(d) = d^k prod_{p | d} (1 - p^-k) for distinct positive int64 d, by
-    vectorised trial division; exact while d^k < 2^63."""
-    out = d ** k
-    rest = d.copy()
-    for p in range(2, math.isqrt(int(d.max())) + 1):
-        hit = rest % p == 0
-        if not hit.any():
-            continue  # p is composite, or divides no d
+    division by the primes up to isqrt(max d); exact while d^k < 2^63."""
+    out, rest = d ** k, d.copy()
+    for p in _primes(math.isqrt(int(d.max()))).tolist():
+        hit = np.flatnonzero(rest % p == 0)
         out[hit] -= out[hit] // p ** k
-        while hit.any():
+        while hit.size:
             rest[hit] //= p
-            hit = rest % p == 0
+            hit = hit[rest[hit] % p == 0]
     big = rest > 1  # one prime factor above the square root is left
     out[big] -= out[big] // rest[big] ** k
     return out
 
 
-def _gcd_sum_divisors(us, rs, variant, threshold, cells, pair_budget):
+def _gcd_sum_divisors(us, rs, variant, threshold):
     # gcd(u1, u2) = sum of phi(d) and gcd(u1, u2)^2 = sum of J_2(d) over the
     # common divisors d, so the double sum splits into one sum per divisor d
     # over the u that d divides.  Divisor pairs (d, u) come from trial
     # division by d <= isqrt(u), each d paired with its cofactor u / d.
-    if cells > pair_budget:  # only 'auto' takes it, threshold None, max u < 2^31
-        raise BudgetExceeded("gcd divisor sum too large", cells, pair_budget)
     k, root = us.size, math.isqrt(int(us[-1]))
     divs, cols = [], []
     block = max(1, _BLOCK_CELLS // k)
@@ -474,22 +479,54 @@ def _gcd_sum_divisors(us, rs, variant, threshold, cells, pair_budget):
     return float(np.sum(_jordan_totient(divs[starts], 2) * (per_d * per_d)))
 
 
+def _gcd_route(strategy: str, k: int, top: int, threshold, pair_budget: int) -> str:
+    """The route gcd_sum runs over K distinct gaps up to top >= 1 at threshold T,
+    once it has refused an inexact route (OverflowError) and charged the route's
+    cells against pair_budget (BudgetExceeded).
+
+    Each route is exact under a condition and costs cells: the divisor sum
+    needs no threshold and max u < 2^31 and costs isqrt(max u) * K; the dense
+    grid needs no threshold or max u^2 < 2^62 and costs K^2; the coprime
+    classes need max u * T < 2^62 (false for an inf or nan T) and cost
+    T' ln(T' + 2) K, T' = max(T, 0).  strategy 'auto' takes the cheapest exact
+    route (the dense grid on a tie, and its OverflowError when none is exact);
+    'dense' or 'classes' forces one.  Every route's cells grow with K, so a
+    charge that passes for an upper bound on K passes for K.
+    """
+    t = max(threshold or 0, 0)
+    # the exact routes' cells (a route left out is refused), the dense grid's first to win a tie
+    cells = {"dense": k * k} if threshold is None or top * top < 1 << 62 else {}
+    if threshold is None and top < 1 << 31:
+        cells["divisors"] = math.isqrt(top) * k
+    if threshold is not None and threshold < -(-(1 << 62) // top):  # top * floor(T) < 2^62
+        cells["classes"] = int(t * math.log(t + 2) * k)
+    if strategy == "auto":
+        strategy = min(cells, key=cells.get, default="dense")
+    inexact, costly = {
+        "dense": ("support too large for the filtered dense path: max gap^2 >= 2^62",
+                  "gcd double sum too large"),
+        "classes": ("threshold too large for the class strategy", "gcd class sum too large"),
+        "divisors": (None, "gcd divisor sum too large"),  # only auto takes it, so it is exact
+    }[strategy]
+    if strategy not in cells:
+        raise OverflowError(inexact)
+    if cells[strategy] > pair_budget:
+        raise BudgetExceeded(costly, cells[strategy], pair_budget)
+    return strategy
+
+
 def gcd_sum(table: RepTable, variant: str, threshold=None, *,
             strategy: str = "auto", pair_budget: int = DEFAULT_PAIR_BUDGET) -> float:
     """Double sum over the table of Rep(u1) Rep(u2) w(u1, u2), optionally
     restricted to pairs with u1 u2 / gcd(u1, u2)^2 <= threshold.
 
     Weights: half = gcd/sqrt(u1 u2), one_over_max = gcd/max(u1, u2),
-    squared = gcd^2/(u1 u2).  Each route is exact under a condition and costs
-    cells (K distinct gaps, threshold T): the divisor sum (gcd = sum of phi(d)
-    over common divisors d, gcd^2 = sum of J_2(d)) needs no threshold and max
-    u < 2^31 and costs isqrt(max u) * K; the dense grid needs no threshold or
-    max u^2 < 2^62 and costs K^2; the coprime classes (a, b) with a b <= T
-    need max u * T < 2^62 (false for an inf or nan T) and cost
-    T' ln(T' + 2) K, T' = max(T, 0).  strategy 'auto' takes the cheapest exact
-    route (the dense grid on a tie, and its OverflowError when none is exact);
-    'dense' or 'classes' forces one.  The route then refuses what it cannot
-    compute exactly, charges its cells against pair_budget, and runs.
+    squared = gcd^2/(u1 u2).  Three routes: the divisor sum (gcd = sum of
+    phi(d) over common divisors d, gcd^2 = sum of J_2(d)), the dense grid and
+    the coprime classes (a, b) with a b <= T.  strategy 'auto' takes the
+    cheapest exact one and 'dense' or 'classes' forces one; _gcd_route refuses
+    an inexact route and charges the route's cells against pair_budget before
+    it runs.
     """
     if variant not in GCD_VARIANTS:
         raise ValueError(f"unknown gcd_sum variant {variant!r}; expected one of {GCD_VARIANTS}")
@@ -500,17 +537,9 @@ def gcd_sum(table: RepTable, variant: str, threshold=None, *,
     if not table.gaps.size:
         return 0.0
     us, rs = table.gaps, table.reps.astype(np.float64)
-    k, top, t = us.size, int(us[-1]), max(threshold or 0, 0)
-    # the exact routes' cells (a route left out gets None), the dense grid's first to win a tie
-    cells = {"dense": k * k} if threshold is None or top * top < 1 << 62 else {}
-    if threshold is None and top < 1 << 31:
-        cells["divisors"] = math.isqrt(top) * k
-    if threshold is not None and threshold < -(-(1 << 62) // top):  # top * floor(T) < 2^62
-        cells["classes"] = int(t * math.log(t + 2) * k)
-    if strategy == "auto":
-        strategy = min(cells, key=cells.get, default="dense")
+    strategy = _gcd_route(strategy, us.size, int(us[-1]), threshold, pair_budget)
     route = {"dense": _gcd_sum_dense, "divisors": _gcd_sum_divisors, "classes": _gcd_sum_classes}
-    return route[strategy](us, rs, variant, threshold, cells.get(strategy), pair_budget)
+    return route[strategy](us, rs, variant, threshold)
 
 
 def gcd_average(x: int) -> float:
@@ -522,9 +551,8 @@ def gcd_average(x: int) -> float:
     if not 1 <= x <= 10 ** 7:
         raise ValueError("x must be in 1..10^7")
     phi = np.arange(x + 1, dtype=np.int64)
-    for p in range(2, x + 1):
-        if phi[p] == p:  # p prime
-            phi[p::p] -= phi[p::p] // p
+    for p in _primes(x).tolist():
+        phi[p::p] -= phi[p::p] // p
     return math.fsum(int(phi[d]) * (x // d) / d for d in range(1, x + 1)) - x
 
 
@@ -544,19 +572,9 @@ def difference_set(coeffs, count: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
 
 
 def _radical(ell: int):
-    """(rad(ell), omega(ell)) by trial division."""
-    rad, omega, rest, p = 1, 0, ell, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            rad *= p
-            omega += 1
-            while rest % p == 0:
-                rest //= p
-        p += 1 if p == 2 else 2
-    if rest > 1:
-        rad *= rest
-        omega += 1
-    return rad, omega
+    """(rad(ell), omega(ell)) from ell's prime powers."""
+    primes = [p for p, _ in _factor(ell)]
+    return math.prod(primes), len(primes)
 
 
 def divisibility_bound_check(diffs: np.ndarray, ell: int, degree: int, count: int):

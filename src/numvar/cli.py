@@ -37,7 +37,7 @@ from typing import Optional
 from . import __version__ as CODE_VERSION
 from . import arithmetic, baselines, dyadic
 from .arithmetic import DEFAULT_PAIR_BUDGET, BudgetExceeded
-from .points import Alpha, SequenceSpec, dilate_mod1, generate_terms
+from .points import Alpha, SequenceSpec, dilate_mod1, generate_terms, term_array
 from .variance import S_DEN_BITS, VarianceRecord, WindowAccumulator, as_dyadic
 
 CSV_HEADER = "N,S_num,S_den,alpha_hex,V,ratio"
@@ -508,8 +508,20 @@ def _cmd_repstats(args) -> dict:
 def _cmd_gcdsum(args) -> dict:
     spec = _sequence_spec(args)
     arithmetic._budgeted_pairs(1, args.count, args.pair_budget)  # the table's charge, early
-    table = arithmetic.rep_table(_sequence_terms(spec, args.count), 1, args.count,
-                                 pair_budget=args.pair_budget)
+    terms = _sequence_terms(spec, args.count)
+    x = term_array(terms, arithmetic.PAIR_LIMIT)  # rep_table's OverflowError, early
+    top = int(x.max()) - int(x.min())  # the largest gap; without one gcd_sum returns 0.0
+    if top:
+        # gcd_sum's refusal and charge, before the table: first for the most
+        # distinct gaps K there can be; only if that tops the budget, for the K
+        # that one walk over the sorted gaps counts
+        k = min(args.count * (args.count - 1) // 2, top)
+        try:
+            arithmetic._gcd_route("auto", k, top, args.threshold, args.pair_budget)
+        except BudgetExceeded:
+            k = arithmetic._gap_run_stats(terms, 1, args.count)[0]
+            arithmetic._gcd_route("auto", k, top, args.threshold, args.pair_budget)
+    table = arithmetic.rep_table(terms, 1, args.count, pair_budget=args.pair_budget)
     value = arithmetic.gcd_sum(table, args.variant, threshold=args.threshold,
                                pair_budget=args.pair_budget)
     return {

@@ -590,19 +590,26 @@ def test_gcd_sum_takes_the_cheapest_exact_route(monkeypatch):
         (wide, 40, "classes", None, "classes", None),
         (wide, 1 << 28, "classes", None, "classes", OverflowError),
     ]
+    refusals = {  # a route refused or over budget is named by its message, and never runs
+        "dense": "support too large for the filtered dense path|gcd double sum too large",
+        "classes": "threshold too large for the class strategy|gcd class sum too large",
+        "divisors": "gcd divisor sum too large",
+        None: "requires a threshold",
+    }
     for table, t, strategy, budget, route, raises in cases:
         ran.clear()
         kwargs = {"strategy": strategy, **({} if budget is None else {"pair_budget": budget})}
         if raises:
-            with pytest.raises(raises):
+            with pytest.raises(raises, match=refusals[route]):
                 gcd_sum(table, "half", t, **kwargs)
+            assert ran == [], (t, strategy, budget)
         else:
             value = gcd_sum(table, "half", t, **kwargs)
             if table.gaps.size < 100:
                 assert value == pytest.approx(brute_gcd_sum(table.counts, "half", t), rel=1e-12)
             if route != "divisors":
                 assert value == gcd_sum(table, "half", t, strategy=route, pair_budget=budget or big)
-        assert ran[:1] == ([route] if route else []), (t, strategy, budget)
+            assert ran[:1] == [route], (t, strategy, budget)
 
 
 def test_gcd_sum_auto_takes_classes_where_dense_overflows():
@@ -633,6 +640,83 @@ def test_gcd_average_examples():
         gcd_average(0)
     with pytest.raises(ValueError):
         gcd_average(10 ** 7 + 1)
+
+
+def reference_primes(limit: int) -> list:
+    """The primes up to limit, by a plain-Python sieve."""
+    composite = bytearray(limit + 1)
+    for p in range(2, math.isqrt(limit) + 1):
+        if not composite[p]:
+            composite[p * p::p] = b"\1" * len(range(p * p, limit + 1, p))
+    return [p for p in range(2, limit + 1) if not composite[p]]
+
+
+_SMALL_PRIMES = reference_primes(1 << 16)
+
+
+def reference_factorisation(u: int) -> dict:
+    """{p: e} with u = prod p^e, in Python ints, by the primes p with p^2 <= the rest (u < 2^32)."""
+    powers: dict = {}
+    for p in _SMALL_PRIMES:
+        if p * p > u:
+            break
+        while u % p == 0:
+            u //= p
+            powers[p] = powers.get(p, 0) + 1
+    if u > 1:
+        powers[u] = 1
+    return powers
+
+
+def reference_gcd_average(x: int) -> float:
+    """gcd_average as it was before the sieve: phi by testing phi[p] == p for every p <= x."""
+    phi = np.arange(x + 1, dtype=np.int64)
+    for p in range(2, x + 1):
+        if phi[p] == p:  # p prime
+            phi[p::p] -= phi[p::p] // p
+    return math.fsum(int(phi[d]) * (x // d) / d for d in range(1, x + 1)) - x
+
+
+def _factor_cases():
+    """1..2*10^4, 2000 random d < 2^31, and 1, primes, prime squares and powers of 2."""
+    rng = np.random.default_rng(20170222)
+    primes = [2, 3, 5, 46337, 65521, 65537, (1 << 31) - 1]
+    special = [1, *primes, *(p * p for p in primes[:4]), *(1 << i for i in range(31))]  # all < 2^31
+    return [*range(1, 20001), *rng.integers(1, 1 << 31, 2000).tolist(), *special]
+
+
+def test_primes_match_a_plain_sieve():
+    for limit in (*range(0, 100), 46341, 1 << 16):
+        assert arithmetic._primes(limit).tolist() == reference_primes(limit)
+
+
+def test_factor_divisors_radical_and_jordan_totient_match_their_definitions():
+    lists = divisor_lists(20000)
+    cases = sorted(set(_factor_cases()))
+    factorisations = [reference_factorisation(u) for u in cases]
+    for u, powers in zip(cases, factorisations):
+        assert math.prod(p ** e for p, e in powers.items()) == u
+        assert arithmetic._factor(u) == sorted(powers.items())
+        divs = arithmetic._divisors(u)
+        if u <= 20000:
+            assert divs == lists[u]
+        # tau(u) = prod (e + 1) distinct divisors, ascending
+        assert len(divs) == math.prod(e + 1 for e in powers.values())
+        assert divs == sorted(set(divs)) and all(u % d == 0 for d in divs)
+        assert arithmetic._radical(u) == (math.prod(powers), len(powers))
+    for k in (1, 2):
+        # J_k(p^e) = p^(k e) - p^(k (e - 1)), and J_k is multiplicative
+        want = [math.prod(p ** (k * e) - p ** (k * (e - 1)) for p, e in powers.items())
+                for powers in factorisations]
+        assert arithmetic._jordan_totient(np.array(cases, dtype=np.int64), k).tolist() == want
+    assert arithmetic._divisors(2 ** 40) == [1 << i for i in range(41)]
+    assert arithmetic._divisors(10 ** 12 + 39) == [1, 10 ** 12 + 39]  # a prime
+    assert arithmetic._radical(2 ** 40 * 3 ** 5) == (6, 2)
+
+
+def test_gcd_average_matches_the_totient_loop_it_replaced():
+    for x in (*range(1, 60), 97, 1000, 4096, 9973, 10 ** 4):
+        assert gcd_average(x) == reference_gcd_average(x)
 
 
 def test_difference_set_examples():

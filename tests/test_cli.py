@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -821,6 +822,67 @@ def test_main_gcdsum_threshold_and_budget(capsys):
     assert main([*linear, "--pair-budget", "841"]) == 0
     assert main([*linear, "--pair-budget", "840"]) == 3
     assert "estimated 841, budget 840" in capsys.readouterr().err
+
+
+@pytest.fixture
+def gcdsum_calls(monkeypatch):
+    """Counts the gap walks (_gap_run_stats) and table builds (rep_table) of gcdsum."""
+    calls = []
+    for name in ("_gap_run_stats", "rep_table"):
+        monkeypatch.setattr(arithmetic, name, lambda *a, _f=getattr(arithmetic, name), _name=name,
+                            **kw: calls.append(_name) or _f(*a, **kw))
+    return calls
+
+
+def test_main_gcdsum_charges_its_route_before_the_table(gcdsum_calls, capsys):
+    # squares 1..100: K = 3009 distinct gaps up to 9999, so the divisor route
+    # costs 99 K = 297891 cells; the most K there can be, 4950 pairs, costs 490050
+    squares = ["gcdsum", "--sequence", "poly:0,0,1", "--count", "100"]
+    assert main(squares) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert gcdsum_calls == ["rep_table"]  # 490050 cells fit: no walk
+    gcdsum_calls.clear()
+    assert main([*squares, "--pair-budget", "297891"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == value
+    assert gcdsum_calls == ["_gap_run_stats", "rep_table"]
+    gcdsum_calls.clear()
+    assert main([*squares, "--pair-budget", "297890"]) == 3
+    assert capsys.readouterr().err == ("budget error: gcd divisor sum too large"
+                                       " (estimated 297891, budget 297890)\n")
+    assert gcdsum_calls == ["_gap_run_stats"]
+    # a route that is not exact is refused before any walk or table
+    gcdsum_calls.clear()
+    assert main(["gcdsum", "--sequence", "lacunary:2", "--count", "40",
+                 "--threshold", "1e15"]) == 2
+    assert capsys.readouterr().err == ("config error: support too large for the filtered"
+                                       " dense path: max gap^2 >= 2^62\n")
+    assert gcdsum_calls == []
+    # without a gap there is nothing to charge (nor a largest gap to divide by)
+    assert main(["gcdsum", "--sequence", "linear", "--count", "1", "--threshold", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 0.0
+
+
+def test_main_gcdsum_600_squares_walks_nothing_first(gcdsum_calls, capsys):
+    # the divisor route's most cells, isqrt(359999) * 179700 pairs, fit the budget
+    assert main(["gcdsum", "--sequence", "poly:0,0,1", "--count", "600"]) == 0
+    assert '"value": 31756067.267174564\n' in capsys.readouterr().out  # as before the early charge
+    assert gcdsum_calls == ["rep_table"]
+
+
+def test_main_gcdsum_over_budget_builds_no_table_in_300_mb():
+    # the divisor route over the squares 1..8000 costs 119660168609 cells; the
+    # table of their 32 million pairs alone would need more than 300 MB
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+    src = os.path.dirname(os.path.dirname(numvar.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "numvar.cli", "gcdsum", "--sequence", "poly:0,0,1",
+                           "--count", "8000"], env=env, capture_output=True, text=True, timeout=120,
+                          preexec_fn=limit)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", (
+        "budget error: gcd divisor sum too large (estimated 119660168609, budget 1000000000)\n"))
 
 
 def test_main_divcheck(capsys):

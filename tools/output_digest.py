@@ -9,8 +9,9 @@ one line, `sha256  command`: the sha256 of its exit code, its stdout, its
 stderr and the file its --out names, if any, with the value of every
 `"wall_time"` replaced by a fixed string.  The list covers every subcommand;
 scan's CSV and JSON at --threads 1 and 2, over random alphas (to stdout and to
---out) and over rational and explicit ones; a preset with --out; and `repstats`
-on inner and whole windows, int64 keys and repeated terms.  It ends with
+--out) and over rational and explicit ones; a preset with --out; `repstats`
+on inner and whole windows, int64 keys and repeated terms; and `gcdsum`'s
+divisor route in each variant.  It ends with
 refusals (_REFUSALS): counting commands over their --pair-budget (exit 3),
 terms or a threshold too large for the exact paths and a window past
 --count (exit 2), and the gcd sum routes at their edges.  Each of them
@@ -79,6 +80,9 @@ COMMANDS = (
     ("repstats", "--sequence", "poly:0,-3,1", "--count", "20"),
     ("gcdsum", "--sequence", "poly:0,0,1", "--count", "100", "--variant", "one_over_max",
      "--threshold", "40"),
+    # no threshold: the divisor route, through J_1 or J_2 by the variant
+    *(("gcdsum", *_SQUARES, "--count", "100", "--variant", variant)
+      for variant in ("half", "one_over_max", "squared")),
     ("divcheck", "--poly", "0,1,1", "--count", "50"),
     ("random-baseline", "--n", "100", "--s", "1/8", "--replicates", "20", "--seed", "5"),
     ("bridge-sim", "--m", "256", "--s", "1/4", "--n", "100", "--paths", "20", "--seed", "3"),
