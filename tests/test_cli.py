@@ -857,6 +857,11 @@ def test_main_gcdsum_charges_its_route_before_the_table(gcdsum_calls, capsys):
     assert capsys.readouterr().err == ("config error: support too large for the filtered"
                                        " dense path: max gap^2 >= 2^62\n")
     assert gcdsum_calls == []
+    # terms past 2^62 are refused as the table would refuse them, before any
+    # route (none would be exact for them at this threshold)
+    assert main(["gcdsum", "--sequence", "lacunary:2", "--count", "62", "--threshold", "3"]) == 2
+    assert "config error: terms must lie within" in capsys.readouterr().err
+    assert gcdsum_calls == []
     # without a gap there is nothing to charge (nor a largest gap to divide by)
     assert main(["gcdsum", "--sequence", "linear", "--count", "1", "--threshold", "5"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == 0.0
