@@ -134,13 +134,18 @@ def y_window_sum(counts, pair_count: int, kernel: PlateauKernel, alpha: Alpha) -
     pairs (pair_count = total pairs); the kernel is even, so each group
     contributes multiplicity * periodized(alpha u).  The pairs counts leaves
     out have equal terms (u = 0, as in rep_table) and add periodized(0) each.
-    Gaps must lie in the signed 64-bit range (OverflowError otherwise).
-    periodized is evaluated on the array of alpha u mod 1, with the same
-    roundings and the same summation order as the loop over counts.items().
+    Gaps must lie in the signed 64-bit range (OverflowError otherwise); a
+    multiplicity below 1, or multiplicities that sum past pair_count, raise
+    ValueError.  periodized is evaluated on the array of alpha u mod 1, with
+    the same roundings and the same summation order as the loop over
+    counts.items().
     """
     gaps = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
     reps = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    equal_pairs = pair_count - int(reps.sum())
+    if equal_pairs < 0 or (reps.size and reps.min() < 1):
+        raise ValueError("multiplicities must be >= 1 and sum to at most pair_count")
     vals = kernel.periodized(_grid_floats(*dilate_words(gaps, alpha)))
     acc = float(np.cumsum(reps * vals)[-1]) if reps.size else 0.0
-    acc += (pair_count - int(reps.sum())) * kernel.periodized(0.0)
+    acc += equal_pairs * kernel.periodized(0.0)
     return 2.0 * acc - 2.0 * pair_count * float(kernel.mean())

@@ -167,6 +167,16 @@ class PointSet:
         return np.array_equal(self.hi, other.hi) and np.array_equal(self.lo, other.lo)
 
 
+def _integers(items, rule: str) -> tuple:
+    """`items` as a tuple of Python ints; TypeError(f"{rule}, got <type>") for
+    any that is not a Python or numpy integer (bools are not)."""
+    items = tuple(items)
+    for kind in set(map(type, items)):
+        if not issubclass(kind, (int, np.integer)) or issubclass(kind, bool):
+            raise TypeError(f"{rule}, got {kind.__name__}")
+    return tuple(map(int, items))
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
     """A named integer sequence: polynomial, linear, lacunary, or an explicit list.
@@ -198,15 +208,15 @@ class SequenceSpec:
 
     @classmethod
     def poly(cls, coeffs) -> "SequenceSpec":
-        return cls("poly", coeffs=tuple(int(c) for c in coeffs))
+        return cls("poly", coeffs=_integers(coeffs, "coefficients must be integers"))
 
     @classmethod
     def lacunary(cls, base: int) -> "SequenceSpec":
-        return cls("lacunary", base=int(base))
+        return cls("lacunary", base=_integers([base], "lacunary base must be an integer")[0])
 
     @classmethod
     def explicit(cls, values) -> "SequenceSpec":
-        return cls("explicit", values=tuple(int(v) for v in values))
+        return cls("explicit", values=_integers(values, "explicit values must be integers"))
 
     @classmethod
     def parse(cls, text: str) -> "SequenceSpec":
@@ -243,57 +253,20 @@ class SequenceSpec:
         return "linear"
 
 
-def _check_term(value: int, index: int) -> int:
-    if abs(value) > TERM_LIMIT:
-        raise OverflowError(
-            f"term {index} has magnitude {abs(value)} exceeding the signed 64-bit range"
-        )
-    return value
-
-
 def _horner_fits(coeffs, count: int) -> bool:
-    """True when sum |c_i| count^i < 2^62, which bounds every Horner partial
-    value |acc * n| for 1 <= n <= count, so the int64 evaluation is exact.
-
-    Computed in float64: its rounding error is far below the margin to 2^63.
-    """
-    if any(abs(c) > TERM_LIMIT for c in coeffs):
-        return False
-    return sum(abs(c) * float(count) ** i for i, c in enumerate(coeffs)) < 2.0 ** 62
-
-
-def _term_loop(spec: SequenceSpec, count: int) -> list:
-    """The terms of a polynomial, lacunary or explicit spec, checked one by one."""
-    if spec.kind == "poly":
-        terms = []
-        for n in range(1, count + 1):
-            acc = 0
-            for c in reversed(spec.coeffs):
-                acc = acc * n + c
-            terms.append(_check_term(acc, n))
-        return terms
-    if spec.kind == "lacunary":
-        terms = []
-        acc = 1
-        for n in range(1, count + 1):
-            acc *= spec.base
-            terms.append(_check_term(acc, n))
-        return terms
-    # explicit
-    if count > len(spec.values):
-        raise ValueError(
-            f"explicit sequence has {len(spec.values)} terms, {count} requested"
-        )
-    return [_check_term(v, i + 1) for i, v in enumerate(spec.values[:count])]
+    """True when sum |c_i| max(count, 1)^i < 2^62 (on Python ints): it bounds each
+    |c_i| and every Horner partial |acc * n|, n <= count, so int64 is exact."""
+    return sum(abs(c) * max(count, 1) ** i for i, c in enumerate(coeffs)) < 1 << 62
 
 
 def generate_terms(spec: SequenceSpec, count: int) -> np.ndarray:
     """First `count` terms x_1..x_count of the sequence, as an int64 array.
 
-    Raises OverflowError naming the first index whose term leaves the signed
-    64-bit range, and ValueError if an explicit list is shorter than `count`.
-    A polynomial is evaluated in int64 when its size bound certifies it, and
-    by an exact Python loop otherwise.
+    A polynomial runs one in-place Horner loop, in int64 when _horner_fits
+    certifies it and on Python ints otherwise.  Python-int terms, lacunary and
+    explicit ones too, pass one range check: OverflowError names the first
+    index whose term leaves the signed 64-bit range.  ValueError if an
+    explicit list is shorter than `count`.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -301,14 +274,28 @@ def generate_terms(spec: SequenceSpec, count: int) -> np.ndarray:
         if count > TERM_LIMIT:
             raise OverflowError(f"term {TERM_LIMIT + 1} exceeds the signed 64-bit range")
         return np.arange(1, count + 1, dtype=np.int64)
-    if spec.kind == "poly" and _horner_fits(spec.coeffs, count):
+    if spec.kind == "poly":
         n = np.arange(1, count + 1, dtype=np.int64)
-        acc = np.zeros(count, dtype=np.int64)
+        terms = np.zeros(count, dtype=np.int64 if _horner_fits(spec.coeffs, count) else object)
         for c in reversed(spec.coeffs):
-            acc *= n
-            acc += c
-        return acc
-    return np.array(_term_loop(spec, count), dtype=np.int64)
+            terms *= n
+            terms += c
+        del n
+        if terms.dtype == np.int64:
+            return terms
+    elif spec.kind == "lacunary":  # base >= 2: term 63 is past the range
+        terms = spec.base ** np.arange(1, min(count, 63) + 1, dtype=object)
+    else:
+        if count > len(spec.values):
+            raise ValueError(f"explicit sequence has {len(spec.values)} terms, {count} requested")
+        terms = np.array(spec.values[:count], dtype=object)
+    # against +-TERM_LIMIT, not abs(): abs would copy every negative term
+    bad = np.flatnonzero((terms > TERM_LIMIT) | (terms < -TERM_LIMIT))
+    if bad.size:
+        k = int(bad[0])
+        raise OverflowError(
+            f"term {k + 1} has magnitude {abs(terms[k])} exceeding the signed 64-bit range")
+    return terms.astype(np.int64)
 
 
 def term_array(terms, limit: int) -> np.ndarray:
@@ -326,9 +313,7 @@ def term_array(terms, limit: int) -> np.ndarray:
         # an integer array has its items' types checked; big ints are
         # range-checked below as Python ints
         items = np.asarray(terms, dtype=object)
-        for kind in set(map(type, items.flat)):
-            if not issubclass(kind, (int, np.integer)) or issubclass(kind, bool):
-                raise TypeError(f"terms must be integers, got {kind.__name__}")
+        _integers(items.flat, "terms must be integers")
         if x.dtype.kind not in "iu":
             x = items
     if x.size and (int(x.min()) < -limit or int(x.max()) > limit):

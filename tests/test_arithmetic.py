@@ -738,6 +738,9 @@ def test_difference_set_examples():
     assert np.array_equal(difference_set((0, 0, 1), 100, pair_budget=4950), full)
     with pytest.raises(BudgetExceeded, match="estimated 4950, budget 4949"):
         difference_set((0, 0, 1), 100, pair_budget=4949)
+    # a fractional coefficient is refused, not truncated to n^2's differences
+    with pytest.raises(TypeError, match="coefficients must be integers, got float"):
+        difference_set([0, 0, 1.5], 10)
 
 
 def test_divisibility_bound_check():

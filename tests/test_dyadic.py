@@ -203,6 +203,22 @@ def test_window_sum_bit_identical_to_reference_loop():
         y_window_sum({1 << 63: 1}, 1, BENCH_KERNELS[0], Alpha.golden())
 
 
+def test_window_sum_refuses_counts_its_pair_count_cannot_hold():
+    # the equal-term pairs, pair_count minus the multiplicities, cannot be
+    # negative, and a gap in counts occurs at least once
+    kern, alpha = BENCH_KERNELS[0], Alpha.golden()
+    for counts, pair_count in (({1: 5}, 2), ({1: 5}, -3), ({}, -1), ({1: 2, 3: 0}, 5),
+                               ({1: 2, 3: -1}, 5)):
+        with pytest.raises(ValueError, match="multiplicities must be >= 1 and sum to at most"):
+            y_window_sum(counts, pair_count, kern, alpha)
+    # counts that fill pair_count exactly, or leave pairs of equal terms
+    for pair_count in (5, 6):
+        want = reference_y_window_sum({1: 2, 3: 3}, pair_count, kern, alpha)
+        want += 2.0 * (pair_count - 5) * kern.periodized(0.0)
+        assert y_window_sum({1: 2, 3: 3}, pair_count, kern, alpha) == pytest.approx(want)
+    assert y_window_sum({}, 0, kern, alpha) == 0.0
+
+
 def test_grid_floats_round_like_python_division():
     rng = np.random.default_rng(47)
     gaps = rng.integers(1, 1 << 62, size=10 ** 5)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import numvar.cli as cli
+from numvar.points import SequenceSpec, _horner_fits
 
 _SPEC = importlib.util.spec_from_file_location(
     "output_digest", Path(__file__).resolve().parents[1] / "tools" / "output_digest.py")
@@ -37,6 +38,19 @@ def test_output_digest_prints_a_line_per_command(capsys):
     text = capsys.readouterr().out.encode()
     want = hashlib.sha256(b"1:0" + b"%d:" % len(text) + text + b"0:").hexdigest()
     assert digests[decompose] == want != digests[to_file]
+
+
+def test_output_digest_covers_every_sequence_kind():
+    # one command each at least, so every term path of generate_terms
+    # (arange, Horner in int64 and on Python ints, powers, a list) is hashed
+    sequences = [(c[c.index("--sequence") + 1], int(c[c.index("--count") + 1]))
+                 for c in output_digest.COMMANDS if "--sequence" in c]
+    kinds = {text.split(":")[0] for text, _ in sequences}
+    assert kinds == {"linear", "poly", "lacunary", "explicit"}
+    for kind in kinds:  # SequenceSpec's kinds, each with its own constructor
+        assert callable(getattr(SequenceSpec, kind))
+    assert any(not _horner_fits(SequenceSpec.parse(text).coeffs, count)
+               for text, count in sequences if text.startswith("poly:"))
 
 
 def test_rational_scan_takes_the_points_lexsort(monkeypatch, tmp_path):

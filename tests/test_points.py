@@ -184,6 +184,25 @@ def test_sequence_spec_validation():
         SequenceSpec.parse("poly:1,x")
 
 
+def test_sequence_constructors_refuse_non_integers():
+    # int() would truncate each of these to an integer spec without a word
+    with pytest.raises(TypeError, match="coefficients must be integers, got float"):
+        SequenceSpec.poly([0, 0, 1.5])
+    with pytest.raises(TypeError, match="lacunary base must be an integer, got float"):
+        SequenceSpec.lacunary(2.9)
+    for values, name in (([1.7, 2], "float"), ([1, True], "bool"), ([np.float64(3.9)], "float64"),
+                         ([np.bool_(True), 2], "bool"), (["3"], "str")):
+        with pytest.raises(TypeError, match=f"explicit values must be integers, got {name}$"):
+            SequenceSpec.explicit(values)
+    with pytest.raises(TypeError, match="got bool"):
+        SequenceSpec.poly([0, True])
+    # numpy integers of any width are read as the Python ints they hold
+    spec = SequenceSpec.poly([np.int8(-3), np.uint64((1 << 64) - 1), 1])
+    assert spec.coeffs == (-3, (1 << 64) - 1, 1) and all(type(c) is int for c in spec.coeffs)
+    assert SequenceSpec.lacunary(np.int64(3)).base == 3
+    assert SequenceSpec.explicit(np.arange(1, 4)).values == (1, 2, 3)
+
+
 def test_sequence_parse_and_labels():
     assert SequenceSpec.parse("linear").label() == "linear"
     assert SequenceSpec.parse("poly:0,0,1").coeffs == (0, 0, 1)
@@ -215,25 +234,56 @@ def test_generate_terms_examples():
         assert got.tolist() == want
 
 
-def test_generate_terms_int64_path_matches_python_loop():
-    def loop(coeffs, count):
-        out = []
-        for n in range(1, count + 1):
+def reference_terms(spec, count):
+    """The terms one at a time on Python ints, each checked as it is made:
+    the exact loop generate_terms once ran, with its OverflowError message."""
+    if spec.kind == "explicit" and count > len(spec.values):
+        raise ValueError(f"explicit sequence has {len(spec.values)} terms, {count} requested")
+    out = []
+    for n in range(1, count + 1):
+        if spec.kind == "poly":
             acc = 0
-            for c in reversed(coeffs):
+            for c in reversed(spec.coeffs):
                 acc = acc * n + c
-            out.append(acc)
-        return out
+        else:
+            acc = spec.base ** n if spec.kind == "lacunary" else spec.values[n - 1]
+        if abs(acc) > (1 << 63) - 1:
+            raise OverflowError(
+                f"term {n} has magnitude {abs(acc)} exceeding the signed 64-bit range")
+        out.append(acc)
+    return out
 
+
+def outcome(build, spec, count):
+    """The terms as a list, or the type and message of what building raised."""
+    try:
+        terms = build(spec, count)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+    if build is generate_terms:
+        assert isinstance(terms, np.ndarray) and terms.dtype == np.int64
+        terms = terms.tolist()
+    return terms
+
+
+def test_generate_terms_int64_path_matches_python_loop():
     edge = (1 << 62) // 10 ** 6
     cases = [((0, 0, 1), 1000), ((3, -7, 0, 2), 500), ((5, 3, -(1 << 40)), 700),
              ((0, 0, edge - 1), 1000),  # just under the 2^62 bound: int64 path
-             ((0, 0, edge + 1), 1000),  # just over it, terms still fit: exact loop
-             ((1, 1), 0)]
-    for coeffs, count in cases:
-        spec = SequenceSpec.poly(coeffs)
-        got = generate_terms(spec, count)
-        assert got.dtype == np.int64 and got.tolist() == loop(coeffs, count)
+             ((0, 0, edge + 1), 1000),  # just over it, terms still fit: Python ints
+             ((1, 1), 0), ((5, 0, -(1 << 70)), 0),  # count 0, a coefficient past int64
+             # partial sums pass the bound while every term fits
+             ((-4611686018427387904, 0, 1), 2000)]
+    rng = np.random.default_rng(59)
+    for bits in (62, 63, 64, 65):  # coefficients past 2^62 and 2^64
+        for _ in range(20):
+            coeffs = [int(c) << (bits - 40) for c in rng.integers(-(1 << 40), 1 << 40, 4)]
+            coeffs[-1] = coeffs[-1] or 1
+            cases.append((tuple(coeffs[:int(rng.integers(2, 5))]), int(rng.integers(0, 50))))
+    specs = [(SequenceSpec.poly(coeffs), count) for coeffs, count in cases]
+    specs += [(SequenceSpec.lacunary(3), 0), (SequenceSpec.explicit([1 << 63]), 0)]
+    for spec, count in specs:
+        assert outcome(generate_terms, spec, count) == outcome(reference_terms, spec, count)
 
 
 def test_generate_terms_holds_two_arrays_of_terms():
@@ -250,6 +300,21 @@ def test_generate_terms_holds_two_arrays_of_terms():
     assert peak <= 17 * count
 
 
+def test_generate_terms_on_python_ints_holds_56_bytes_a_term():
+    # past the size bound Horner runs on Python ints in place, the index
+    # array is freed before the range check, and the check compares with
+    # the bounds instead of copying the terms' magnitudes
+    count = 1 << 17
+    tracemalloc.start()
+    try:
+        terms = generate_terms(SequenceSpec.poly((-4611686018427387904, 0, 1)), count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert terms[-1] == count * count - (1 << 62)
+    assert peak <= 56 * count
+
+
 def test_generate_terms_overflow_names_index():
     # 2^63 first exceeds the signed 64-bit range at n = 63
     with pytest.raises(OverflowError, match="term 63"):
@@ -262,11 +327,26 @@ def test_generate_terms_overflow_names_index():
     # asked for: np.arange(1, 2^63 + 1) returns an empty array, not an error
     with pytest.raises(OverflowError, match=f"term {1 << 63} exceeds the signed 64-bit range"):
         generate_terms(SequenceSpec.linear(), 1 << 63)
+    specs = [(SequenceSpec.linear(), 0)]
+    for base in range(2, 13):  # around each base's first term past the range
+        first = next(n for n in range(1, 64) if base ** n > (1 << 63) - 1)
+        specs += [(SequenceSpec.lacunary(base), count)
+                  for count in (first - 1, first, first + 1, 100)]
+    big = 1 << 63  # one past the range, either sign, at index 1, 2 and 3
+    for at in range(3):
+        for value in (big, -big, big - 1, -big + 1):
+            values = [5, -7, 11]
+            values[at] = value
+            specs += [(SequenceSpec.explicit(values), count) for count in range(5)]
+    for spec, count in specs:
+        assert outcome(generate_terms, spec, count) == outcome(reference_terms, spec, count)
+    assert outcome(generate_terms, SequenceSpec.lacunary(3), 45) == (
+        OverflowError, f"term 40 has magnitude {3 ** 40} exceeding the signed 64-bit range")
 
 
 def test_generate_terms_coefficient_past_int64_names_term_1():
-    # a coefficient beyond +-(2^63 - 1) skips the size bound's sum and takes
-    # the exact loop, whose first term already overflows
+    # a coefficient beyond +-(2^63 - 1) fails the size bound, and the first
+    # term on Python ints is already out of range
     for coeffs in ((0, 1 << 63), (-(1 << 63) - 1, 1), (0, 0, -(1 << 64))):
         with pytest.raises(OverflowError, match="term 1 "):
             generate_terms(SequenceSpec.poly(coeffs), 3)

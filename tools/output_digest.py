@@ -4,17 +4,20 @@
 
 Runs a fixed list of `numvar` commands (COMMANDS) in this process, with the
 package imported from the checkout this script sits in, in a fresh temporary
-directory that holds the scan configs (SCAN_CONFIGS).  For each command it prints
+directory that holds the scan configs (SCAN_CONFIGS) and two explicit term
+lists (TERM_FILES).  For each command it prints
 one line, `sha256  command`: the sha256 of its exit code, its stdout, its
 stderr and the file its --out names, if any, with the value of every
 `"wall_time"` replaced by a fixed string.  The list covers every subcommand;
 scan's CSV and JSON at --threads 1 and 2, over random alphas (to stdout and to
 --out) and over rational and explicit ones; a preset with --out; `repstats`
-on inner and whole windows, int64 keys and repeated terms; and `gcdsum`'s
-divisor route in each variant.  It ends with
+on inner and whole windows, int64 keys and repeated terms, and on a sequence
+of each kind (a polynomial past the int64 evaluation's size bound among
+them); and `gcdsum`'s divisor route in each variant.  It ends with
 refusals (_REFUSALS): counting commands over their --pair-budget (exit 3),
-terms or a threshold too large for the exact paths and a window past
---count (exit 2), and the gcd sum routes at their edges.  Each of them
+terms or a threshold too large for the exact paths, lacunary and explicit
+terms past the signed 64-bit range and a window past --count (exit 2), and
+the gcd sum routes at their edges.  Each of them
 allocates at most a few MB.  Run it in a `git archive` copy of each revision
 and compare the lines: equal lines mean byte-identical output.
 """
@@ -44,6 +47,10 @@ SCAN_CONFIGS = {
                       "n_grid = 1000, 4000\ns_grid = logspace:5..8\n"),
 }
 
+# 2^63, term 2 of big.txt, is one past the signed 64-bit range
+TERM_FILES = {"terms.txt": "1\n4\n# a comment\n9\n16  # trailing\n",
+              "big.txt": "1\n9223372036854775808\n3\n"}
+
 _SCANS = tuple(
     ("scan", "--config", "scan.conf", "--threads", threads, *fmt, *out)
     for threads in ("1", "2")
@@ -65,6 +72,8 @@ _REFUSALS = (
     (*_GCD_EDGE, "--threshold", "0.5"),  # no coprime class: 0.0 by the classes
     ("gcdsum", *_LACUNARY, "--count", "40", "--threshold", "1e15", "--pair-budget", "1000"),
     ("repstats", *_SQUARES, "--count", "50000", "--n1", "60000"),  # the window past --count
+    ("energy", "--sequence", "lacunary:3", "--count", "45"),  # 3^40 past 2^63
+    ("energy", "--sequence", "explicit:@big.txt", "--count", "3"),
 )
 
 COMMANDS = (
@@ -78,6 +87,10 @@ COMMANDS = (
     ("repstats", "--sequence", "poly:0,0,1", "--count", "300"),
     ("repstats", "--sequence", "lacunary:3", "--count", "30"),
     ("repstats", "--sequence", "poly:0,-3,1", "--count", "20"),
+    # past the int64 evaluation's size bound, every term within the range
+    ("repstats", "--sequence", "poly:-4611686018427387904,0,1", "--count", "300"),
+    ("repstats", "--sequence", "linear", "--count", "50"),
+    ("repstats", "--sequence", "explicit:@terms.txt", "--count", "4"),
     ("gcdsum", "--sequence", "poly:0,0,1", "--count", "100", "--variant", "one_over_max",
      "--threshold", "40"),
     # no threshold: the divisor route, through J_1 or J_2 by the variant
@@ -115,7 +128,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # not contextlib.chdir, which needs Python 3.11
         try:
-            for name, text in SCAN_CONFIGS.items():
+            for name, text in {**SCAN_CONFIGS, **TERM_FILES}.items():
                 with open(name, "w", encoding="utf-8") as fh:
                     fh.write(text)
             for command in COMMANDS:
